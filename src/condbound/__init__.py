@@ -3,6 +3,8 @@ certified anti-concentration certificates, and concrete impossibility
 verdicts for min-entropy condensers, cross-validated by simulation and
 exhaustive enumeration."""
 
+__version__ = "0.1.0"
+
 from .anticonc import (AntiConcentrationCertificate, certificate_ordering,
                        lemma2_certificate, pz_bound)
 from .asymptotic import (AsymptoticEstimate, bell_log_estimate,
@@ -19,8 +21,6 @@ from .hashsim import (ExactLoadDistribution, HashFamilySpec,
 from .intervals import FloatInterval, log2_interval, nth_root
 from .moments import (BallsBinsInstance, MomentResult, moment_norm,
                       moment_sandwich, raw_moment)
-
-__version__ = "0.1.0"
 
 __all__ = [
     "AntiConcentrationCertificate", "AsymptoticEstimate",

@@ -79,6 +79,12 @@ def pz_bound(inst: BallsBinsInstance, theta, table: StirlingTable,
                                         theta=theta)
 
 
+def lemma2_probability(q: int, M: int, table: StirlingTable) -> Fraction:
+    """(1 - q^2/(2M)) * (B_{q/2})^2 / (2 B_q), exact; negative when vacuous."""
+    return ((1 - Fraction(q * q, 2 * M))
+            * Fraction(table.bell(q // 2) ** 2, 2 * table.bell(q)))
+
+
 def lemma2_certificate(q: int, M: int, table: StirlingTable,
                        frac_bits: int = DEFAULT_FRAC_BITS,
                        ) -> AntiConcentrationCertificate:
@@ -91,9 +97,8 @@ def lemma2_certificate(q: int, M: int, table: StirlingTable,
     if M < 1:
         raise PreconditionError("lemma2_certificate requires M >= 1")
     bell_half = table.bell(q // 2)
-    bell_full = table.bell(q)
     threshold = nth_root(Fraction(bell_half ** 2, 4 ** (q // 2)), q, frac_bits)
-    prob = (1 - Fraction(q * q, 2 * M)) * Fraction(bell_half ** 2, 2 * bell_full)
+    prob = lemma2_probability(q, M, table)
     vacuous = q * q >= 2 * M
     if vacuous:
         prob = min(prob, Fraction(0))
@@ -115,11 +120,8 @@ def bell_bound_at_theta(q: int, M: int, theta, table: StirlingTable,
     if not 0 < theta < 1:
         raise PreconditionError("bell_bound_at_theta requires 0 < theta < 1")
     _check_q(q, table)
-    bell_half = table.bell(q // 2)
-    bell_full = table.bell(q)
-    threshold = nth_root((theta * bell_half) ** 2, q, frac_bits)
-    prob = ((1 - theta) ** 2 * (1 - Fraction(q * q, 2 * M))
-            * Fraction(bell_half ** 2, bell_full))
+    threshold = nth_root((theta * table.bell(q // 2)) ** 2, q, frac_bits)
+    prob = 2 * (1 - theta) ** 2 * lemma2_probability(q, M, table)
     vacuous = q * q >= 2 * M
     if vacuous:
         prob = min(prob, Fraction(0))

@@ -24,7 +24,7 @@ from .combinat import BellSequence, StirlingTable
 from .condenser import (FEASIBLE_IMPOSSIBLE, asymptotic_gap_report,
                         impossibility_certificate, necessary_independence)
 from .anticonc import lemma2_certificate, pz_bound
-from .errors import CondboundError
+from .errors import CondboundError, PreconditionError
 from .hashsim import (HashFamilySpec, SimulationConfig, exact_small_oracle,
                       independent_oracle, run_trials)
 from .intervals import parse_dyadic
@@ -35,11 +35,35 @@ EXIT_USAGE = 2
 EXIT_STRICT = 3
 
 
-def _default_threads() -> int:
-    env = os.environ.get("CONDBOUND_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+def _parse(option: str, parse, text: str | None):
+    """parse(text), or None for an absent option; a malformed value raises
+    PreconditionError naming the option."""
+    if text is None:
+        return None
+    try:
+        return parse(text)
+    except (ValueError, ZeroDivisionError):
+        raise PreconditionError(
+            f"{option}: malformed value {text!r}") from None
+
+
+def _parse_list(option: str, parse, text: str) -> tuple:
+    return tuple(_parse(option, parse, tok)
+                 for tok in filter(None, text.split(",")))
+
+
+def _threads(args) -> int:
+    """--threads, else CONDBOUND_THREADS, else available parallelism."""
+    if args.threads is not None:
+        option, threads = "--threads", args.threads
+    elif os.environ.get("CONDBOUND_THREADS"):
+        option = "CONDBOUND_THREADS"
+        threads = _parse(option, int, os.environ[option])
+    else:
+        return os.cpu_count() or 1
+    if threads < 1:
+        raise PreconditionError(f"{option} must be >= 1, got {threads}")
+    return threads
 
 
 def _add_common(parser, default_format="json"):
@@ -155,10 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _parse_fraction(s: str | None) -> Fraction | None:
-    return None if s is None else Fraction(s)
-
-
 def _run_table(args) -> tuple[dict, str | None, bool]:
     table = StirlingTable.build(args.qmax)
     if args.what == "stirling":
@@ -192,7 +212,7 @@ def _run_lemma2(args) -> tuple[dict, str | None, bool]:
 def _run_pz(args) -> tuple[dict, str | None, bool]:
     table = StirlingTable.build(args.q)
     inst = BallsBinsInstance(1 << args.log2m, 1 << args.log2m, args.q)
-    cert = pz_bound(inst, Fraction(args.theta), table)
+    cert = pz_bound(inst, _parse("--theta", Fraction, args.theta), table)
     return serialize.certificate_dict(cert), None, not cert.vacuous
 
 
@@ -225,14 +245,14 @@ def _run_condense(args) -> tuple[dict, str | None, bool]:
         table = _bells(args.q, args.cache_dir)
         verdict = impossibility_certificate(
             args.q, args.k, table,
-            loss=_parse_fraction(args.loss),
-            log2_inv_eps=_parse_fraction(args.log2eps))
+            loss=_parse("--loss", Fraction, args.loss),
+            log2_inv_eps=_parse("--log2eps", Fraction, args.log2eps))
         ok = verdict.feasible == FEASIBLE_IMPOSSIBLE
         return serialize.verdict_dict(verdict), None, ok
     if args.condense_cmd == "minq":
         table = _bells(args.qmax, args.cache_dir)
-        L = Fraction(args.log2eps)
-        loss = Fraction(args.loss)
+        L = _parse("--log2eps", Fraction, args.log2eps)
+        loss = _parse("--loss", Fraction, args.loss)
         q_minus = necessary_independence(L, args.k, loss, table)
         result = {
             "k": args.k,
@@ -248,17 +268,16 @@ def _run_condense(args) -> tuple[dict, str | None, bool]:
         return result, None, q_minus is not None
     # sweep
     table = _bells(args.qmax, args.cache_dir)
-    eps_list = [Fraction(tok) for tok in args.log2eps.split(",") if tok]
+    eps_list = _parse_list("--log2eps", Fraction, args.log2eps)
     rows = asymptotic_gap_report(eps_list, args.k, table,
-                                 loss=Fraction(args.loss))
+                                 loss=_parse("--loss", Fraction, args.loss))
     ok = all(r.q_minus is not None for r in rows)
     return serialize.gap_rows_dict(rows), None, ok
 
 
 def _run_simulate(args, threads: int) -> tuple[dict, str | None, bool]:
-    orders = tuple(int(tok) for tok in args.orders.split(",") if tok)
-    thresholds = tuple(parse_dyadic(tok)
-                       for tok in args.thresholds.split(",") if tok)
+    orders = _parse_list("--orders", int, args.orders)
+    thresholds = _parse_list("--thresholds", parse_dyadic, args.thresholds)
     if args.mode == "independent":
         if args.balls is None or args.bins is None:
             raise CondboundError(
@@ -287,8 +306,9 @@ def _run_simulate(args, threads: int) -> tuple[dict, str | None, bool]:
                     for k in orders],
                 "tails": [
                     {"threshold": tok, "probability":
-                     serialize.rational_dict(dist.tail_ge(parse_dyadic(tok)))}
-                    for tok in args.thresholds.split(",") if tok],
+                     serialize.rational_dict(dist.tail_ge(t))}
+                    for tok, t in zip(
+                        filter(None, args.thresholds.split(",")), thresholds)],
             }
             return result, None, True
         config = SimulationConfig(spec, trials=args.trials,
@@ -316,9 +336,9 @@ def _parameter_echo(args) -> dict:
 def dispatch(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    threads = args.threads if args.threads else _default_threads()
     sub = args.subcommand
     try:
+        threads = _threads(args)
         if sub == "table":
             result, csv_text, ok = _run_table(args)
         elif sub == "moment":

@@ -2,8 +2,9 @@
 
 Everything here is exact integer arithmetic.  The triangle is built with
 the two-term recurrence S(q, j) = j*S(q-1, j) + S(q-1, j-1); Bell numbers
-are row sums.  A streaming builder keeps only two rows for callers that
-need Bell numbers (and per-row maxima) without the full triangle.
+are row sums.  One row generator serves both the full triangle and a
+streaming builder that keeps only two rows for callers that need Bell
+numbers (and per-row maxima) without the full triangle.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import math
 import struct
 
 from .errors import CapacityError, PreconditionError
-from .intervals import DEFAULT_FRAC_BITS, FloatInterval, log2_interval
 
 DEFAULT_QMAX_CAP = 2048
 
@@ -35,6 +35,24 @@ def falling_factorial(n: int, k: int) -> int:
     return math.perm(n, k)
 
 
+def _stirling_rows(q_max: int, cap: int):
+    """Yield the rows S(q, 0..q) for q = 0..q_max, one at a time."""
+    if q_max < 0:
+        raise PreconditionError("Stirling rows require q_max >= 0")
+    if q_max > cap:
+        raise CapacityError(
+            f"q_max={q_max} exceeds the configured table cap {cap}")
+    row = [1]
+    yield row
+    for q in range(1, q_max + 1):
+        new = [0] * (q + 1)
+        for j in range(1, q):
+            new[j] = j * row[j] + row[j - 1]
+        new[q] = 1
+        row = new
+        yield row
+
+
 class StirlingTable:
     """Full triangle rows[q][j] = S(q, j) for 0 <= j <= q <= q_max."""
 
@@ -45,20 +63,7 @@ class StirlingTable:
 
     @classmethod
     def build(cls, q_max: int, cap: int = DEFAULT_QMAX_CAP) -> "StirlingTable":
-        if q_max < 0:
-            raise PreconditionError("build_stirling_table requires q_max >= 0")
-        if q_max > cap:
-            raise CapacityError(
-                f"q_max={q_max} exceeds the configured table cap {cap}")
-        rows = [[1]]
-        for q in range(1, q_max + 1):
-            prev = rows[-1]
-            row = [0] * (q + 1)
-            for j in range(1, q):
-                row[j] = j * prev[j] + prev[j - 1]
-            row[q] = 1
-            rows.append(row)
-        return cls(rows)
+        return cls(list(_stirling_rows(q_max, cap)))
 
     def stirling(self, q: int, j: int) -> int:
         if not 0 <= q <= self.q_max:
@@ -103,20 +108,8 @@ class BellSequence:
     @classmethod
     def stream(cls, q_max: int, cap: int = DEFAULT_QMAX_CAP) -> "BellSequence":
         """Two-row streaming construction; O(q_max) resident big integers."""
-        if q_max < 0:
-            raise PreconditionError("BellSequence.stream requires q_max >= 0")
-        if q_max > cap:
-            raise CapacityError(
-                f"q_max={q_max} exceeds the configured table cap {cap}")
-        values = [1]
-        maxima = [1]
-        row = [1]
-        for q in range(1, q_max + 1):
-            new = [0] * (q + 1)
-            for j in range(1, q):
-                new[j] = j * row[j] + row[j - 1]
-            new[q] = 1
-            row = new
+        values, maxima = [], []
+        for row in _stirling_rows(q_max, cap):
             values.append(sum(row))
             maxima.append(max(row))
         return cls(values, maxima)
@@ -169,16 +162,3 @@ class BellSequence:
             if q <= q_max and values[q] != expect:
                 raise PreconditionError(f"Bell cache spot check failed at q={q}")
         return cls(values, maxima or None)
-
-
-def bell_binomial_step(values: list[int], q: int) -> int:
-    """B_{q+1} via the identity sum_k C(q, k) * B_k.
-
-    Independent of the Stirling construction; used as a cross-check.
-    """
-    return sum(math.comb(q, k) * values[k] for k in range(q + 1))
-
-
-def log2_big(x: int, frac_bits: int = DEFAULT_FRAC_BITS) -> FloatInterval:
-    """Alias kept close to the combinatorics it reports on."""
-    return log2_interval(x, frac_bits)

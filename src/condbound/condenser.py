@@ -32,7 +32,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .anticonc import AntiConcentrationCertificate, lemma2_certificate
+from .anticonc import (AntiConcentrationCertificate, lemma2_certificate,
+                       lemma2_probability)
 from .combinat import StirlingTable
 from .errors import CapacityError, PreconditionError
 from .intervals import DEFAULT_FRAC_BITS, FloatInterval, log2_fraction
@@ -58,8 +59,6 @@ class CondenserParams:
     log2_inv_eps: Fraction | None
     entropy_k: int | None = None
     output_m: int | None = None
-    input_n: int | None = None
-    seed_bits: int | None = None
 
 
 @dataclass(frozen=True)
@@ -99,11 +98,7 @@ def _check_side_condition(q: int, k: int):
 
 
 def _coerce_target(value) -> Fraction | None:
-    if value is None:
-        return None
-    if isinstance(value, str):
-        return Fraction(value)
-    return Fraction(value)
+    return None if value is None else Fraction(value)
 
 
 def heavy_bin_reduction(cert: AntiConcentrationCertificate,
@@ -194,9 +189,7 @@ def _eps_condition(q: int, k: int, table: StirlingTable, neg_L: Fraction,
     returned q is re-verified through the authoritative certificate.
     """
     bell_half = table.bell(q // 2)
-    bell_full = table.bell(q)
-    p = ((1 - Fraction(q * q, 2 << k))
-         * Fraction(bell_half * bell_half, 2 * bell_full))
+    p = lemma2_probability(q, 1 << k, table)
     if p <= 0:
         raise PreconditionError("eps condition evaluated on a vacuous point")
     log2_tau = (log2_fraction(Fraction(bell_half * bell_half), frac_bits)

@@ -190,35 +190,39 @@ def _reduce_report(config_echo: dict, trials: int, orders, thresholds,
                             histogram, se_defined)
 
 
-def run_trials(config: SimulationConfig, threads: int = 1) -> SimulationReport:
-    """Monte Carlo load experiment over random seeds of the family.
-
-    Per trial: draw a seed, hash all balls, histogram the bin loads.  The
-    per-trial statistic is the mean over bins (of S^order, or of the tail
-    indicator), and the reported standard error is taken across trials;
-    bins within one trial are correlated and are never treated as
-    independent samples.
-    """
-    spec = config.family
-    M = config.ball_count
-    if M > (1 << spec.field_bits):
-        raise PreconditionError("more balls than field elements")
-    if M * config.trials > config.throw_cap:
-        raise CapacityError(
-            f"balls*trials = {M * config.trials} exceeds the throw cap "
-            f"{config.throw_cap}")
+def _field_tables(spec: HashFamilySpec):
     if spec.field_bits > TABLE_FIELD_BITS:
         raise CapacityError(
-            f"vectorised trials support field_bits <= {TABLE_FIELD_BITS}")
-    tables = tables_for(spec.field_bits, spec.modulus)
-    N = spec.bins
-    shift = spec.field_bits - spec.output_bits
-    orders = tuple(config.moment_orders)
-    thresholds = tuple(Fraction(t) for t in config.thresholds)
-    int_thrs = [_int_threshold(t) for t in thresholds]
-    xs = np.arange(M, dtype=np.int64)
-    trials = config.trials
+            f"the simulator supports field_bits <= {TABLE_FIELD_BITS}")
+    return tables_for(spec.field_bits, spec.modulus)
 
+
+def _horner(tables, coeffs, xs: np.ndarray) -> np.ndarray:
+    """(seeds, points) values of the seed polynomials at every point of xs.
+
+    coeffs[i] holds the coefficient of x^i for every seed.
+    """
+    acc = np.broadcast_to(coeffs[-1][:, None],
+                          (len(coeffs[-1]), len(xs))).copy()
+    for i in range(len(coeffs) - 2, -1, -1):
+        acc = tables.mul_vec(acc, xs[None, :])
+        acc ^= coeffs[i][:, None]
+    return acc
+
+
+def _load_experiment(echo: dict, M: int, N: int, trials: int, orders,
+                     thresholds, exact_refs: dict[int, Fraction],
+                     threads: int, assign) -> SimulationReport:
+    """Monte Carlo bin loads of M balls in N bins, reduced to a report.
+
+    ``assign(b0, b1)`` returns a fresh (b1 - b0, M) int64 array holding the
+    bin of every ball in trials b0..b1-1; the driver owns it and reuses it
+    in place.  Trials run in batches, batches in chunks, chunks on the
+    thread pool; every per-trial row is written at its trial index and the
+    chunk histograms are summed in chunk order, so the report does not
+    depend on the thread count.
+    """
+    int_thrs = [_int_threshold(t) for t in thresholds]
     per_trial_moments = np.empty((trials, len(orders)), dtype=np.float64)
     per_trial_tails = np.empty((trials, len(thresholds)), dtype=np.float64)
     hist_parts: dict[int, np.ndarray] = {}
@@ -229,19 +233,11 @@ def run_trials(config: SimulationConfig, threads: int = 1) -> SimulationReport:
         hist = np.zeros(M + 1, dtype=np.int64)
         for b0 in range(start, end, batch):
             b1 = min(b0 + batch, end)
-            coeffs = np.stack([
-                _philox_rng(config.master_seed, t).integers(
-                    0, 1 << spec.field_bits, size=spec.degree + 1,
-                    dtype=np.int64)
-                for t in range(b0, b1)])
-            acc = np.broadcast_to(coeffs[:, spec.degree][:, None],
-                                  (b1 - b0, M)).copy()
-            for i in range(spec.degree - 1, -1, -1):
-                acc = tables.mul_vec(acc, xs[None, :])
-                acc ^= coeffs[:, i][:, None]
-            offsets = np.arange(b1 - b0, dtype=np.int64) * N
-            flat = ((acc >> shift) + offsets[:, None]).ravel()
-            loads = np.bincount(flat, minlength=(b1 - b0) * N)
+            bins = assign(b0, b1)
+            # in place: a separate offset array keeps one more batch-sized
+            # temporary alive and raises the peak RSS by its size
+            bins += np.arange(0, (b1 - b0) * N, N)[:, None]
+            loads = np.bincount(bins.ravel(), minlength=(b1 - b0) * N)
             loads = loads.reshape(b1 - b0, N)
             hist += np.bincount(loads.ravel(), minlength=M + 1)
             fl = loads.astype(np.float64)
@@ -261,15 +257,50 @@ def run_trials(config: SimulationConfig, threads: int = 1) -> SimulationReport:
     hist_counts = np.zeros(M + 1, dtype=np.int64)
     for start, _ in bounds_list:
         hist_counts += hist_parts[start]
-
-    exact_refs = _exact_references(M, N, spec.independence, orders)
-    echo = {"mode": "monte-carlo", "field_bits": spec.field_bits,
-            "degree": spec.degree, "output_bits": spec.output_bits,
-            "modulus": spec.modulus, "balls": M, "bins": N,
-            "trials": trials, "master_seed": config.master_seed}
     return _reduce_report(echo, trials, orders, thresholds,
                           per_trial_moments, per_trial_tails, hist_counts,
                           exact_refs)
+
+
+def run_trials(config: SimulationConfig, threads: int = 1) -> SimulationReport:
+    """Monte Carlo load experiment over random seeds of the family.
+
+    Per trial: draw a seed, hash all balls, histogram the bin loads.  The
+    per-trial statistic is the mean over bins (of S^order, or of the tail
+    indicator), and the reported standard error is taken across trials;
+    bins within one trial are correlated and are never treated as
+    independent samples.
+    """
+    spec = config.family
+    M = config.ball_count
+    if M > (1 << spec.field_bits):
+        raise PreconditionError("more balls than field elements")
+    if M * config.trials > config.throw_cap:
+        raise CapacityError(
+            f"balls*trials = {M * config.trials} exceeds the throw cap "
+            f"{config.throw_cap}")
+    tables = _field_tables(spec)
+    N = spec.bins
+    shift = spec.field_bits - spec.output_bits
+    orders = tuple(config.moment_orders)
+    xs = np.arange(M, dtype=np.int64)
+
+    def assign(b0, b1):
+        coeffs = np.stack([
+            _philox_rng(config.master_seed, t).integers(
+                0, 1 << spec.field_bits, size=spec.degree + 1,
+                dtype=np.int64)
+            for t in range(b0, b1)])
+        return _horner(tables, coeffs.T, xs) >> shift
+
+    echo = {"mode": "monte-carlo", "field_bits": spec.field_bits,
+            "degree": spec.degree, "output_bits": spec.output_bits,
+            "modulus": spec.modulus, "balls": M, "bins": N,
+            "trials": config.trials, "master_seed": config.master_seed}
+    return _load_experiment(
+        echo, M, N, config.trials, orders,
+        tuple(Fraction(t) for t in config.thresholds),
+        _exact_references(M, N, spec.independence, orders), threads, assign)
 
 
 @dataclass(frozen=True)
@@ -299,32 +330,19 @@ def exact_small_oracle(spec: HashFamilySpec,
     if n_seeds > seed_cap:
         raise CapacityError(
             f"{n_seeds} seeds exceed the enumeration cap {seed_cap}")
+    tables = _field_tables(spec)
     w = spec.field_bits
     M = 1 << w
-    if w <= TABLE_FIELD_BITS:
-        tables = tables_for(w, spec.modulus)
-        xs = np.arange(M, dtype=np.int64)
-        shift = w - spec.output_bits
-        counts = np.zeros(M + 1, dtype=np.int64)
-        mask = M - 1
-        chunk = max(1, (1 << 22) // M)
-        for start, end in _chunk_ranges(n_seeds, chunk):
-            seeds = np.arange(start, end, dtype=np.int64)
-            coeffs = [(seeds >> (w * i)) & mask for i in range(spec.degree + 1)]
-            acc = np.broadcast_to(coeffs[spec.degree][:, None],
-                                  (len(seeds), M)).copy()
-            for i in range(spec.degree - 1, -1, -1):
-                acc = tables.mul_vec(acc, xs[None, :])
-                acc ^= coeffs[i][:, None]
-            loads = np.sum((acc >> shift) == 0, axis=1)
-            counts += np.bincount(loads, minlength=M + 1)
-    else:
-        counts = np.zeros(M + 1, dtype=np.int64)
-        for s in range(n_seeds):
-            seed = [(s >> (w * i)) & (M - 1) for i in range(spec.degree + 1)]
-            load = sum(1 for x in range(M)
-                       if evaluate_hash(spec, seed, x) == 0)
-            counts[load] += 1
+    xs = np.arange(M, dtype=np.int64)
+    shift = w - spec.output_bits
+    counts = np.zeros(M + 1, dtype=np.int64)
+    mask = M - 1
+    chunk = max(1, (1 << 22) // M)
+    for start, end in _chunk_ranges(n_seeds, chunk):
+        seeds = np.arange(start, end, dtype=np.int64)
+        coeffs = [(seeds >> (w * i)) & mask for i in range(spec.degree + 1)]
+        loads = np.sum((_horner(tables, coeffs, xs) >> shift) == 0, axis=1)
+        counts += np.bincount(loads, minlength=M + 1)
     support = {int(s): Fraction(int(c), n_seeds)
                for s, c in enumerate(counts) if c}
     return ExactLoadDistribution(support)
@@ -381,45 +399,13 @@ def independent_oracle(M: int, N: int, orders, trials: int, master_seed: int,
     if M * trials > throw_cap:
         raise CapacityError(
             f"balls*trials = {M * trials} exceeds the throw cap {throw_cap}")
-    int_thrs = [_int_threshold(t) for t in thresholds]
-    per_trial_moments = np.empty((trials, len(orders)), dtype=np.float64)
-    per_trial_tails = np.empty((trials, len(thresholds)), dtype=np.float64)
-    hist_parts: dict[int, np.ndarray] = {}
-    batch = max(1, (1 << 20) // max(M, N))
 
-    def work(bounds):
-        start, end = bounds
-        hist = np.zeros(M + 1, dtype=np.int64)
-        for b0 in range(start, end, batch):
-            b1 = min(b0 + batch, end)
-            bins = np.stack([
-                _philox_rng(master_seed, t).integers(0, N, size=M,
-                                                     dtype=np.int64)
-                for t in range(b0, b1)])
-            offsets = np.arange(b1 - b0, dtype=np.int64) * N
-            flat = (bins + offsets[:, None]).ravel()
-            loads = np.bincount(flat, minlength=(b1 - b0) * N)
-            loads = loads.reshape(b1 - b0, N)
-            hist += np.bincount(loads.ravel(), minlength=M + 1)
-            fl = loads.astype(np.float64)
-            for idx, order in enumerate(orders):
-                per_trial_moments[b0:b1, idx] = np.mean(fl ** order, axis=1)
-            for idx, thr in enumerate(int_thrs):
-                per_trial_tails[b0:b1, idx] = np.mean(loads >= thr, axis=1)
-        hist_parts[start] = hist
+    def assign(b0, b1):
+        return np.stack([
+            _philox_rng(master_seed, t).integers(0, N, size=M, dtype=np.int64)
+            for t in range(b0, b1)])
 
-    bounds_list = list(_chunk_ranges(trials, 8 * batch))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, bounds_list))
-    else:
-        for b in bounds_list:
-            work(b)
-    hist_counts = np.zeros(M + 1, dtype=np.int64)
-    for start, _ in bounds_list:
-        hist_counts += hist_parts[start]
     echo = {"mode": "independent-monte-carlo", "balls": M, "bins": N,
             "trials": trials, "master_seed": master_seed}
-    return _reduce_report(echo, trials, orders, thresholds,
-                          per_trial_moments, per_trial_tails, hist_counts,
-                          exact_refs)
+    return _load_experiment(echo, M, N, trials, orders, thresholds,
+                            exact_refs, threads, assign)

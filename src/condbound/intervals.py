@@ -109,12 +109,6 @@ class FloatInterval:
     def from_int(cls, n: int, frac_bits: int = DEFAULT_FRAC_BITS) -> "FloatInterval":
         return cls(n << frac_bits, n << frac_bits, frac_bits)
 
-    @classmethod
-    def from_bounds(cls, lo, hi, frac_bits: int = DEFAULT_FRAC_BITS) -> "FloatInterval":
-        slo, _ = _scale_fraction(Fraction(lo), frac_bits)
-        _, shi = _scale_fraction(Fraction(hi), frac_bits)
-        return cls(slo, shi, frac_bits)
-
     # -- accessors ---------------------------------------------------------
 
     @property
@@ -449,7 +443,3 @@ def parse_dyadic(s: str) -> Fraction:
     if fr.denominator & (fr.denominator - 1):
         raise PreconditionError(f"value {s!r} is not a dyadic rational")
     return fr
-
-
-def interval_to_strings(iv: FloatInterval) -> dict:
-    return {"lo": dyadic_str(iv.lo), "hi": dyadic_str(iv.hi)}

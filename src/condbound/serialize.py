@@ -12,15 +12,15 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
+from . import __version__
 from .anticonc import AntiConcentrationCertificate
 from .condenser import CondenserVerdict, GapRow
 from .errors import PreconditionError
 from .hashsim import SimulationReport
-from .intervals import FloatInterval, dyadic_str, parse_dyadic
+from .intervals import FloatInterval, dyadic_str
 from .moments import MomentResult
 
 TOOL_NAME = "condbound"
-TOOL_VERSION = "0.1.0"
 
 
 def rational_dict(fr) -> dict:
@@ -34,10 +34,6 @@ def parse_rational(d: dict) -> Fraction:
 
 def interval_dict(iv: FloatInterval) -> dict:
     return {"lo": dyadic_str(iv.lo), "hi": dyadic_str(iv.hi)}
-
-
-def parse_interval(d: dict) -> tuple[Fraction, Fraction]:
-    return parse_dyadic(d["lo"]), parse_dyadic(d["hi"])
 
 
 def _log2_exact(n: int) -> int:
@@ -152,7 +148,7 @@ def report_dict(rep: SimulationReport) -> dict:
 def envelope(subcommand: str, parameters: dict, result, fmt: str) -> dict:
     return {
         "tool": TOOL_NAME,
-        "version": TOOL_VERSION,
+        "version": __version__,
         "subcommand": subcommand,
         "format": fmt,
         "parameters": parameters,

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import signal
 from fractions import Fraction
 
 import pytest
@@ -195,3 +197,88 @@ def test_parameter_echo_excludes_execution_knobs(capsys):
     assert "threads" not in env["parameters"]
     assert "format" not in env["parameters"]
     assert env["parameters"]["q"] == 4
+
+
+# sha256 of the JSON stdout, recorded before the Monte Carlo trial loops of
+# run_trials and independent_oracle shared one driver; the w = 11 run spans
+# two thread-pool chunks of eight batches each
+GOLDEN_SIMULATE = [
+    (["simulate", "--w", "11", "--q", "3", "--trials", "5000",
+      "--master-seed", "2024", "--orders", "1,2,3", "--thresholds", "1,5/2^1"],
+     "a912e8198672023f480c7cc20be8be84aa43557c7f934f3a3479c054dc6402d9"),
+    (["simulate", "--w", "9", "--q", "4", "--output-bits", "5",
+      "--trials", "3000", "--master-seed", "77", "--orders", "1,2",
+      "--thresholds", "16,25"],
+     "d246b1a29bb56e82f57eff4d41b7443df0349b64802185382dc6afaad0dccd0f"),
+    (["simulate", "--mode", "independent", "--balls", "2048", "--bins",
+      "1024", "--trials", "4500", "--master-seed", "5", "--orders", "1,2",
+      "--thresholds", "2,4"],
+     "22144e43d025466f2da5319bef3e84d0ac65c0c77fdb187bd30df01effd82bf9"),
+]
+
+
+@pytest.mark.parametrize("argv, sha256", GOLDEN_SIMULATE,
+                         ids=["mc", "output-bits", "independent-mc"])
+def test_simulate_json_golden_digest(capsys, argv, sha256):
+    code, out = run_cli(capsys, *argv, "--threads", "2")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+def test_simulate_exact_rejects_wide_field_at_once(capsys):
+    # w = 17, q = 1 passes the 2^24 seed cap, but enumerating it would take
+    # 2^34 point evaluations
+    def expire(signum, frame):
+        raise TimeoutError("exact mode still running after 1 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        code = dispatch(["simulate", "--mode", "exact", "--w", "17",
+                         "--q", "1"])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 2
+    assert "field_bits <= 16" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["condense", "check", "--q", "64", "--k", "43", "--loss", "abc"],
+     "--loss"),
+    (["condense", "check", "--q", "64", "--k", "43", "--log2eps", "1/0"],
+     "--log2eps"),
+    (["pz", "--q", "4", "--log2m", "10", "--theta", "abc"], "--theta"),
+    (["condense", "minq", "--log2eps", "x", "--k", "64", "--loss", "1",
+      "--qmax", "16"], "--log2eps"),
+    (["condense", "sweep", "--log2eps", "64,1/0", "--k", "64",
+      "--qmax", "16"], "--log2eps"),
+    (["condense", "sweep", "--log2eps", "64", "--k", "64", "--loss", "1.x",
+      "--qmax", "16"], "--loss"),
+    (["simulate", "--w", "3", "--q", "2", "--trials", "5",
+      "--thresholds", "1,abc"], "--thresholds"),
+    (["simulate", "--mode", "exact", "--w", "3", "--q", "2",
+      "--thresholds", "1/2^x"], "--thresholds"),
+    (["simulate", "--w", "3", "--q", "2", "--trials", "5",
+      "--orders", "1,x"], "--orders"),
+], ids=["check-loss", "check-log2eps", "pz-theta", "minq-log2eps",
+        "sweep-log2eps", "sweep-loss", "mc-thresholds", "exact-thresholds",
+        "mc-orders"])
+def test_malformed_option_value_exits_2(capsys, argv, option):
+    assert dispatch(argv) == 2
+    assert option in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads, env", [("0", None), ("-3", None),
+                                          (None, "abc")],
+                         ids=["zero", "negative", "env-malformed"])
+def test_bad_thread_count_exits_2(capsys, monkeypatch, threads, env):
+    argv = ["simulate", "--w", "3", "--q", "2", "--trials", "5"]
+    if threads is None:
+        monkeypatch.setenv("CONDBOUND_THREADS", env)
+    else:
+        monkeypatch.delenv("CONDBOUND_THREADS", raising=False)
+        argv += ["--threads", threads]
+    assert dispatch(argv) == 2
+    source = "CONDBOUND_THREADS" if threads is None else "--threads"
+    assert source in capsys.readouterr().err

@@ -9,27 +9,50 @@ statistics (means, standard errors) are genuine floats and stay floats.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
+import sys
+import threading
+from dataclasses import asdict
 from fractions import Fraction
 
 from . import __version__
 from .anticonc import AntiConcentrationCertificate
+from .asymptotic import AsymptoticEstimate
+from .combinat import StirlingTable
 from .condenser import CondenserVerdict, GapRow
 from .errors import PreconditionError
-from .hashsim import SimulationReport
+from .hashsim import ExactLoadDistribution, HashFamilySpec, SimulationReport
 from .intervals import FloatInterval, dyadic_str
 from .moments import MomentResult
 
-TOOL_NAME = "condbound"
+_DIGIT_LIMIT_LOCK = threading.Lock()
+
+
+def _any_length(convert, value):
+    """convert(value) with the interpreter-wide int/str digit limit (4300 by
+    default) lifted under a lock; exact values at the caps run past it."""
+    with _DIGIT_LIMIT_LOCK:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return convert(value)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+
+def decimal(n: int) -> str:
+    return _any_length(str, n)
 
 
 def rational_dict(fr) -> dict:
     fr = Fraction(fr)
-    return {"num": str(fr.numerator), "den": str(fr.denominator)}
+    return {"num": decimal(fr.numerator), "den": decimal(fr.denominator)}
 
 
 def parse_rational(d: dict) -> Fraction:
-    return Fraction(int(d["num"]), int(d["den"]))
+    return Fraction(_any_length(int, d["num"]), _any_length(int, d["den"]))
 
 
 def interval_dict(iv: FloatInterval) -> dict:
@@ -49,8 +72,8 @@ def certificate_dict(cert: AntiConcentrationCertificate) -> dict:
         "log2M": _log2_exact(cert.M),
         "tau_lo": dyadic_str(cert.threshold.lo),
         "tau_hi": dyadic_str(cert.threshold.hi),
-        "p_num": str(cert.probability.numerator),
-        "p_den": str(cert.probability.denominator),
+        "p_num": decimal(cert.probability.numerator),
+        "p_den": decimal(cert.probability.denominator),
         "vacuous": cert.vacuous,
         "variant": cert.variant,
     }
@@ -61,8 +84,8 @@ def certificate_dict(cert: AntiConcentrationCertificate) -> dict:
 
 def moment_dict(res: MomentResult) -> dict:
     return {
-        "balls": str(res.instance.balls),
-        "bins": str(res.instance.bins),
+        "balls": decimal(res.instance.balls),
+        "bins": decimal(res.instance.bins),
         "independence": res.instance.independence,
         "order": res.order,
         "value": rational_dict(res.value),
@@ -71,58 +94,108 @@ def moment_dict(res: MomentResult) -> dict:
 
 
 def verdict_dict(v: CondenserVerdict) -> dict:
-    out = {
-        "q": v.params.independence,
-        "k": v.params.entropy_k,
+    red, params, claim = v.reduction, v.params, v.reference_claim
+    targeted = (params.loss_bits is not None
+                or params.log2_inv_eps is not None)
+    return {
+        "q": params.independence,
+        "k": params.entropy_k,
         "feasible": v.feasible,
         "certificate": certificate_dict(v.certificate),
-        "ell_star": None,
-        "log2_eps_star_lo": None,
-        "reduction": None,
-        "target": None,
-        "target_covered": v.target_covered,
-        "reference_claim": None,
-    }
-    if v.reduction is not None:
-        red = v.reduction
-        out["ell_star"] = dyadic_str(red.ell_star.lo)
-        out["log2_eps_star_lo"] = dyadic_str(red.log2_eps_star.lo)
-        out["reduction"] = {
+        "ell_star": None if red is None else dyadic_str(red.ell_star.lo),
+        "log2_eps_star_lo":
+            None if red is None else dyadic_str(red.log2_eps_star.lo),
+        "reduction": None if red is None else {
             "tau_lo": dyadic_str(red.tau_lo),
             "ell_star": interval_dict(red.ell_star),
             "epsilon_star": rational_dict(red.epsilon_star),
             "log2_eps_star": interval_dict(red.log2_eps_star),
-        }
-    if v.params.loss_bits is not None or v.params.log2_inv_eps is not None:
-        out["target"] = {
-            "loss": None if v.params.loss_bits is None
-            else rational_dict(v.params.loss_bits),
-            "log2_inv_eps": None if v.params.log2_inv_eps is None
-            else rational_dict(v.params.log2_inv_eps),
-        }
-    if v.reference_claim is not None:
-        out["reference_claim"] = {
-            "loss": rational_dict(v.reference_claim["loss"]),
-            "log2_inv_eps": rational_dict(v.reference_claim["log2_inv_eps"]),
+        },
+        "target": None if not targeted else {
+            "loss": None if params.loss_bits is None
+            else rational_dict(params.loss_bits),
+            "log2_inv_eps": None if params.log2_inv_eps is None
+            else rational_dict(params.log2_inv_eps),
+        },
+        "target_covered": v.target_covered,
+        "reference_claim": None if claim is None else {
+            "loss": rational_dict(claim["loss"]),
+            "log2_inv_eps": rational_dict(claim["log2_inv_eps"]),
             "claim_covered_by_certificate":
-                v.reference_claim.get("claim_covered_by_certificate"),
-        }
-    return out
+                claim.get("claim_covered_by_certificate"),
+        },
+    }
 
 
 def gap_rows_dict(rows: list[GapRow]) -> dict:
-    out = []
-    for r in rows:
-        out.append({
-            "log2_inv_eps": rational_dict(r.log2_inv_eps),
-            "q_plus": r.q_plus,
-            "q_minus": r.q_minus,
-            "ratio": None if r.ratio is None else rational_dict(r.ratio),
-            "band_lo": r.band_lo,
-            "band_hi": r.band_hi,
-            "within_band": r.within_band,
-        })
-    return {"rows": out}
+    return {"rows": [{
+        "log2_inv_eps": rational_dict(r.log2_inv_eps),
+        "q_plus": r.q_plus,
+        "q_minus": r.q_minus,
+        "ratio": None if r.ratio is None else rational_dict(r.ratio),
+        "band_lo": r.band_lo,
+        "band_hi": r.band_hi,
+        "within_band": r.within_band,
+    } for r in rows]}
+
+
+def minq_dict(k: int, loss, log2_inv_eps, q_minus: int | None,
+              verdict: CondenserVerdict | None) -> dict:
+    return {
+        "k": k,
+        "target": {"loss": rational_dict(loss),
+                   "log2_inv_eps": rational_dict(log2_inv_eps)},
+        "q_lower_bound": q_minus,
+        "verdict_at_bound": None if verdict is None else verdict_dict(verdict),
+    }
+
+
+def table_dict(table: StirlingTable, what: str) -> dict:
+    if what == "stirling":
+        return {"q_max": table.q_max, "what": what,
+                "rows": [[decimal(v) for v in row] for row in table.rows]}
+    return {"q_max": table.q_max, "what": what,
+            "bells": [decimal(v) for v in table.bells().values]}
+
+
+def table_rows(result: dict) -> list:
+    if result["what"] == "stirling":
+        return result["rows"]
+    return [("q", "bell"), *enumerate(result["bells"])]
+
+
+_ESTIMATE_FIELDS = ("estimate", "exact", "residual", "scaled_residual")
+
+
+def asymptotics_dict(estimates: list[AsymptoticEstimate]) -> dict:
+    return {"rows": [
+        {"q": est.q, **{name: interval_dict(getattr(est, name))
+                        for name in _ESTIMATE_FIELDS}}
+        for est in estimates]}
+
+
+def asymptotics_rows(result: dict) -> list:
+    """CSV rows: q, then the lo and hi end of each enclosure."""
+    ends = [(name, end) for name in _ESTIMATE_FIELDS for end in ("lo", "hi")]
+    return [["q", *(f"{name}_{end}" for name, end in ends)],
+            *([row["q"], *(row[name][end] for name, end in ends)]
+              for row in result["rows"])]
+
+
+def distribution_dict(spec: HashFamilySpec, dist: ExactLoadDistribution,
+                      orders, thresholds) -> dict:
+    return {
+        "mode": "exact",
+        **asdict(spec),
+        "distribution": [{"load": s, "probability": rational_dict(p)}
+                         for s, p in sorted(dist.support.items())],
+        "moments": [{"order": k, "value": rational_dict(dist.moment(k))}
+                    for k in orders],
+        "tails": [
+            {"threshold": dyadic_str(t),
+             "probability": rational_dict(dist.tail_ge(t))}
+            for t in thresholds],
+    }
 
 
 def report_dict(rep: SimulationReport) -> dict:
@@ -145,12 +218,16 @@ def report_dict(rep: SimulationReport) -> dict:
     }
 
 
-def envelope(subcommand: str, parameters: dict, result, fmt: str) -> dict:
+def histogram_rows(result: dict) -> list:
+    return [("load", "count"), *result["histogram"]]
+
+
+def envelope(subcommand: str, parameters: dict, result) -> dict:
     return {
-        "tool": TOOL_NAME,
+        "tool": "condbound",
         "version": __version__,
         "subcommand": subcommand,
-        "format": fmt,
+        "format": "json",
         "parameters": parameters,
         "result": result,
     }
@@ -177,15 +254,10 @@ def flatten(value, prefix: str = "") -> list[tuple[str, str]]:
         return [(prefix, "")]
     if value is True or value is False:
         return [(prefix, "true" if value else "false")]
-    if isinstance(value, float):
-        return [(prefix, repr(value))]
     return [(prefix, str(value))]
 
 
-def to_generic_csv(result) -> str:
-    lines = ["field,value"]
-    for path, val in flatten(result):
-        if "," in val or '"' in val:
-            val = '"' + val.replace('"', '""') + '"'
-        lines.append(f"{path},{val}")
-    return "\n".join(lines) + "\n"
+def to_csv(rows) -> str:
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()

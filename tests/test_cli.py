@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from condbound.cli import dispatch
+from condbound.anticonc import lemma2_certificate
+from condbound.cli import build_parser, dispatch
+from condbound.combinat import DEFAULT_QMAX_CAP, BellSequence
 from condbound.intervals import parse_dyadic
 from condbound.serialize import flatten, parse_rational
 
@@ -191,12 +193,94 @@ def test_simulate_histogram_csv(capsys):
     assert total == 50 * 8  # trials * bins events
 
 
-def test_parameter_echo_excludes_execution_knobs(capsys):
-    env = run_json(capsys, "lemma2", "--q", "4", "--log2m", "5",
-                   "--threads", "2")
+def test_parameter_echo_excludes_execution_knobs(capsys, tmp_path):
+    env = run_json(capsys, "simulate", "--w", "3", "--q", "2", "--trials",
+                   "5", "--threads", "2")
     assert "threads" not in env["parameters"]
     assert "format" not in env["parameters"]
+    assert env["parameters"]["q"] == 2
+    env = run_json(capsys, "lemma2", "--q", "4", "--log2m", "5",
+                   "--cache-dir", str(tmp_path))
+    assert "cache_dir" not in env["parameters"]
     assert env["parameters"]["q"] == 4
+
+
+# one valid command line per leaf subcommand, and the leaves that accept
+# each execution option; every other leaf rejects it at parse time
+LEAF_ARGV = {
+    "table": ["table", "--qmax", "3"],
+    "moment": ["moment", "--balls", "4", "--bins", "4", "--q", "3"],
+    "lemma2": ["lemma2", "--q", "4", "--log2m", "11"],
+    "pz": ["pz", "--q", "4", "--log2m", "10", "--theta", "1/4"],
+    "asymptotics": ["asymptotics", "--qmax", "12"],
+    "check": ["condense", "check", "--q", "8", "--k", "11"],
+    "minq": ["condense", "minq", "--log2eps", "4", "--k", "64", "--loss",
+             "1", "--qmax", "16"],
+    "sweep": ["condense", "sweep", "--log2eps", "64", "--k", "64",
+              "--qmax", "16"],
+    "simulate": ["simulate", "--w", "3", "--q", "2", "--trials", "5"],
+}
+OPTION_LEAVES = {
+    "--strict": ({"lemma2", "check", "minq", "sweep"}, []),
+    "--cache-dir": ({"lemma2", "asymptotics", "check", "minq", "sweep"},
+                    ["d"]),
+    "--threads": ({"simulate"}, ["2"]),
+}
+
+
+@pytest.mark.parametrize("option", OPTION_LEAVES,
+                         ids=lambda option: option.lstrip("-"))
+@pytest.mark.parametrize("leaf", LEAF_ARGV)
+def test_execution_options_declared_where_they_act(capsys, leaf, option):
+    leaves, value = OPTION_LEAVES[option]
+    argv = [*LEAF_ARGV[leaf], option, *value]
+    if leaf in leaves:
+        args = build_parser().parse_args(argv)
+        assert vars(args)[option.lstrip("-").replace("-", "_")]
+        return
+    with pytest.raises(SystemExit) as exc:
+        dispatch(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--qmax", "3"],
+    ["simulate", "--mode", "exact", "--w", "2", "--q", "2"],
+], ids=["table", "simulate-exact"])
+def test_thread_variable_read_only_where_threads_run(capsys, monkeypatch,
+                                                     argv):
+    monkeypatch.setenv("CONDBOUND_THREADS", "abc")
+    code, _ = run_cli(capsys, *argv)
+    assert code == 0
+
+
+def test_simulate_exact_threshold_echo_matches_monte_carlo(capsys):
+    exact = run_json(capsys, "simulate", "--mode", "exact", "--w", "2",
+                     "--q", "2", "--thresholds", "0.5,1")
+    mc = run_json(capsys, "simulate", "--w", "2", "--q", "2", "--trials",
+                  "5", "--thresholds", "0.5,1")
+    assert [t["threshold"] for t in exact["result"]["tails"]] == \
+        [t["threshold"] for t in mc["result"]["tails"]] == ["1/2^1", "1"]
+
+
+def test_lemma2_at_qmax_cap_roundtrips_past_digit_limit(capsys, tmp_path):
+    # B_2048 has about 4980 decimal digits, past CPython's default
+    # int/str conversion limit of 4300
+    env = run_json(capsys, "lemma2", "--q", str(DEFAULT_QMAX_CAP),
+                   "--log2m", "40", "--cache-dir", str(tmp_path))
+    res = env["result"]
+    assert len(res["p_den"]) > 4300
+    bells = BellSequence.load(tmp_path / "bell_tables.bin")
+    cert = lemma2_certificate(DEFAULT_QMAX_CAP, 1 << 40, bells)
+    assert parse_rational({"num": res["p_num"], "den": res["p_den"]}) \
+        == cert.probability
+
+
+def test_pz_past_digit_limit(capsys):
+    env = run_json(capsys, "pz", "--q", "512", "--log2m", "30",
+                   "--theta", "1/4")
+    assert len(env["result"]["p_num"]) > 4300
 
 
 # sha256 of the JSON stdout, recorded before the Monte Carlo trial loops of
@@ -282,3 +366,39 @@ def test_bad_thread_count_exits_2(capsys, monkeypatch, threads, env):
     assert dispatch(argv) == 2
     source = "CONDBOUND_THREADS" if threads is None else "--threads"
     assert source in capsys.readouterr().err
+
+
+# sha256 of stdout for commands the benchmark does not run, recorded before
+# the CLI dispatch moved to a handler table and every CSV to one writer
+GOLDEN_STDOUT = [
+    (["lemma2", "--q", "6", "--log2m", "10", "--format", "csv"],
+     "53ae04dbf47d4e0d4e61e6c3de4992a7d82441f9c8aa1ccf559f773a6fc4dcb4"),
+    (["simulate", "--w", "5", "--q", "3", "--trials", "300",
+      "--master-seed", "11", "--format", "csv"],
+     "d8277020b02e9e37eb34351ba34c34a7f39761e5cfffd48807fa7f200c6219fd"),
+    (["asymptotics", "--qmin", "8", "--qmax", "40", "--step", "4",
+      "--format", "json"],
+     "a0803407c12634a29a2d2d0c39413554f1987df8e84232c54f1caa98518d6947"),
+    (["table", "--qmax", "5", "--format", "json"],
+     "e35a3d84387295f6c6f86bed5a06b787460b18a99635c37de3366ea3273b6bbe"),
+    (["table", "--qmax", "5", "--what", "bell", "--format", "json"],
+     "cf4129ceae9c1fb007e4cd1e41010c62838838937bf030d94bcd68b0a8b1ea57"),
+    (["condense", "check", "--q", "8", "--k", "11"],
+     "e8bd2f43c4436f33d9108657f87ad26e93605fbe3a71edeae16185a9b30122d9"),
+    (["condense", "minq", "--log2eps", "4", "--k", "64", "--loss", "1",
+      "--qmax", "64"],
+     "927091516160621b405150aa784fc0674306300fb6524bd4e70540530cd3718e"),
+    (["moment", "--balls", "7", "--bins", "5", "--q", "4", "--format", "csv"],
+     "90c0a444a8f972213fbf0b4886d941808edce7541965b1d18067be87c26e2208"),
+]
+
+
+@pytest.mark.parametrize("argv, sha256", GOLDEN_STDOUT,
+                         ids=["lemma2-csv", "simulate-histogram-csv",
+                              "asymptotics-json", "stirling-json", "bell-json",
+                              "check-no-reference", "minq-null-bound",
+                              "moment-csv"])
+def test_stdout_golden_digest(capsys, argv, sha256):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256

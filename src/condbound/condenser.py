@@ -36,7 +36,8 @@ from .anticonc import (AntiConcentrationCertificate, lemma2_certificate,
                        lemma2_probability)
 from .combinat import StirlingTable
 from .errors import CapacityError, PreconditionError
-from .intervals import DEFAULT_FRAC_BITS, FloatInterval, log2_fraction
+from .intervals import (DEFAULT_FRAC_BITS, FloatInterval, log2_fraction,
+                        log2_interval)
 
 FEASIBLE_POSITIVE = "positive"
 FEASIBLE_IMPOSSIBLE = "impossible"
@@ -55,7 +56,9 @@ class CondenserParams:
     """Parameter record in the k = m regime; absent fields are symbolic."""
 
     independence: int
-    loss_bits: Fraction | None
+    # a target loss is exact; the achieved loss log2 q is an enclosure,
+    # of zero width when q is a power of two
+    loss_bits: Fraction | FloatInterval | None
     log2_inv_eps: Fraction | None
     entropy_k: int | None = None
     output_m: int | None = None
@@ -85,7 +88,7 @@ def positive_params(log2_inv_eps) -> CondenserParams:
     if L <= 1:
         raise PreconditionError("positive_params requires eps < 1/2")
     q = math.ceil(L)
-    return CondenserParams(independence=q, loss_bits=Fraction(math.log2(q)),
+    return CondenserParams(independence=q, loss_bits=log2_interval(q),
                            log2_inv_eps=L)
 
 

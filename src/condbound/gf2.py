@@ -1,5 +1,8 @@
 """GF(2^w) arithmetic: carryless polynomial multiplication modulo a fixed
-irreducible polynomial, plus log/antilog tables for vectorised work.
+irreducible polynomial, plus log/antilog tables for elementwise products
+of arrays (w <= 16).  The simulator multiplies with them only to build its
+split tables of the powers x^i and to fold in, by Horner, the coefficient
+positions those tables leave out.
 
 Moduli for w in [2, 64] ship as a data file (hex encoded, one per line);
 each entry is the smallest irreducible polynomial of its degree by integer

@@ -7,6 +7,17 @@ distinct points are exactly independent and uniform, so these families
 validate the moment identities both empirically (Monte Carlo over seeds)
 and exactly (exhaustive seed enumeration at small widths).
 
+Evaluation kernel: the Monte Carlo and exhaustive modes evaluate batches of
+seed polynomials at every point of a fixed grid (the balls, or the whole
+field).  Multiplying a coefficient by a fixed x^i is GF(2)-linear, so
+uint16 tables of (v << 4j) * x^i over the grid, one row per coefficient
+position i, nibble j and nibble value v, turn each batch into contiguous
+row gathers XORed into one accumulator (the split-table method of Plank,
+Greenan and Miller, FAST 2013).  The tables of one run take at most
+TABLE_BYTES (16 MiB); when q positions do not fit, which happens only at
+large q for w = 16, the positions past the first ``span`` fold in by
+Horner in x^span through the exp/log tables of ``gf2``.
+
 Determinism contract: every trial draws its seed from a counter-based
 generator keyed by (master_seed, trial index), and all reductions run in
 trial-index order, so reports are bit-identical regardless of how trials
@@ -30,6 +41,9 @@ from .moments import BallsBinsInstance, raw_moment
 DEFAULT_SEED_ENUM_CAP = 1 << 24
 DEFAULT_THROW_CAP = 1 << 30
 _EXHAUSTIVE_ASSIGNMENT_CAP = 1 << 20
+# bytes of split tables per evaluation grid; at w = 16 (8 MiB per
+# coefficient position) a q-position table would need q * 8 MiB
+TABLE_BYTES = 16 << 20
 
 
 @dataclass(frozen=True)
@@ -190,24 +204,60 @@ def _reduce_report(config_echo: dict, trials: int, orders, thresholds,
                             histogram, se_defined)
 
 
-def _field_tables(spec: HashFamilySpec):
-    if spec.field_bits > TABLE_FIELD_BITS:
-        raise CapacityError(
-            f"the simulator supports field_bits <= {TABLE_FIELD_BITS}")
-    return tables_for(spec.field_bits, spec.modulus)
+class _SplitTables:
+    """Split tables of the seed polynomials of a family over the grid of
+    points 0..points-1.
 
-
-def _horner(tables, coeffs, xs: np.ndarray) -> np.ndarray:
-    """(seeds, points) values of the seed polynomials at every point of xs.
-
-    coeffs[i] holds the coefficient of x^i for every seed.
+    rows[i, j, v] holds (v << 4j) * x^i at every point x of the grid, so a
+    seed polynomial's values are the XOR over coefficient positions i and
+    nibbles j of rows[i, j, nibble j of c_i].  The rows cover the first
+    ``span`` positions, as many as TABLE_BYTES holds; higher positions
+    fold in by Horner in x^span.
     """
-    acc = np.broadcast_to(coeffs[-1][:, None],
-                          (len(coeffs[-1]), len(xs))).copy()
-    for i in range(len(coeffs) - 2, -1, -1):
-        acc = tables.mul_vec(acc, xs[None, :])
-        acc ^= coeffs[i][:, None]
-    return acc
+
+    def __init__(self, spec: HashFamilySpec, points: int):
+        w = spec.field_bits
+        if w > TABLE_FIELD_BITS:
+            raise CapacityError(
+                f"the simulator supports field_bits <= {TABLE_FIELD_BITS}")
+        self.tables = tables_for(w, spec.modulus)
+        self.nibbles = -(-w // 4)
+        position_bytes = self.nibbles * 16 * points * 2
+        self.span = max(1, min(spec.independence,
+                               TABLE_BYTES // position_bytes))
+        self.rows = np.zeros((self.span, self.nibbles, 16, points),
+                             dtype=np.uint16)
+        xs = np.arange(points, dtype=np.int64)
+        power = np.ones(points, dtype=np.int64)          # x^i
+        for i in range(self.span):
+            basis = power                                # 2^b * x^i
+            for b in range(w):
+                j, k = divmod(b, 4)
+                self.rows[i, j, (np.arange(16) >> k) & 1 == 1] ^= \
+                    basis.astype(np.uint16)
+                basis = basis << 1                       # times x, reduced
+                basis ^= (basis >> w) * spec.modulus
+            power = self.tables.mul_vec(power, xs)
+        self.fold = power                                # x^span
+
+    def evaluate(self, coeffs) -> np.ndarray:
+        """(seeds, points) uint16 values of the seed polynomials.
+
+        coeffs[i] holds the coefficient of x^i for every seed.
+        """
+        acc = np.zeros((len(coeffs[0]), self.rows.shape[-1]),
+                       dtype=np.uint16)
+        buf = np.empty_like(acc)
+        top = (len(coeffs) - 1) // self.span * self.span
+        for base in range(top, -1, -self.span):
+            if base < top:
+                acc[...] = self.tables.mul_vec(acc, self.fold)
+            for i in range(base, min(base + self.span, len(coeffs))):
+                for j in range(self.nibbles):
+                    np.take(self.rows[i - base, j], (coeffs[i] >> 4 * j) & 15,
+                            axis=0, out=buf, mode="clip")
+                    acc ^= buf
+        return acc
 
 
 def _load_experiment(echo: dict, M: int, N: int, trials: int, orders,
@@ -279,11 +329,10 @@ def run_trials(config: SimulationConfig, threads: int = 1) -> SimulationReport:
         raise CapacityError(
             f"balls*trials = {M * config.trials} exceeds the throw cap "
             f"{config.throw_cap}")
-    tables = _field_tables(spec)
+    split = _SplitTables(spec, M)
     N = spec.bins
     shift = spec.field_bits - spec.output_bits
     orders = tuple(config.moment_orders)
-    xs = np.arange(M, dtype=np.int64)
 
     def assign(b0, b1):
         coeffs = np.stack([
@@ -291,7 +340,8 @@ def run_trials(config: SimulationConfig, threads: int = 1) -> SimulationReport:
                 0, 1 << spec.field_bits, size=spec.degree + 1,
                 dtype=np.int64)
             for t in range(b0, b1)])
-        return _horner(tables, coeffs.T, xs) >> shift
+        return np.right_shift(split.evaluate(coeffs.T), shift,
+                              dtype=np.int64)
 
     echo = {"mode": "monte-carlo", "field_bits": spec.field_bits,
             "degree": spec.degree, "output_bits": spec.output_bits,
@@ -330,10 +380,9 @@ def exact_small_oracle(spec: HashFamilySpec,
     if n_seeds > seed_cap:
         raise CapacityError(
             f"{n_seeds} seeds exceed the enumeration cap {seed_cap}")
-    tables = _field_tables(spec)
     w = spec.field_bits
     M = 1 << w
-    xs = np.arange(M, dtype=np.int64)
+    split = _SplitTables(spec, M)
     shift = w - spec.output_bits
     counts = np.zeros(M + 1, dtype=np.int64)
     mask = M - 1
@@ -341,7 +390,7 @@ def exact_small_oracle(spec: HashFamilySpec,
     for start, end in _chunk_ranges(n_seeds, chunk):
         seeds = np.arange(start, end, dtype=np.int64)
         coeffs = [(seeds >> (w * i)) & mask for i in range(spec.degree + 1)]
-        loads = np.sum((_horner(tables, coeffs, xs) >> shift) == 0, axis=1)
+        loads = np.sum((split.evaluate(coeffs) >> shift) == 0, axis=1)
         counts += np.bincount(loads, minlength=M + 1)
     support = {int(s): Fraction(int(c), n_seeds)
                for s, c in enumerate(counts) if c}

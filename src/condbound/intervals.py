@@ -10,6 +10,8 @@ integer arithmetic only; the float unit is never involved.
 from __future__ import annotations
 
 import math
+import sys
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,6 +22,20 @@ DEFAULT_FRAC_BITS = 256
 # extra working bits so that series truncation and intermediate rounding
 # stay far below one output ulp
 _GUARD = 32
+
+_DIGIT_LIMIT_LOCK = threading.Lock()
+
+
+def any_length(convert, value):
+    """convert(value) with the interpreter-wide int/str digit limit (4300 by
+    default) lifted under a lock; exact values at the caps run past it."""
+    with _DIGIT_LIMIT_LOCK:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return convert(value)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 def _floor_div(a: int, b: int) -> int:
@@ -428,9 +444,8 @@ def dyadic_str(fr) -> str:
     if den & (den - 1):
         raise PreconditionError("dyadic_str requires a power-of-two denominator")
     k = den.bit_length() - 1
-    if k == 0:
-        return str(fr.numerator)
-    return f"{fr.numerator}/2^{k}"
+    num = any_length(str, fr.numerator)
+    return num if k == 0 else f"{num}/2^{k}"
 
 
 def parse_dyadic(s: str) -> Fraction:
@@ -438,8 +453,8 @@ def parse_dyadic(s: str) -> Fraction:
     s = s.strip()
     if "/2^" in s:
         m, k = s.split("/2^")
-        return Fraction(int(m), 1 << int(k))
-    fr = Fraction(s)
+        return Fraction(any_length(int, m), 1 << int(k))
+    fr = any_length(Fraction, s)
     if fr.denominator & (fr.denominator - 1):
         raise PreconditionError(f"value {s!r} is not a dyadic rational")
     return fr

@@ -12,8 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import sys
-import threading
 from dataclasses import asdict
 from fractions import Fraction
 
@@ -24,26 +22,11 @@ from .combinat import StirlingTable
 from .condenser import CondenserVerdict, GapRow
 from .errors import PreconditionError
 from .hashsim import ExactLoadDistribution, HashFamilySpec, SimulationReport
-from .intervals import FloatInterval, dyadic_str
+from .intervals import FloatInterval, any_length, dyadic_str
 from .moments import MomentResult
 
-_DIGIT_LIMIT_LOCK = threading.Lock()
-
-
-def _any_length(convert, value):
-    """convert(value) with the interpreter-wide int/str digit limit (4300 by
-    default) lifted under a lock; exact values at the caps run past it."""
-    with _DIGIT_LIMIT_LOCK:
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
-            return convert(value)
-        finally:
-            sys.set_int_max_str_digits(limit)
-
-
 def decimal(n: int) -> str:
-    return _any_length(str, n)
+    return any_length(str, n)
 
 
 def rational_dict(fr) -> dict:
@@ -52,7 +35,7 @@ def rational_dict(fr) -> dict:
 
 
 def parse_rational(d: dict) -> Fraction:
-    return Fraction(_any_length(int, d["num"]), _any_length(int, d["den"]))
+    return Fraction(any_length(int, d["num"]), any_length(int, d["den"]))
 
 
 def interval_dict(iv: FloatInterval) -> dict:

@@ -20,7 +20,7 @@ from condbound.asymptotic import estimate_residual, sandwich_holds
 from condbound.cli import dispatch
 from condbound.condenser import necessary_independence
 from condbound.errors import PreconditionError
-from condbound.intervals import parse_dyadic
+from condbound.intervals import FloatInterval, parse_dyadic
 
 from oracles import (assignment_bin0_histogram, bell_by_binomial_recurrence,
                      partition_counts_by_blocks)
@@ -181,7 +181,7 @@ def test_criterion_6_positive_side():
     """positive_params(2^-64) = (q=64, ell=6) exactly."""
     params = positive_params(64)
     assert params.independence == 64
-    assert params.loss_bits == 6
+    assert params.loss_bits == FloatInterval.from_int(6)   # zero width
     _passline(6, "positive parameters at eps=2^-64: q=64, loss=6 (exact)")
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from condbound import hashsim
 from condbound.anticonc import lemma2_certificate
 from condbound.cli import build_parser, dispatch
 from condbound.combinat import DEFAULT_QMAX_CAP, BellSequence
@@ -325,6 +326,34 @@ def test_simulate_exact_rejects_wide_field_at_once(capsys):
         signal.signal(signal.SIGALRM, previous)
     assert code == 2
     assert "field_bits <= 16" in capsys.readouterr().err
+
+
+def test_simulate_wide_field_large_q_bounded(capsys, monkeypatch):
+    # q positions of split tables at w = 16 would take q * 8 MiB (8 GiB
+    # here); the tables stop at TABLE_BYTES and the rest folds by Horner
+    built = []
+
+    class Recorded(hashsim._SplitTables):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self.rows.nbytes)
+
+    def expire(signum, frame):
+        raise TimeoutError("simulate still running after 10 s")
+
+    monkeypatch.setattr(hashsim, "_SplitTables", Recorded)
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 10.0)
+    try:
+        code = dispatch(["simulate", "--w", "16", "--q", "1024",
+                         "--trials", "1", "--threads", "1"])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["result"]["trials"] == 1
+    assert len(built) == 1
+    assert 0 < built[0] <= hashsim.TABLE_BYTES
 
 
 @pytest.mark.parametrize("argv, option", [

@@ -12,20 +12,32 @@ from condbound.condenser import (FEASIBLE_IMPOSSIBLE, FEASIBLE_UNDETERMINED,
                                  heavy_bin_reduction)
 from condbound.errors import CapacityError, PreconditionError
 from condbound.gf2 import default_modulus, tables_for
+from condbound.intervals import FloatInterval, log2_interval
 
 
 def test_positive_params_examples():
     p = positive_params(64)
     assert p.independence == 64
-    assert p.loss_bits == 6
+    assert p.loss_bits == FloatInterval.from_int(6)
     p = positive_params(80)
     assert p.independence == 80
-    assert p.loss_bits == Fraction(math.log2(80))
+    assert p.loss_bits == log2_interval(80)
+    assert p.loss_bits.width > 0
     p = positive_params(2)  # eps = 1/4
     assert p.independence == 2
-    assert p.loss_bits == 1
+    assert p.loss_bits == FloatInterval.from_int(1)
     with pytest.raises(PreconditionError):
         positive_params(1)  # eps = 1/2 not admissible
+
+
+def test_positive_params_loss_encloses_log2_q():
+    # log2 100 is irrational: a float-valued Fraction of it lies outside
+    # its certified enclosure, so only the enclosure is exact
+    loss = positive_params(100).loss_bits
+    enclosure = log2_interval(100)
+    assert isinstance(loss, FloatInterval)
+    assert enclosure.lo <= loss.lo and loss.hi <= enclosure.hi
+    assert not enclosure.contains(Fraction(math.log2(100)))
 
 
 def test_impossibility_small_q_small_k(table16):

@@ -1,7 +1,9 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from condbound import hashsim
 from condbound import (BallsBinsInstance, HashFamilySpec, SimulationConfig,
                        StirlingTable, evaluate_hash, exact_small_oracle,
                        independent_oracle, lemma2_certificate, raw_moment,
@@ -216,3 +218,71 @@ def test_independent_oracle_monte_carlo():
     for stat in report.moments:
         assert stat.exact is not None
         assert abs(stat.mean - float(stat.exact)) <= 4 * (stat.se or 1e9)
+
+
+def _kernel_values_checked(spec, split, rng):
+    w, q = spec.field_bits, spec.independence
+    coeffs = rng.integers(0, 1 << w, size=(q, 6), dtype=np.int64)
+    coeffs[:, 0] = 0                     # zero polynomial
+    coeffs[:, 1] = (1 << w) - 1          # every coefficient all ones
+    values = split.evaluate(coeffs)
+    assert values.dtype == np.uint16 and values.shape == (6, 1 << w)
+    if w <= 8:
+        points = range(1 << w)
+    else:
+        points = [0, 1, (1 << w) - 1,
+                  *(int(x) for x in rng.integers(0, 1 << w, size=40))]
+    for s in range(coeffs.shape[1]):
+        seed = [int(c) for c in coeffs[:, s]]
+        for x in points:
+            assert values[s, x] == evaluate_hash(spec, seed, x), (s, x)
+    return values
+
+
+@pytest.mark.parametrize("w, q", [(2, 4), (3, 5), (5, 7), (8, 6), (13, 8),
+                                  (16, 5)])
+def test_split_table_kernel_matches_scalar_horner(w, q):
+    spec = HashFamilySpec.create(w, independence=q)
+    split = hashsim._SplitTables(spec, 1 << w)
+    # w = 16 has room for two positions only: the x^span fold runs twice
+    assert (split.span < q) == (w == 16)
+    assert split.rows.nbytes <= hashsim.TABLE_BYTES
+    _kernel_values_checked(spec, split, np.random.default_rng(1000 + w))
+
+
+@pytest.mark.parametrize("span", [1, 2, 3])
+def test_split_table_fold_matches_full_tables(monkeypatch, span):
+    # w = 5 (two nibbles, the top one partial), q = 7: the budget of `span`
+    # positions makes the x^span fold run over 7 // span blocks
+    spec = HashFamilySpec.create(5, independence=7)
+    full = _kernel_values_checked(spec, hashsim._SplitTables(spec, 32),
+                                  np.random.default_rng(5))
+    monkeypatch.setattr(hashsim, "TABLE_BYTES", span * 2 * 16 * 32 * 2)
+    split = hashsim._SplitTables(spec, 32)
+    assert split.span == span
+    folded = _kernel_values_checked(spec, split, np.random.default_rng(5))
+    assert np.array_equal(folded, full)
+
+
+# bin-0 load counts over every seed, recorded with the exp/log Horner
+# evaluation that the split tables replaced
+PINNED_EXACT = [
+    (3, 4, 3, {0: 1379, 1: 1736, 2: 588, 3: 392, 8: 1}),
+    (3, 3, 1, {0: 32, 4: 448, 8: 32}),
+    (4, 5, 4, {0: 375915, 1: 384960, 2: 226800, 3: 33600, 4: 27300,
+               16: 1}),
+    (4, 5, 2, {0: 11072, 1: 66560, 2: 92160, 3: 286720, 4: 197120,
+               5: 215040, 6: 71680, 7: 81920, 8: 21120, 9: 5120, 16: 64}),
+    (4, 3, 3, {0: 854, 2: 2400, 4: 840, 16: 2}),
+    (5, 4, 5, {0: 353679, 1: 495008, 2: 46128, 3: 153760, 32: 1}),
+    (5, 3, 2, {0: 1512, 8: 29760, 16: 1488, 32: 8}),
+]
+
+
+@pytest.mark.parametrize("w, q, output_bits, counts", PINNED_EXACT,
+                         ids=[f"w{w}-q{q}-m{m}" for w, q, m, _ in PINNED_EXACT])
+def test_exact_oracle_pinned_distributions(w, q, output_bits, counts):
+    spec = HashFamilySpec.create(w, independence=q, output_bits=output_bits)
+    dist = exact_small_oracle(spec)
+    assert dist.support == {s: Fraction(c, spec.seed_count)
+                            for s, c in counts.items()}

@@ -30,14 +30,19 @@ def _check_q(q: int):
         raise PreconditionError("estimate requires q >= 3 (ln ln q positive)")
 
 
+def _closed_form(q: int, frac_bits: int) -> tuple[FloatInterval, ...]:
+    """Enclosures of ln q, ln ln q and ln q - ln ln q - 1."""
+    _check_q(q)
+    ln_q = ln_interval_of_int(q, frac_bits)
+    ln_ln_q = ln_interval(ln_q, frac_bits)
+    return ln_q, ln_ln_q, (ln_q - ln_ln_q).shift(-1)
+
+
 def stirling_max_log_estimate(q: int,
                               frac_bits: int = DEFAULT_FRAC_BITS) -> FloatInterval:
     """Enclosure of ln q - ln ln q - 1, the per-q leading order of
     max_j ln S(q, j)."""
-    _check_q(q)
-    ln_q = ln_interval_of_int(q, frac_bits)
-    ln_ln_q = ln_interval(ln_q, frac_bits)
-    return (ln_q - ln_ln_q).shift(-1)
+    return _closed_form(q, frac_bits)[2]
 
 
 def bell_log_estimate(q: int,
@@ -55,12 +60,9 @@ def estimate_residual(q: int, bells,
     BellSequence).  scaled_residual multiplies by ln q / ln ln q, the
     reciprocal of the correction term's stated decay.
     """
-    _check_q(q)
-    estimate = bell_log_estimate(q, frac_bits)
+    ln_q, ln_ln_q, estimate = _closed_form(q, frac_bits)
     exact = ln_interval_of_int(bells.bell(q), frac_bits).divide_by_int(q)
     residual = exact - estimate
-    ln_q = ln_interval_of_int(q, frac_bits)
-    ln_ln_q = ln_interval(ln_q, frac_bits)
     scaled = residual * (ln_q / ln_ln_q)
     return AsymptoticEstimate(q, estimate, exact, residual, scaled)
 

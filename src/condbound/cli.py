@@ -183,7 +183,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 # Handlers return (payload, CSV rows or None for field/value rows, verdict ok)
 def _run_table(args) -> tuple[dict, list, bool]:
-    result = serialize.table_dict(StirlingTable.build(args.qmax), args.what)
+    build = (StirlingTable.build if args.what == "stirling"
+             else BellSequence.stream)
+    result = serialize.table_dict(build(args.qmax))
     return result, serialize.table_rows(result), True
 
 

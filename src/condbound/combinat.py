@@ -1,16 +1,20 @@
 """Arbitrary-precision Stirling numbers of the second kind and Bell numbers.
 
-Everything here is exact integer arithmetic.  The triangle is built with
-the two-term recurrence S(q, j) = j*S(q-1, j) + S(q-1, j-1); Bell numbers
-are row sums.  One row generator serves both the full triangle and a
-streaming builder that keeps only two rows for callers that need Bell
-numbers (and per-row maxima) without the full triangle.
+Everything here is exact integer arithmetic.  Bell numbers come from the
+Bell (Aitken) triangle: row n+1 is the running sum of row n started at
+row n's last entry, and B_n is the head of row n.  Each new row consumes
+the old one as it grows, so one row is resident.  The Stirling triangle is
+built with the two-term recurrence S(q, j) = j*S(q-1, j) + S(q-1, j-1);
+one row generator serves the full triangle and the per-row maxima, which
+a Bell sequence computes only when they are first read.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+from collections import deque
+from itertools import accumulate, repeat
 
 from .errors import CapacityError, PreconditionError
 
@@ -35,13 +39,17 @@ def falling_factorial(n: int, k: int) -> int:
     return math.perm(n, k)
 
 
-def _stirling_rows(q_max: int, cap: int):
-    """Yield the rows S(q, 0..q) for q = 0..q_max, one at a time."""
+def _check_q_max(q_max: int, cap: int) -> None:
     if q_max < 0:
         raise PreconditionError("Stirling rows require q_max >= 0")
     if q_max > cap:
         raise CapacityError(
             f"q_max={q_max} exceeds the configured table cap {cap}")
+
+
+def _stirling_rows(q_max: int, cap: int):
+    """Yield the rows S(q, 0..q) for q = 0..q_max, one at a time."""
+    _check_q_max(q_max, cap)
     row = [1]
     yield row
     for q in range(1, q_max + 1):
@@ -82,9 +90,7 @@ class StirlingTable:
 
     def bells(self) -> "BellSequence":
         if self._bells is None:
-            values = [sum(r) for r in self.rows]
-            maxima = [max(r) for r in self.rows]
-            self._bells = BellSequence(values, maxima)
+            self._bells = BellSequence([sum(r) for r in self.rows])
         return self._bells
 
     def bell(self, q: int) -> int:
@@ -94,7 +100,11 @@ class StirlingTable:
 
 
 class BellSequence:
-    """Bell numbers values[q] = B_q, with per-row Stirling maxima."""
+    """Bell numbers values[q] = B_q, with per-row Stirling maxima.
+
+    ``row_maxima`` is computed from the Stirling rows on first access
+    unless it was passed in or loaded from a cache file.
+    """
 
     MAGIC = b"CBBL"
     VERSION = 1
@@ -102,17 +112,28 @@ class BellSequence:
 
     def __init__(self, values: list[int], row_maxima: list[int] | None = None):
         self.values = values
-        self.row_maxima = row_maxima
+        self._row_maxima = row_maxima
         self.q_max = len(values) - 1
 
     @classmethod
     def stream(cls, q_max: int, cap: int = DEFAULT_QMAX_CAP) -> "BellSequence":
-        """Two-row streaming construction; O(q_max) resident big integers."""
-        values, maxima = [], []
-        for row in _stirling_rows(q_max, cap):
-            values.append(sum(row))
-            maxima.append(max(row))
-        return cls(values, maxima)
+        """Bell triangle construction; one row of big integers resident."""
+        _check_q_max(q_max, cap)
+        values = [1]
+        row = deque([1])
+        for _ in range(q_max):
+            # the new row pops the old one entry by entry as it grows
+            row = deque(accumulate(map(deque.popleft, repeat(row, len(row))),
+                                   initial=row[-1]))
+            values.append(row[0])
+        return cls(values)
+
+    @property
+    def row_maxima(self) -> list[int]:
+        if self._row_maxima is None:
+            self._row_maxima = [max(r) for r in
+                                _stirling_rows(self.q_max, DEFAULT_QMAX_CAP)]
+        return self._row_maxima
 
     def bell(self, q: int) -> int:
         if not 0 <= q <= self.q_max:
@@ -120,8 +141,6 @@ class BellSequence:
         return self.values[q]
 
     def row_max(self, q: int) -> int:
-        if self.row_maxima is None:
-            raise PreconditionError("row maxima were not recorded")
         if not 0 <= q <= self.q_max:
             raise PreconditionError(f"q={q} outside Bell range 0..{self.q_max}")
         return self.row_maxima[q]
@@ -132,7 +151,8 @@ class BellSequence:
         with open(path, "wb") as fh:
             fh.write(self.MAGIC)
             fh.write(struct.pack("<II", self.VERSION, self.q_max))
-            for seq in (self.values, self.row_maxima or []):
+            # row maxima are written only when already known
+            for seq in (self.values, self._row_maxima or []):
                 fh.write(struct.pack("<I", len(seq)))
                 for v in seq:
                     blob = v.to_bytes((v.bit_length() + 7) // 8 or 1, "big")

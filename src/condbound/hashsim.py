@@ -238,7 +238,7 @@ class _SplitTables:
                 basis = basis << 1                       # times x, reduced
                 basis ^= (basis >> w) * spec.modulus
             power = self.tables.mul_vec(power, xs)
-        self.fold = power                                # x^span
+        self.log_fold = self.tables.log[power]           # log of x^span
 
     def evaluate(self, coeffs) -> np.ndarray:
         """(seeds, points) uint16 values of the seed polynomials.
@@ -249,9 +249,14 @@ class _SplitTables:
                        dtype=np.uint16)
         buf = np.empty_like(acc)
         top = (len(coeffs) - 1) // self.span * self.span
+        if top:
+            logs = np.empty(acc.shape, dtype=np.int64)
         for base in range(top, -1, -self.span):
             if base < top:
-                acc[...] = self.tables.mul_vec(acc, self.fold)
+                # acc * x^span as GFTables.mul_vec computes it, in place
+                np.take(self.tables.log, acc, out=logs, mode="clip")
+                logs += self.log_fold
+                np.take(self.tables.exp, logs, out=acc, mode="clip")
             for i in range(base, min(base + self.span, len(coeffs))):
                 for j in range(self.nibbles):
                     np.take(self.rows[i - base, j], (coeffs[i] >> 4 * j) & 15,

@@ -309,8 +309,20 @@ def _ln2(prec: int) -> tuple[int, int]:
 
 
 def _ln_mantissa(m_lo: int, m_hi: int, prec: int) -> tuple[int, int]:
-    """Bounds for ln(m) with 1 <= m < 2, via ln m = 2*atanh((m-1)/(m+1))."""
+    """Bounds for ln(m) with 1 <= m <= 2.
+
+    Below sqrt(2), ln m = 2*atanh((m-1)/(m+1)); from sqrt(2) on,
+    ln m = ln 2 - 2*atanh((2-m)/(2+m)).  Either way the series argument
+    stays below 3 - 2*sqrt(2) ~ 0.172.
+    """
     one = 1 << prec
+    if m_lo * m_lo >= 2 * one * one:
+        # (2-m)/(2+m) falls as m grows: the low end comes from m_hi
+        u_lo = _div_down(2 * one - m_hi, 2 * one + m_hi, prec)
+        u_hi = _div_up(2 * one - m_lo, 2 * one + m_lo, prec)
+        a_lo, a_hi = _atanh_series(max(u_lo, 0), u_hi, prec)
+        l2_lo, l2_hi = _ln2(prec)
+        return l2_lo - a_hi, l2_hi - a_lo
     u_lo = _div_down(m_lo - one, m_lo + one, prec)
     u_hi = _div_up(m_hi - one, m_hi + one, prec)
     return _atanh_series(max(u_lo, 0), u_hi, prec)
@@ -319,7 +331,8 @@ def _ln_mantissa(m_lo: int, m_hi: int, prec: int) -> tuple[int, int]:
 def _ln_big_scaled(x: int, prec: int) -> tuple[int, int]:
     """Bounds for ln(x), x >= 1 integer, scaled by 2**prec."""
     e = x.bit_length() - 1
-    # mantissa m = x / 2**e in [1, 2), directed to prec bits
+    # mantissa m = x / 2**e in [1, 2), directed to prec bits (m_hi may
+    # round up to 2)
     if e >= prec:
         m_lo = _floor_div(x, 1 << (e - prec))
         m_hi = _ceil_div(x, 1 << (e - prec))

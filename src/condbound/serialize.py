@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import __version__
 from .anticonc import AntiConcentrationCertificate
 from .asymptotic import AsymptoticEstimate
-from .combinat import StirlingTable
+from .combinat import BellSequence, StirlingTable
 from .condenser import CondenserVerdict, GapRow
 from .errors import PreconditionError
 from .hashsim import ExactLoadDistribution, HashFamilySpec, SimulationReport
@@ -133,12 +133,13 @@ def minq_dict(k: int, loss, log2_inv_eps, q_minus: int | None,
     }
 
 
-def table_dict(table: StirlingTable, what: str) -> dict:
-    if what == "stirling":
-        return {"q_max": table.q_max, "what": what,
+def table_dict(table: StirlingTable | BellSequence) -> dict:
+    """The Stirling triangle, or the Bell numbers of a Bell sequence."""
+    if isinstance(table, StirlingTable):
+        return {"q_max": table.q_max, "what": "stirling",
                 "rows": [[decimal(v) for v in row] for row in table.rows]}
-    return {"q_max": table.q_max, "what": what,
-            "bells": [decimal(v) for v in table.bells().values]}
+    return {"q_max": table.q_max, "what": "bell",
+            "bells": [decimal(v) for v in table.values]}
 
 
 def table_rows(result: dict) -> list:

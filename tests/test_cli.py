@@ -8,7 +8,7 @@ import pytest
 from condbound import hashsim
 from condbound.anticonc import lemma2_certificate
 from condbound.cli import build_parser, dispatch
-from condbound.combinat import DEFAULT_QMAX_CAP, BellSequence
+from condbound.combinat import DEFAULT_QMAX_CAP, BellSequence, StirlingTable
 from condbound.intervals import parse_dyadic
 from condbound.serialize import flatten, parse_rational
 
@@ -43,6 +43,19 @@ def test_table_bell_csv(capsys):
     assert code == 0
     assert out.splitlines()[0] == "q,bell"
     assert out.splitlines()[5] == "4,15"
+
+
+def test_table_bell_builds_no_stirling_triangle(capsys, monkeypatch,
+                                                bells1024):
+    def refuse(q_max, cap=DEFAULT_QMAX_CAP):
+        raise AssertionError("the Bell table built the Stirling triangle")
+
+    monkeypatch.setattr(StirlingTable, "build", refuse)
+    code, out = run_cli(capsys, "table", "--qmax", "1024", "--what", "bell")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 1026
+    assert lines[-1] == f"1024,{bells1024.bell(1024)}"
 
 
 def test_usage_error_exit_code(capsys):

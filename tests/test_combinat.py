@@ -1,8 +1,13 @@
+import struct
+import sys
+import tracemalloc
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
 from condbound import BellSequence, StirlingTable, binomial, falling_factorial
+from condbound import combinat
 from condbound.errors import CapacityError, PreconditionError
 
 from oracles import (bell_by_binomial_recurrence, enumerate_partitions,
@@ -35,10 +40,11 @@ def test_stirling_matches_partition_enumeration():
 
 
 def test_capacity_cap():
-    with pytest.raises(CapacityError):
-        StirlingTable.build(5000)
-    with pytest.raises(PreconditionError):
-        StirlingTable.build(-1)
+    for build in (StirlingTable.build, BellSequence.stream):
+        with pytest.raises(CapacityError):
+            build(5000)
+        with pytest.raises(PreconditionError):
+            build(-1)
 
 
 def test_bell_examples(table16):
@@ -88,6 +94,51 @@ def test_streaming_matches_table(table64):
     stream = BellSequence.stream(64)
     assert stream.values == table64.bells().values
     assert stream.row_maxima == [max(r) for r in table64.rows]
+
+
+def test_bell_triangle_matches_binomial_recurrence():
+    assert BellSequence.stream(400).values == bell_by_binomial_recurrence(400)
+
+
+@pytest.mark.parametrize("q", [0, 1, 2, 200])
+def test_bell_triangle_matches_stirling_row_sums(q):
+    assert BellSequence.stream(q).values == StirlingTable.build(q).bells().values
+
+
+def test_bell_stream_keeps_one_triangle_row():
+    q = 1024
+    tracemalloc.start()
+    try:
+        values = BellSequence.stream(q).values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    row = [1]  # the last and largest row of the Bell triangle
+    for _ in range(q):
+        row = list(accumulate(row, initial=row[-1]))
+    row_bytes = sum(map(sys.getsizeof, row))
+    # holding two rows at once would exceed this by about half a row
+    assert peak < sum(map(sys.getsizeof, values)) + 1.5 * row_bytes
+
+
+def test_bell_cache_without_maxima_computes_them(tmp_path, table64):
+    path = tmp_path / "bells.bin"
+    BellSequence.stream(64).save(path)
+    assert path.read_bytes()[-4:] == struct.pack("<I", 0)  # no maxima
+    loaded = BellSequence.load(path)
+    assert loaded.values == table64.bells().values
+    assert loaded.row_maxima == [max(r) for r in table64.rows]
+
+
+def test_bell_cache_with_maxima_still_loads(tmp_path, table64, monkeypatch):
+    values = [sum(r) for r in table64.rows]
+    maxima = [max(r) for r in table64.rows]
+    path = tmp_path / "bells.bin"
+    BellSequence(values, maxima).save(path)
+    monkeypatch.setattr(combinat, "_stirling_rows", None)  # read, not rebuilt
+    loaded = BellSequence.load(path)
+    assert loaded.values == values
+    assert loaded.row_maxima == maxima
 
 
 def test_bell_cache_roundtrip(tmp_path):

@@ -47,8 +47,23 @@ def _assert_log_enclosure(iv: FloatInterval, x: Fraction, upper, lower):
     assert xp <= lower(iv.hi_scaled), (iv, x)
 
 
+# Mantissas on both sides of the sqrt(2) switch of the ln kernel (181/128 <
+# sqrt(2) < 182/128), 2^e - 1 where its argument (2-m)/(2+m) nears 0 (and
+# m rounds up to 2 past the working precision), and floor(sqrt(2) * 2^100),
+# whose rounded mantissa bounds straddle sqrt(2).
+_SQRT2_EDGES = [181, 182, 181 << 40, 182 << 40, 255, (1 << 40) - 1,
+                (1 << 80) - 1, math.isqrt(2 << 200)]
+
+
+def _edge_examples(test):
+    for x in _SQRT2_EDGES:
+        test = example(x, 4)(test)
+    return test
+
+
 @checked
 @given(st.integers(1, 1 << 24), frac_bits)
+@_edge_examples
 def test_log2_interval_encloses(x, f):
     iv = log2_interval(x, f)
     _assert_log_enclosure(iv, Fraction(x), _pow2, _pow2)
@@ -64,6 +79,7 @@ def test_log2_fraction_encloses(x, f):
 
 @checked
 @given(positive_rationals, frac_bits)
+@_edge_examples
 def test_ln_interval_encloses(x, f):
     iv = ln_interval(x, f)
     _assert_log_enclosure(iv, x, _exp_upper, _exp_lower)
@@ -71,6 +87,8 @@ def test_ln_interval_encloses(x, f):
 
 @checked
 @given(st.integers(1, 1 << 36), st.integers(0, 1 << 36), frac_bits)
+@example(181 << 5, 1 << 5, 8)     # [181/128, 182/128] straddles sqrt(2)
+@example(181 << 28, 1 << 28, 8)   # straddles sqrt(2) * 2^23
 def test_ln_interval_of_interval_encloses(lo_scaled, extra, f):
     arg = FloatInterval(lo_scaled, lo_scaled + extra, 12)
     iv = ln_interval(arg, f)

@@ -7,17 +7,14 @@ __version__ = "0.1.0"
 
 from .anticonc import (AntiConcentrationCertificate, certificate_ordering,
                        lemma2_certificate, pz_bound)
-from .asymptotic import (AsymptoticEstimate, bell_log_estimate,
-                         estimate_residual, stirling_max_log_estimate)
+from .asymptotic import (AsymptoticEstimate, estimate_residual,
+                         stirling_max_log_estimate)
 from .combinat import (BellSequence, StirlingTable, binomial,
                        falling_factorial)
 from .condenser import (CondenserParams, CondenserVerdict,
                         asymptotic_gap_report, impossibility_certificate,
                         necessary_independence, positive_params)
 from .errors import CapacityError, CondboundError, PreconditionError
-from .hashsim import (ExactLoadDistribution, HashFamilySpec,
-                      SimulationConfig, SimulationReport, evaluate_hash,
-                      exact_small_oracle, independent_oracle, run_trials)
 from .intervals import FloatInterval, log2_interval, nth_root
 from .moments import (BallsBinsInstance, MomentResult, moment_norm,
                       moment_sandwich, raw_moment)
@@ -28,7 +25,7 @@ __all__ = [
     "CondenserParams", "CondenserVerdict", "ExactLoadDistribution",
     "FloatInterval", "HashFamilySpec", "MomentResult", "PreconditionError",
     "SimulationConfig", "SimulationReport", "StirlingTable",
-    "asymptotic_gap_report", "bell_log_estimate", "binomial",
+    "asymptotic_gap_report", "binomial",
     "certificate_ordering", "estimate_residual", "evaluate_hash",
     "exact_small_oracle", "falling_factorial", "impossibility_certificate",
     "independent_oracle", "lemma2_certificate", "log2_interval",
@@ -36,3 +33,19 @@ __all__ = [
     "positive_params", "pz_bound", "raw_moment", "run_trials",
     "stirling_max_log_estimate",
 ]
+
+# The simulator needs numpy; the exact-arithmetic API above does not.
+_HASHSIM_NAMES = frozenset({
+    "ExactLoadDistribution", "HashFamilySpec", "SimulationConfig",
+    "SimulationReport", "evaluate_hash", "exact_small_oracle",
+    "independent_oracle", "run_trials",
+})
+
+
+def __getattr__(name):
+    """Resolve the simulator's names on first use (PEP 562), so importing
+    condbound does not import numpy."""
+    if name in _HASHSIM_NAMES:
+        from . import hashsim
+        return getattr(hashsim, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

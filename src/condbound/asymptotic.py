@@ -45,13 +45,6 @@ def stirling_max_log_estimate(q: int,
     return _closed_form(q, frac_bits)[2]
 
 
-def bell_log_estimate(q: int,
-                      frac_bits: int = DEFAULT_FRAC_BITS) -> FloatInterval:
-    """Enclosure of the same closed form for ln(B_q)/q; the leading terms
-    coincide with the Stirling-maximum estimate."""
-    return stirling_max_log_estimate(q, frac_bits)
-
-
 def estimate_residual(q: int, bells,
                       frac_bits: int = DEFAULT_FRAC_BITS) -> AsymptoticEstimate:
     """Exact ln(B_q)/q against the closed form.

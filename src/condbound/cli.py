@@ -25,8 +25,6 @@ from .condenser import (FEASIBLE_IMPOSSIBLE, asymptotic_gap_report,
                         impossibility_certificate, necessary_independence)
 from .anticonc import lemma2_certificate, pz_bound
 from .errors import CondboundError, PreconditionError
-from .hashsim import (HashFamilySpec, SimulationConfig, exact_small_oracle,
-                      independent_oracle, run_trials)
 from .intervals import parse_dyadic
 from .moments import BallsBinsInstance, raw_moment
 
@@ -249,6 +247,10 @@ def _run_sweep(args) -> tuple[dict, None, bool]:
 
 
 def _run_simulate(args) -> tuple[dict, list | None, bool]:
+    # the only command that needs numpy, so the only one that imports it
+    from .hashsim import (HashFamilySpec, SimulationConfig,
+                          exact_small_oracle, independent_oracle, run_trials)
+
     orders = _parse_list("--orders", int, args.orders)
     thresholds = _parse_list("--thresholds", parse_dyadic, args.thresholds)
     if args.mode == "independent":

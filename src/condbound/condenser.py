@@ -206,9 +206,9 @@ def necessary_independence(log2_inv_eps, k: int, loss, table: StirlingTable,
     """Largest even q whose certificate rules out the target (loss, eps).
 
     Certificates at lower independence transfer upward (a q'-universal
-    family is q-universal for q <= q'), so the returned q is the top of
-    the ruled-out band; the positive route to the target quality needs
-    independence beyond it.  Returns None when no q in the admissible
+    family is q-universal for q <= q'), so the returned q, the top of the
+    certifying band, rules the target out for every family whose
+    independence is at least q.  Returns None when no q in the admissible
     window rules the target out; raises CapacityError when the band is
     still open at the top of the table (q_max too small to locate it).
 

@@ -245,14 +245,6 @@ class FloatInterval:
 # Internally numbers are integers scaled by 2**prec.  *_down / *_up name the
 # rounding direction of the returned value.
 
-def _mul_down(a: int, b: int, prec: int) -> int:
-    return _floor_div(a * b, 1 << prec)
-
-
-def _mul_up(a: int, b: int, prec: int) -> int:
-    return _ceil_div(a * b, 1 << prec)
-
-
 def _div_down(a: int, b: int, prec: int) -> int:
     return _floor_div(a << prec, b)
 
@@ -267,27 +259,29 @@ def _atanh_series(u_lo: int, u_hi: int, prec: int) -> tuple[int, int]:
     Inputs are scaled by 2**prec.  The tail after the last kept term is
     bounded by the geometric series t_last * u^2 / (1 - u^2) with
     1/(1-u^2) <= 4/3 for u <= 1/2.
+
+    The loop inlines the directed roundings: ``(a * b) >> prec`` floors a
+    scaled product, ``-((-a * b) >> prec)`` ceils it, and ``-(-a // d)``
+    ceils a quotient.
     """
     if not 0 <= u_lo <= u_hi <= (1 << prec) // 2 + 1:
         raise PreconditionError("atanh series requires 0 <= u <= 1/2")
-    usq_lo = _mul_down(u_lo, u_lo, prec)
-    usq_hi = _mul_up(u_hi, u_hi, prec)
+    usq_lo = (u_lo * u_lo) >> prec
+    usq_hi = -((-u_hi * u_hi) >> prec)
     lo_sum, hi_sum = u_lo, u_hi
     pow_lo, pow_hi = u_lo, u_hi
-    k = 1
+    d = 3  # the odd divisor 2k + 1 of term k
     while True:
-        pow_lo = _mul_down(pow_lo, usq_lo, prec)
-        pow_hi = _mul_up(pow_hi, usq_hi, prec)
-        term_lo = _floor_div(pow_lo, 2 * k + 1)
-        term_hi = _ceil_div(pow_hi, 2 * k + 1)
-        lo_sum += term_lo
-        hi_sum += term_hi
+        pow_lo = (pow_lo * usq_lo) >> prec
+        pow_hi = -((-pow_hi * usq_hi) >> prec)
+        lo_sum += pow_lo // d
+        hi_sum -= -pow_hi // d
         if pow_hi <= 1:
             break
-        k += 1
+        d += 2
     # tail bound from the first omitted term
-    tail_hi = _mul_up(pow_hi, usq_hi, prec)
-    tail_hi = _ceil_div(tail_hi, 2 * k + 3)
+    tail_hi = -((-pow_hi * usq_hi) >> prec)
+    tail_hi = _ceil_div(tail_hi, d + 2)
     tail_hi = _ceil_div(4 * tail_hi, 3) + 1
     return 2 * lo_sum, 2 * (hi_sum + tail_hi)
 

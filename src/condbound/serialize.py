@@ -14,6 +14,7 @@ import io
 import json
 from dataclasses import asdict
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .anticonc import AntiConcentrationCertificate
@@ -21,9 +22,13 @@ from .asymptotic import AsymptoticEstimate
 from .combinat import BellSequence, StirlingTable
 from .condenser import CondenserVerdict, GapRow
 from .errors import PreconditionError
-from .hashsim import ExactLoadDistribution, HashFamilySpec, SimulationReport
 from .intervals import FloatInterval, any_length, dyadic_str
 from .moments import MomentResult
+
+if TYPE_CHECKING:  # only annotations name them; hashsim imports numpy
+    from .hashsim import (ExactLoadDistribution, HashFamilySpec,
+                          SimulationReport)
+
 
 def decimal(n: int) -> str:
     return any_length(str, n)

@@ -2,8 +2,9 @@
 
 Nothing in this module touches the production code paths it is used to
 check: set partitions are enumerated one by one, assignment averages come
-from explicit enumeration over all N^M assignments, and Bell numbers are
-rebuilt through the binomial recurrence.
+from explicit enumeration over all N^M assignments, Bell numbers are
+rebuilt through the binomial recurrence, and the atanh series runs through
+one named rounding helper per operation.
 """
 
 from fractions import Fraction
@@ -85,3 +86,46 @@ def assignment_moment(M: int, N: int, order: int) -> Fraction:
 
 def load_distribution_moment(support: dict, order: int) -> Fraction:
     return sum((p * s ** order for s, p in support.items()), Fraction(0))
+
+
+def _floor_div(a: int, b: int) -> int:
+    return a // b
+
+
+def _ceil_div(a: int, b: int) -> int:
+    return -((-a) // b)
+
+
+def _mul_down(a: int, b: int, prec: int) -> int:
+    return _floor_div(a * b, 1 << prec)
+
+
+def _mul_up(a: int, b: int, prec: int) -> int:
+    return _ceil_div(a * b, 1 << prec)
+
+
+def atanh_series_by_helpers(u_lo: int, u_hi: int,
+                            prec: int) -> tuple[int, int]:
+    """Bounds for 2*atanh(u), scaled by 2**prec, with every directed
+    rounding spelled as a helper call; intervals._atanh_series must return
+    the same integers."""
+    usq_lo = _mul_down(u_lo, u_lo, prec)
+    usq_hi = _mul_up(u_hi, u_hi, prec)
+    lo_sum, hi_sum = u_lo, u_hi
+    pow_lo, pow_hi = u_lo, u_hi
+    k = 1
+    while True:
+        pow_lo = _mul_down(pow_lo, usq_lo, prec)
+        pow_hi = _mul_up(pow_hi, usq_hi, prec)
+        term_lo = _floor_div(pow_lo, 2 * k + 1)
+        term_hi = _ceil_div(pow_hi, 2 * k + 1)
+        lo_sum += term_lo
+        hi_sum += term_hi
+        if pow_hi <= 1:
+            break
+        k += 1
+    # tail bound from the first omitted term
+    tail_hi = _mul_up(pow_hi, usq_hi, prec)
+    tail_hi = _ceil_div(tail_hi, 2 * k + 3)
+    tail_hi = _ceil_div(4 * tail_hi, 3) + 1
+    return 2 * lo_sum, 2 * (hi_sum + tail_hi)

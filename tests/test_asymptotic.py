@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from condbound import (BellSequence, bell_log_estimate, estimate_residual,
+from condbound import (BellSequence, estimate_residual,
                        stirling_max_log_estimate)
 from condbound.asymptotic import sandwich_holds
 from condbound.errors import PreconditionError
@@ -28,10 +28,11 @@ def test_estimate_frozen_values():
         assert iv.width <= Fraction(1, 2 ** 248)
 
 
-def test_bell_estimate_same_form():
+def test_bell_estimate_same_form(bells1024):
+    # ln(B_q)/q is measured against the Stirling-maximum closed form
     for q in [3, 16, 64, 1024]:
         a = stirling_max_log_estimate(q)
-        b = bell_log_estimate(q)
+        b = estimate_residual(q, bells1024).estimate
         assert (a.lo, a.hi) == (b.lo, b.hi)
 
 
@@ -64,7 +65,7 @@ def test_residual_large_q(bells1024):
 def test_estimate_monotone_on_enclosures():
     prev = None
     for q in range(8, 257):
-        iv = bell_log_estimate(q)
+        iv = stirling_max_log_estimate(q)
         if prev is not None:
             assert prev.hi < iv.lo, q
         prev = iv

@@ -1,10 +1,15 @@
 import hashlib
 import json
+import os
 import signal
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import condbound
 from condbound import hashsim
 from condbound.anticonc import lemma2_certificate
 from condbound.cli import build_parser, dispatch
@@ -444,3 +449,55 @@ def test_stdout_golden_digest(capsys, argv, sha256):
     code, out = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+# Runs dispatch(ARG...) in a fresh interpreter with stdout discarded, then
+# prints the exit code and whether numpy got imported.
+_IMPORT_PROBE = """
+import contextlib, io, sys
+from condbound.cli import dispatch
+with contextlib.redirect_stdout(io.StringIO()):
+    code = dispatch(sys.argv[1:])
+print(code, "numpy" in sys.modules)
+"""
+
+
+def _fresh_dispatch(argv) -> tuple[int, bool]:
+    src = str(Path(condbound.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=120, check=True)
+    code, numpy_loaded = proc.stdout.split()
+    return int(code), numpy_loaded == "True"
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--qmax", "5"],
+    ["moment", "--balls", "4", "--bins", "4", "--q", "3"],
+    ["lemma2", "--q", "4", "--log2m", "11"],
+    ["pz", "--q", "4", "--log2m", "10", "--theta", "1/4"],
+    ["asymptotics", "--qmin", "8", "--qmax", "16"],
+    ["condense", "check", "--q", "8", "--k", "11"],
+    ["condense", "minq", "--log2eps", "4", "--k", "64", "--loss", "1",
+     "--qmax", "64"],
+    ["condense", "sweep", "--log2eps", "4,8", "--k", "64", "--qmax", "64"],
+], ids=["table", "moment", "lemma2", "pz", "asymptotics", "check", "minq",
+        "sweep"])
+def test_exact_commands_leave_numpy_unloaded(argv):
+    assert _fresh_dispatch(argv) == (0, False)
+
+
+def test_simulate_loads_numpy():
+    argv = ["simulate", "--mode", "exact", "--w", "3", "--q", "4"]
+    assert _fresh_dispatch(argv) == (0, True)
+
+
+def test_lazy_public_names_resolve():
+    namespace = {}
+    exec("from condbound import *", namespace)
+    for name in condbound.__all__:
+        assert namespace[name] is getattr(condbound, name), name
+    assert condbound.run_trials is condbound.hashsim.run_trials
+    with pytest.raises(AttributeError, match="'condbound'.*'no_such_name'"):
+        condbound.no_such_name

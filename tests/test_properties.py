@@ -1,17 +1,25 @@
 """Property tests: outward rounding of the interval kernels against exact
-rational inequalities, and lossless round trips through ``serialize``."""
+rational inequalities and a ``decimal`` reference, and lossless round trips
+through ``serialize``."""
 
 import json
 import math
+from decimal import ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from condbound.intervals import (FloatInterval, ln_interval, log2_fraction,
-                                 log2_interval, nth_root, parse_dyadic)
+from condbound import intervals
+from condbound.intervals import (_GUARD, DEFAULT_FRAC_BITS, FloatInterval,
+                                 _atanh_series, _ln_big_scaled, ln_interval,
+                                 log2_fraction, log2_interval, nth_root,
+                                 parse_dyadic)
 from condbound.serialize import (interval_dict, parse_rational,
                                  rational_dict, to_json)
+
+from oracles import atanh_series_by_helpers
 
 # e = sum 1/k!, and the tail past k = 40 is below 2/40!
 _E_LO = sum(Fraction(1, math.factorial(k)) for k in range(40))
@@ -55,15 +63,17 @@ _SQRT2_EDGES = [181, 182, 181 << 40, 182 << 40, 255, (1 << 40) - 1,
                 (1 << 80) - 1, math.isqrt(2 << 200)]
 
 
-def _edge_examples(test):
-    for x in _SQRT2_EDGES:
-        test = example(x, 4)(test)
-    return test
+def _edge_examples(*rest):
+    def add(test):
+        for x in _SQRT2_EDGES:
+            test = example(x, *rest)(test)
+        return test
+    return add
 
 
 @checked
 @given(st.integers(1, 1 << 24), frac_bits)
-@_edge_examples
+@_edge_examples(4)
 def test_log2_interval_encloses(x, f):
     iv = log2_interval(x, f)
     _assert_log_enclosure(iv, Fraction(x), _pow2, _pow2)
@@ -79,7 +89,7 @@ def test_log2_fraction_encloses(x, f):
 
 @checked
 @given(positive_rationals, frac_bits)
-@_edge_examples
+@_edge_examples(4)
 def test_ln_interval_encloses(x, f):
     iv = ln_interval(x, f)
     _assert_log_enclosure(iv, x, _exp_upper, _exp_lower)
@@ -103,6 +113,131 @@ def test_nth_root_encloses(x, n, f):
     iv = nth_root(x, n, f)
     assert iv.lo ** n <= x <= iv.hi ** n
     assert iv.width <= Fraction(2, 1 << f)
+
+
+# The series kernel at the working precision of the default frac_bits, and
+# the arguments the ln kernel hands it: ln 2's 1/3, both sides of the
+# sqrt(2) switch (m = floor and ceil of sqrt(2) * 2^P, and the interval
+# between them), m = 2 - 2^-P in the upper branch, and u = 0 and 1/2.
+_P = DEFAULT_FRAC_BITS + _GUARD
+_ONE = 1 << _P
+_SQRT2_LO = math.isqrt(2 << 2 * _P)
+_SQRT2_HI = _SQRT2_LO + 1
+
+
+def _down(num: int, den: int) -> int:
+    return (num << _P) // den
+
+
+def _up(num: int, den: int) -> int:
+    return -((-num << _P) // den)
+
+
+_SERIES_ARGS = [
+    (_down(1, 3), _up(1, 3)),
+    (_down(_SQRT2_LO - _ONE, _SQRT2_LO + _ONE),
+     _up(_SQRT2_LO - _ONE, _SQRT2_LO + _ONE)),
+    (_down(2 * _ONE - _SQRT2_HI, 2 * _ONE + _SQRT2_HI),
+     _up(2 * _ONE - _SQRT2_HI, 2 * _ONE + _SQRT2_HI)),
+    (_down(_SQRT2_LO - _ONE, _SQRT2_LO + _ONE),
+     _up(_SQRT2_HI - _ONE, _SQRT2_HI + _ONE)),
+    (_down(1, 4 * _ONE - 1), _up(1, 4 * _ONE - 1)),
+    (0, 0), (0, _ONE // 2), (_ONE // 2, _ONE // 2),
+]
+
+
+@st.composite
+def series_args(draw, precs=st.integers(1, 320)):
+    """(u_lo, u_hi, prec) with 0 <= u_lo <= u_hi <= 2^prec / 2."""
+    prec = draw(precs)
+    u_hi = draw(st.integers(0, (1 << prec) // 2))
+    return draw(st.integers(0, u_hi)), u_hi, prec
+
+
+def _series_examples(test):
+    for u_lo, u_hi in _SERIES_ARGS:
+        test = example((u_lo, u_hi, _P))(test)
+    return test
+
+
+@settings(max_examples=300, deadline=None)
+@given(series_args())
+@_series_examples
+def test_atanh_series_matches_helper_form(args):
+    assert _atanh_series(*args) == atanh_series_by_helpers(*args)
+
+
+# 200 significant digits.  Forming (1+u)/(1-u) loses up to 87 of them
+# for u near 2^-_P, so the reference stays within a relative 10^-100 of
+# the true value, below 10^-10 ulp at 2^-_P for every argument used here.
+_DIGITS = 200
+_TOLERANCE = Decimal("1e-100")
+
+
+def _scaled(value: Decimal) -> Decimal:
+    return value * (1 << _P)
+
+
+def _below(n: int, value: Decimal) -> bool:
+    return Decimal(n) <= value + abs(value) * _TOLERANCE
+
+
+def _above(value: Decimal, n: int) -> bool:
+    return value - abs(value) * _TOLERANCE <= Decimal(n)
+
+
+def _two_atanh(u_scaled: int) -> Decimal:
+    u = Decimal(u_scaled) / (1 << _P)
+    return ((1 + u) / (1 - u)).ln()
+
+
+@checked
+@given(series_args(st.just(_P)))
+@_series_examples
+def test_atanh_series_contains_decimal_reference(args):
+    lo, hi = _atanh_series(*args)
+    with localcontext() as ctx:
+        ctx.prec = _DIGITS
+        assert _below(lo, _scaled(_two_atanh(args[0])))
+        assert _above(_scaled(_two_atanh(args[1])), hi)
+
+
+@checked
+@given(st.integers(1, 1 << 600))
+@example(_SQRT2_LO)                     # exact mantissa just below sqrt(2)
+@example(_SQRT2_HI)                     # and just above
+@example((_SQRT2_LO << 100) + 1)        # rounded mantissa straddling sqrt(2)
+@example((1 << 600) - 1)                # m_hi rounds up to 2
+@_edge_examples()
+def test_ln_big_scaled_contains_decimal_reference(x):
+    lo, hi = _ln_big_scaled(x, _P)
+    with localcontext() as ctx:
+        ctx.prec = _DIGITS
+        value = _scaled(Decimal(x).ln())
+        assert _below(lo, value) and _above(value, hi)
+
+
+def _one_ulp_ln2(prec: int) -> tuple[int, int]:
+    with localcontext() as ctx:
+        ctx.prec = _DIGITS
+        lo = int((Decimal(2).ln() * (1 << prec)).to_integral_value(ROUND_FLOOR))
+    return lo, lo + 1
+
+
+# ln m = ln 2 - 2*atanh((2-m)/(2+m)) above sqrt(2).  The kernel's ln 2 has
+# about 95 ulps of slack on each side, more than the 50-70 of the series,
+# so the containment checks above pass even with the series ends swapped;
+# with ln 2 known to one ulp, they do not.
+@pytest.mark.parametrize("m", [_SQRT2_HI, (_SQRT2_HI + 2 * _ONE) // 2,
+                               2 * _ONE - 1],
+                         ids=["above-sqrt2", "midway", "below-2"])
+def test_ln_mantissa_upper_branch_with_one_ulp_ln2(monkeypatch, m):
+    monkeypatch.setattr(intervals, "_ln2", _one_ulp_ln2)
+    lo, hi = intervals._ln_mantissa(m, m, _P)
+    with localcontext() as ctx:
+        ctx.prec = _DIGITS
+        value = _scaled((Decimal(m) / _ONE).ln())
+        assert _below(lo, value) and _above(value, hi)
 
 
 def _json_round_trip(value):

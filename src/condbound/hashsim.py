@@ -19,9 +19,12 @@ large q for w = 16, the positions past the first ``span`` fold in by
 Horner in x^span through the exp/log tables of ``gf2``.
 
 Determinism contract: every trial draws its seed from a counter-based
-generator keyed by (master_seed, trial index), and all reductions run in
-trial-index order, so reports are bit-identical regardless of how trials
-are scheduled across threads.
+Philox generator keyed by master_seed, with the trial index t as its
+starting counter (t << 128).  Each batch of trials builds one generator
+and re-keys it to (master_seed, t) before trial t, so every trial draws
+exactly what a fresh generator at that key and counter would.  All
+reductions run in trial-index order, so reports are bit-identical
+regardless of how trials are scheduled across threads.
 """
 
 from __future__ import annotations
@@ -121,6 +124,9 @@ class SimulationConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise PreconditionError("trials must be >= 1")
+        if self.balls is not None and self.balls < 1:
+            raise PreconditionError("balls must be >= 1")
+        _check_master_seed(self.master_seed)
         q = self.family.independence
         for order in self.moment_orders:
             if order > q:
@@ -171,9 +177,53 @@ def _exact_references(M: int, N: int, q: int,
     return {k: raw_moment(inst, k, table).value for k in orders}
 
 
-def _philox_rng(master_seed: int, trial: int) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.Philox(key=master_seed, counter=trial << 128))
+def _check_master_seed(master_seed: int):
+    if not 0 <= master_seed < 1 << 128:
+        raise PreconditionError(
+            f"master seed must be in [0, 2^128), got {master_seed}")
+
+
+def _trial_rngs(master_seed: int, b0: int, b1: int):
+    """Yield, for each trial t in b0..b1-1, a Generator in the state of
+    ``Generator(Philox(key=master_seed, counter=t << 128))``.
+
+    One bit generator serves the whole range, re-keyed before each trial:
+    constructing a Philox seeds a SeedSequence from the OS entropy pool
+    even when a key is given, which costs more than the draws of a trial.
+    Each call builds its own generator, so concurrent calls share nothing.
+    """
+    bitgen = np.random.Philox(key=master_seed)
+    rng = np.random.Generator(bitgen)
+    # the state of a fresh generator: empty buffer, no buffered uint32
+    state = bitgen.state
+    counter = state["state"]["counter"]
+    for t in range(b0, b1):
+        counter[:] = (0, 0, t & ((1 << 64) - 1), t >> 64)
+        bitgen.state = state
+        yield rng
+
+
+def _trial_moment(loads: np.ndarray, M: int, order: int):
+    """Mean over bins of S^order for every trial (row) of ``loads``, each
+    row holding the N bin loads of M balls.
+
+    Bit-identical to ``np.mean(loads.astype(np.float64) ** order, axis=1)``
+    without its float pass where the result is known exactly: every row
+    sums to M, and when M^order < 2^53 every partial sum of S^order is an
+    integer that float64 holds exactly, whatever the summation order.
+    """
+    N = loads.shape[1]
+    if order == 1:
+        return M / N
+    if M ** order < 1 << 53:
+        return np.sum(loads ** order, axis=1) / N
+    return np.mean(loads.astype(np.float64) ** order, axis=1)
+
+
+def _trial_tail(loads: np.ndarray, threshold: int) -> np.ndarray:
+    """Fraction of bins with load >= threshold for every trial (row),
+    bit-identical to ``np.mean(loads >= threshold, axis=1)``."""
+    return np.count_nonzero(loads >= threshold, axis=1) / loads.shape[1]
 
 
 def _chunk_ranges(total: int, chunk: int = 2048):
@@ -270,11 +320,11 @@ def _load_experiment(echo: dict, M: int, N: int, trials: int, orders,
                      threads: int, assign) -> SimulationReport:
     """Monte Carlo bin loads of M balls in N bins, reduced to a report.
 
-    ``assign(b0, b1)`` returns a fresh (b1 - b0, M) int64 array holding the
-    bin of every ball in trials b0..b1-1; the driver owns it and reuses it
-    in place.  Trials run in batches, batches in chunks, chunks on the
-    thread pool; every per-trial row is written at its trial index and the
-    chunk histograms are summed in chunk order, so the report does not
+    ``assign(b0, b1)`` returns a (b1 - b0, M) integer array, of any dtype,
+    holding the bin in [0, N) of every ball in trials b0..b1-1; the driver
+    only reads it.  Trials run in batches, batches in chunks, chunks on
+    the thread pool; every per-trial row is written at its trial index and
+    the chunk histograms are summed in chunk order, so the report does not
     depend on the thread count.
     """
     int_thrs = [_int_threshold(t) for t in thresholds]
@@ -282,24 +332,23 @@ def _load_experiment(echo: dict, M: int, N: int, trials: int, orders,
     per_trial_tails = np.empty((trials, len(thresholds)), dtype=np.float64)
     hist_parts: dict[int, np.ndarray] = {}
     batch = max(1, (1 << 20) // max(M, N))
+    # trial i of a batch counts its balls in bins i*N .. i*N + N-1
+    offsets = np.arange(0, batch * N, N)[:, None]
 
     def work(bounds):
         start, end = bounds
         hist = np.zeros(M + 1, dtype=np.int64)
+        buf = np.empty((min(batch, end - start), M), dtype=np.int64)
         for b0 in range(start, end, batch):
             b1 = min(b0 + batch, end)
-            bins = assign(b0, b1)
-            # in place: a separate offset array keeps one more batch-sized
-            # temporary alive and raises the peak RSS by its size
-            bins += np.arange(0, (b1 - b0) * N, N)[:, None]
-            loads = np.bincount(bins.ravel(), minlength=(b1 - b0) * N)
-            loads = loads.reshape(b1 - b0, N)
+            nb = b1 - b0
+            bins = np.add(assign(b0, b1), offsets[:nb], out=buf[:nb])
+            loads = np.bincount(bins.ravel(), minlength=nb * N).reshape(nb, N)
             hist += np.bincount(loads.ravel(), minlength=M + 1)
-            fl = loads.astype(np.float64)
             for idx, order in enumerate(orders):
-                per_trial_moments[b0:b1, idx] = np.mean(fl ** order, axis=1)
+                per_trial_moments[b0:b1, idx] = _trial_moment(loads, M, order)
             for idx, thr in enumerate(int_thrs):
-                per_trial_tails[b0:b1, idx] = np.mean(loads >= thr, axis=1)
+                per_trial_tails[b0:b1, idx] = _trial_tail(loads, thr)
         hist_parts[start] = hist
 
     bounds_list = list(_chunk_ranges(trials, 8 * batch))
@@ -341,12 +390,12 @@ def run_trials(config: SimulationConfig, threads: int = 1) -> SimulationReport:
 
     def assign(b0, b1):
         coeffs = np.stack([
-            _philox_rng(config.master_seed, t).integers(
-                0, 1 << spec.field_bits, size=spec.degree + 1,
-                dtype=np.int64)
-            for t in range(b0, b1)])
-        return np.right_shift(split.evaluate(coeffs.T), shift,
-                              dtype=np.int64)
+            rng.integers(0, 1 << spec.field_bits, size=spec.degree + 1,
+                         dtype=np.int64)
+            for rng in _trial_rngs(config.master_seed, b0, b1)])
+        values = split.evaluate(coeffs.T)
+        values >>= shift
+        return values
 
     echo = {"mode": "monte-carlo", "field_bits": spec.field_bits,
             "degree": spec.degree, "output_bits": spec.output_bits,
@@ -431,7 +480,10 @@ def independent_oracle(M: int, N: int, orders, trials: int, master_seed: int,
     is replaced by exact enumeration of all assignments; the report then
     carries zero-noise means equal to the exact distribution's moments.
     """
+    _check_master_seed(master_seed)
     orders = tuple(orders)
+    if any(k < 1 for k in orders):
+        raise PreconditionError("moment order must be >= 1")
     thresholds = tuple(Fraction(t) for t in thresholds)
     if exhaustive is None:
         exhaustive = N ** M <= _EXHAUSTIVE_ASSIGNMENT_CAP
@@ -455,9 +507,8 @@ def independent_oracle(M: int, N: int, orders, trials: int, master_seed: int,
             f"balls*trials = {M * trials} exceeds the throw cap {throw_cap}")
 
     def assign(b0, b1):
-        return np.stack([
-            _philox_rng(master_seed, t).integers(0, N, size=M, dtype=np.int64)
-            for t in range(b0, b1)])
+        return np.stack([rng.integers(0, N, size=M, dtype=np.int64)
+                         for rng in _trial_rngs(master_seed, b0, b1)])
 
     echo = {"mode": "independent-monte-carlo", "balls": M, "bins": N,
             "trials": trials, "master_seed": master_seed}

@@ -400,6 +400,25 @@ def test_malformed_option_value_exits_2(capsys, argv, option):
     assert option in capsys.readouterr().err
 
 
+_MC = ["simulate", "--w", "12", "--q", "4", "--trials", "3"]
+_INDEPENDENT = ["simulate", "--mode", "independent", "--balls", "40",
+                "--bins", "4", "--trials", "3"]
+
+
+@pytest.mark.parametrize("argv, named", [
+    (_MC + ["--master-seed", "-1"], "master seed"),
+    (_MC + ["--master-seed", str(1 << 128)], "master seed"),
+    (_INDEPENDENT + ["--master-seed", "-1"], "master seed"),
+    (_MC + ["--balls", "0"], "balls"),
+    (_MC + ["--balls", "-3"], "balls"),
+    (_INDEPENDENT + ["--orders", "0"], "moment order"),
+], ids=["mc-seed-negative", "mc-seed-2^128", "independent-seed-negative",
+        "mc-balls-zero", "mc-balls-negative", "independent-order-zero"])
+def test_simulate_out_of_range_value_exits_2(capsys, argv, named):
+    assert dispatch(argv) == 2
+    assert named in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("threads, env", [("0", None), ("-3", None),
                                           (None, "abc")],
                          ids=["zero", "negative", "env-malformed"])

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from condbound import hashsim
 from condbound import (BallsBinsInstance, HashFamilySpec, SimulationConfig,
@@ -181,6 +183,95 @@ def test_run_trials_determinism_across_threads():
     a = run_trials(config, threads=1)
     b = run_trials(config, threads=4)
     assert a == b
+
+
+def test_independent_oracle_determinism_across_threads():
+    # 2500 trials of 4096 balls: two thread-pool chunks of 2048 trials
+    kwargs = dict(orders=(1, 2), trials=2500, master_seed=31,
+                  thresholds=(Fraction(1), Fraction(3)), exhaustive=False)
+    a = independent_oracle(4096, 4096, threads=1, **kwargs)
+    b = independent_oracle(4096, 4096, threads=2, **kwargs)
+    assert a == b
+
+
+# (bound, size): q = 8 coefficients of GF(2^13), and 1001 balls in 3 or
+# 4097 bins, which draw through the rejection path of bounds that are not
+# powers of two and leave a buffered uint32 behind
+_DRAW_SHAPES = [(1 << 13, 8), (3, 1001), (4097, 1001)]
+
+
+@pytest.mark.parametrize("master_seed", [0, 7, (1 << 128) - 1],
+                         ids=["0", "7", "2^128-1"])
+def test_trial_rngs_match_fresh_generators(master_seed):
+    for bound, size in _DRAW_SHAPES:
+        for t in [0, 1, 2047, 2048, (1 << 64) + 3]:
+            # t alone, and t re-keyed after its predecessor's draws
+            for b0 in {t, max(t - 1, 0)}:
+                *_, got = [
+                    rng.integers(0, bound, size=size, dtype=np.int64)
+                    for rng in hashsim._trial_rngs(master_seed, b0, t + 1)]
+                fresh = np.random.Generator(
+                    np.random.Philox(key=master_seed, counter=t << 128))
+                want = fresh.integers(0, bound, size=size, dtype=np.int64)
+                assert np.array_equal(got, want), (bound, t, b0)
+
+
+def test_run_trials_builds_one_philox_per_batch(monkeypatch):
+    built = []
+    philox = np.random.Philox
+
+    def counting(*args, **kwargs):
+        built.append(kwargs)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting)
+    spec = HashFamilySpec.create(11, independence=3)
+    config = SimulationConfig(spec, trials=1100, master_seed=3)
+    run_trials(config)
+    batches = -(-config.trials // ((1 << 20) // 2048))
+    assert 1 <= len(built) <= batches
+
+
+@st.composite
+def load_matrices(draw):
+    """(loads, M): rows of N bin loads that each sum to M balls."""
+    M = draw(st.one_of(st.integers(1, 300), st.sampled_from(
+        [1 << 13, (1 << 13) + 1, 94906265, 94906266, 1 << 40])))
+    N = draw(st.integers(1, 12))
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        cuts = sorted(draw(st.lists(st.integers(0, M), min_size=N - 1,
+                                    max_size=N - 1)))
+        rows.append(np.diff([0, *cuts, M]))
+    return np.array(rows, dtype=np.int64), M
+
+
+# 2^53 lies between M^4 and M^5 at M = 2^13, and between M^2 and M^3 at
+# M = 94906265 (at 94906266, M^2 is past it): both branches of
+# _trial_moment run at one M
+@settings(max_examples=300, deadline=None)
+@given(load_matrices(), st.integers(1, 8), st.integers(0, 40))
+@example((np.array([[1 << 13, 0, 0]], dtype=np.int64), 1 << 13), 5, 0)
+@example((np.array([[94906266, 0], [94906265, 1]], dtype=np.int64),
+          94906266), 2, 1)
+def test_trial_statistics_match_float_pass(case, order, threshold):
+    loads, M = case
+    want = np.mean(loads.astype(np.float64) ** order, axis=1)
+    got = np.broadcast_to(hashsim._trial_moment(loads, M, order), want.shape)
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+    want = np.mean(loads >= threshold, axis=1)
+    got = hashsim._trial_tail(loads, threshold)
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 128], ids=["-1", "2^128"])
+def test_master_seed_outside_philox_key_range(seed):
+    spec = HashFamilySpec.create(4, independence=2)
+    with pytest.raises(PreconditionError, match="master seed"):
+        SimulationConfig(spec, trials=3, master_seed=seed)
+    for M, N in [(40, 4), (3, 3)]:          # Monte Carlo and exhaustive
+        with pytest.raises(PreconditionError, match="master seed"):
+            independent_oracle(M, N, orders=(1,), trials=3, master_seed=seed)
 
 
 def test_moment_orders_capped_by_independence():

@@ -240,6 +240,74 @@ def test_ln_mantissa_upper_branch_with_one_ulp_ln2(monkeypatch, m):
         assert _below(lo, value) and _above(value, hi)
 
 
+def _log2_scaled(log2, arg) -> tuple[int, int]:
+    """log2(arg) from ``log2`` as its bounds scaled by 2^_P, the working
+    precision, before they are rounded out to the default frac_bits."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(intervals, "_round_out", lambda lo, hi, prec, f: (lo, hi))
+        return log2(arg)
+
+
+def _decimal_log2(num: int, den: int) -> Decimal:
+    return _scaled((Decimal(num).ln() - Decimal(den).ln()) / Decimal(2).ln())
+
+
+@checked
+@given(st.integers(3, 1 << 600).filter(lambda x: x & (x - 1)))
+@_edge_examples()
+def test_log2_interval_contains_decimal_reference(x):
+    lo, hi = _log2_scaled(log2_interval, x)
+    with localcontext() as ctx:
+        ctx.prec = _DIGITS
+        value = _decimal_log2(x, 1)
+        assert _below(lo, value) and _above(value, hi)
+
+
+# ln num - ln den cancels: with num, den <= 2^600 the difference is at
+# least about 2^-600 while each logarithm is below 416, so 400 digits keep
+# the reference within a relative 10^-100
+@checked
+@given(st.builds(Fraction, st.integers(1, 1 << 600), st.integers(1, 1 << 600))
+       .filter(lambda fr: (fr.numerator * fr.denominator)
+               & (fr.numerator * fr.denominator - 1)))
+@example(Fraction(_SQRT2_LO, _ONE))
+@example(Fraction((1 << 600) - 1, (1 << 600) - 3))
+@example(Fraction(3, 1 << 600))
+def test_log2_fraction_contains_decimal_reference(fr):
+    lo, hi = _log2_scaled(log2_fraction, fr)
+    with localcontext() as ctx:
+        ctx.prec = 2 * _DIGITS
+        value = _decimal_log2(fr.numerator, fr.denominator)
+        assert _below(lo, value) and _above(value, hi)
+
+
+# The quotient step alone.  Given enclosures of ln num, ln den and ln 2,
+# the result must hold (n - d) / l for every n, d and l in them; at x = 3
+# and 3/5 the enclosures below stand in for the kernel's.  The reference
+# checks above cannot see a rounding direction swapped in this step: the
+# ln enclosures carry about 100 ulps of slack, and a swap moves one ulp.
+scaled_logs = st.builds(lambda lo, width: (lo, lo + width),
+                        st.integers(0, 1 << 300), st.integers(0, 200))
+
+
+@checked
+@given(scaled_logs, scaled_logs,
+       st.builds(lambda lo, width: (lo, lo + width),
+                 st.integers(1 << (_P - 1), _ONE), st.integers(0, 200)))
+def test_log2_quotient_rounds_outward(num_ln, den_ln, ln2):
+    logs = {3: num_ln, 5: den_ln}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(intervals, "_ln_big_scaled", lambda x, prec: logs[x])
+        mp.setattr(intervals, "_ln2", lambda prec: ln2)
+        for (lo, hi), (diff_lo, diff_hi) in [
+                (_log2_scaled(log2_interval, 3), num_ln),
+                (_log2_scaled(log2_fraction, Fraction(3, 5)),
+                 (num_ln[0] - den_ln[1], num_ln[1] - den_ln[0]))]:
+            for l2 in ln2:
+                assert lo <= Fraction(diff_lo << _P, l2)
+                assert Fraction(diff_hi << _P, l2) <= hi
+
+
 def _json_round_trip(value):
     return json.loads(to_json({"value": value}))["value"]
 

@@ -18,6 +18,12 @@ TABLE_BYTES (16 MiB); when q positions do not fit, which happens only at
 large q for w = 16, the positions past the first ``span`` fold in by
 Horner in x^span through the exp/log tables of ``gf2``.
 
+Block budget: every simulator loop (the Monte Carlo batches and both
+exhaustive oracles) works on blocks of at most BLOCK_ELEMS elements, so
+that one int64 working array of a block fits in one core's L2 cache.
+Inside a Monte Carlo batch, ``assign`` writes the bin of every ball
+straight into the driver's reused block buffer.
+
 Determinism contract: every trial draws its seed from a counter-based
 Philox generator keyed by master_seed, with the trial index t as its
 starting counter (t << 128).  Each batch of trials builds one generator
@@ -47,6 +53,10 @@ _EXHAUSTIVE_ASSIGNMENT_CAP = 1 << 20
 # bytes of split tables per evaluation grid; at w = 16 (8 MiB per
 # coefficient position) a q-position table would need q * 8 MiB
 TABLE_BYTES = 16 << 20
+# elements per block of every simulator loop: an int64 array of one block
+# is 2 MiB, about one core's L2 cache, so a batch's bins, loads and
+# temporaries stay in cache between the passes over them
+BLOCK_ELEMS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -226,7 +236,7 @@ def _trial_tail(loads: np.ndarray, threshold: int) -> np.ndarray:
     return np.count_nonzero(loads >= threshold, axis=1) / loads.shape[1]
 
 
-def _chunk_ranges(total: int, chunk: int = 2048):
+def _chunk_ranges(total: int, chunk: int):
     for start in range(0, total, chunk):
         yield start, min(start + chunk, total)
 
@@ -320,18 +330,20 @@ def _load_experiment(echo: dict, M: int, N: int, trials: int, orders,
                      threads: int, assign) -> SimulationReport:
     """Monte Carlo bin loads of M balls in N bins, reduced to a report.
 
-    ``assign(b0, b1)`` returns a (b1 - b0, M) integer array, of any dtype,
-    holding the bin in [0, N) of every ball in trials b0..b1-1; the driver
-    only reads it.  Trials run in batches, batches in chunks, chunks on
-    the thread pool; every per-trial row is written at its trial index and
-    the chunk histograms are summed in chunk order, so the report does not
-    depend on the thread count.
+    ``assign(b0, b1, out)`` writes the bin in [0, N) of every ball in
+    trials b0..b1-1 into ``out``, the (b1 - b0, M) int64 view of the
+    chunk's reused block buffer, row i for trial b0 + i; the driver then
+    offsets the bins in place.  Trials run in batches of at most
+    BLOCK_ELEMS balls or bins, batches in chunks, chunks on the thread
+    pool; every per-trial row is written at its trial index and the chunk
+    histograms are summed in chunk order, so the report depends neither on
+    the thread count nor on where a block boundary falls.
     """
     int_thrs = [_int_threshold(t) for t in thresholds]
     per_trial_moments = np.empty((trials, len(orders)), dtype=np.float64)
     per_trial_tails = np.empty((trials, len(thresholds)), dtype=np.float64)
     hist_parts: dict[int, np.ndarray] = {}
-    batch = max(1, (1 << 20) // max(M, N))
+    batch = max(1, BLOCK_ELEMS // max(M, N))
     # trial i of a batch counts its balls in bins i*N .. i*N + N-1
     offsets = np.arange(0, batch * N, N)[:, None]
 
@@ -342,7 +354,9 @@ def _load_experiment(echo: dict, M: int, N: int, trials: int, orders,
         for b0 in range(start, end, batch):
             b1 = min(b0 + batch, end)
             nb = b1 - b0
-            bins = np.add(assign(b0, b1), offsets[:nb], out=buf[:nb])
+            bins = buf[:nb]
+            assign(b0, b1, bins)
+            bins += offsets[:nb]
             loads = np.bincount(bins.ravel(), minlength=nb * N).reshape(nb, N)
             hist += np.bincount(loads.ravel(), minlength=M + 1)
             for idx, order in enumerate(orders):
@@ -388,14 +402,12 @@ def run_trials(config: SimulationConfig, threads: int = 1) -> SimulationReport:
     shift = spec.field_bits - spec.output_bits
     orders = tuple(config.moment_orders)
 
-    def assign(b0, b1):
+    def assign(b0, b1, out):
         coeffs = np.stack([
             rng.integers(0, 1 << spec.field_bits, size=spec.degree + 1,
                          dtype=np.int64)
             for rng in _trial_rngs(config.master_seed, b0, b1)])
-        values = split.evaluate(coeffs.T)
-        values >>= shift
-        return values
+        np.right_shift(split.evaluate(coeffs.T), shift, out=out)
 
     echo = {"mode": "monte-carlo", "field_bits": spec.field_bits,
             "degree": spec.degree, "output_bits": spec.output_bits,
@@ -440,7 +452,7 @@ def exact_small_oracle(spec: HashFamilySpec,
     shift = w - spec.output_bits
     counts = np.zeros(M + 1, dtype=np.int64)
     mask = M - 1
-    chunk = max(1, (1 << 22) // M)
+    chunk = max(1, BLOCK_ELEMS // M)
     for start, end in _chunk_ranges(n_seeds, chunk):
         seeds = np.arange(start, end, dtype=np.int64)
         coeffs = [(seeds >> (w * i)) & mask for i in range(spec.degree + 1)]
@@ -461,7 +473,7 @@ def exhaustive_assignment_histogram(M: int, N: int) -> list[int]:
             f"{_EXHAUSTIVE_ASSIGNMENT_CAP}")
     hist = np.zeros(M + 1, dtype=np.int64)
     powers = [N ** p for p in range(M)]
-    for start, end in _chunk_ranges(total, 1 << 22):
+    for start, end in _chunk_ranges(total, BLOCK_ELEMS):
         idx = np.arange(start, end, dtype=np.int64)
         zeros = np.zeros(end - start, dtype=np.int64)
         for p in powers:
@@ -481,6 +493,8 @@ def independent_oracle(M: int, N: int, orders, trials: int, master_seed: int,
     carries zero-noise means equal to the exact distribution's moments.
     """
     _check_master_seed(master_seed)
+    if trials < 1:
+        raise PreconditionError("trials must be >= 1")
     orders = tuple(orders)
     if any(k < 1 for k in orders):
         raise PreconditionError("moment order must be >= 1")
@@ -506,9 +520,9 @@ def independent_oracle(M: int, N: int, orders, trials: int, master_seed: int,
         raise CapacityError(
             f"balls*trials = {M * trials} exceeds the throw cap {throw_cap}")
 
-    def assign(b0, b1):
-        return np.stack([rng.integers(0, N, size=M, dtype=np.int64)
-                         for rng in _trial_rngs(master_seed, b0, b1)])
+    def assign(b0, b1, out):
+        for row, rng in zip(out, _trial_rngs(master_seed, b0, b1)):
+            row[:] = rng.integers(0, N, size=M, dtype=np.int64)
 
     echo = {"mode": "independent-monte-carlo", "balls": M, "bins": N,
             "trials": trials, "master_seed": master_seed}

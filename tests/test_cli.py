@@ -304,7 +304,7 @@ def test_pz_past_digit_limit(capsys):
 
 # sha256 of the JSON stdout, recorded before the Monte Carlo trial loops of
 # run_trials and independent_oracle shared one driver; the w = 11 run spans
-# two thread-pool chunks of eight batches each
+# several thread-pool chunks of eight batches
 GOLDEN_SIMULATE = [
     (["simulate", "--w", "11", "--q", "3", "--trials", "5000",
       "--master-seed", "2024", "--orders", "1,2,3", "--thresholds", "1,5/2^1"],
@@ -412,8 +412,11 @@ _INDEPENDENT = ["simulate", "--mode", "independent", "--balls", "40",
     (_MC + ["--balls", "0"], "balls"),
     (_MC + ["--balls", "-3"], "balls"),
     (_INDEPENDENT + ["--orders", "0"], "moment order"),
+    (_INDEPENDENT + ["--trials", "0"], "trials"),
+    (_INDEPENDENT + ["--trials", "-3"], "trials"),
 ], ids=["mc-seed-negative", "mc-seed-2^128", "independent-seed-negative",
-        "mc-balls-zero", "mc-balls-negative", "independent-order-zero"])
+        "mc-balls-zero", "mc-balls-negative", "independent-order-zero",
+        "independent-trials-zero", "independent-trials-negative"])
 def test_simulate_out_of_range_value_exits_2(capsys, argv, named):
     assert dispatch(argv) == 2
     assert named in capsys.readouterr().err
@@ -505,6 +508,26 @@ def _fresh_dispatch(argv) -> tuple[int, bool]:
         "sweep"])
 def test_exact_commands_leave_numpy_unloaded(argv):
     assert _fresh_dispatch(argv) == (0, False)
+
+
+def test_module_entry_point_matches_console_script():
+    argv = ["table", "--qmax", "5"]
+    src = str(Path(condbound.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    # what the installed `condbound` script runs
+    stub = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from condbound.cli import main; sys.exit(main())",
+         *argv], capture_output=True, env=env, timeout=120, check=True)
+    module = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "condbound", *argv],
+        capture_output=True, env=env, timeout=120, check=True)
+    assert stub.stdout and module.stdout == stub.stdout
+    imported = {line.rsplit(b"|", 1)[-1].strip()
+                for line in module.stderr.splitlines()
+                if line.startswith(b"import time:")}
+    assert b"condbound.cli" in imported
+    assert b"numpy" not in imported
 
 
 def test_simulate_loads_numpy():

@@ -1,3 +1,5 @@
+import dataclasses
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -186,7 +188,7 @@ def test_run_trials_determinism_across_threads():
 
 
 def test_independent_oracle_determinism_across_threads():
-    # 2500 trials of 4096 balls: two thread-pool chunks of 2048 trials
+    # 2500 trials of 4096 balls: several thread-pool chunks of eight batches
     kwargs = dict(orders=(1, 2), trials=2500, master_seed=31,
                   thresholds=(Fraction(1), Fraction(3)), exhaustive=False)
     a = independent_oracle(4096, 4096, threads=1, **kwargs)
@@ -228,7 +230,7 @@ def test_run_trials_builds_one_philox_per_batch(monkeypatch):
     spec = HashFamilySpec.create(11, independence=3)
     config = SimulationConfig(spec, trials=1100, master_seed=3)
     run_trials(config)
-    batches = -(-config.trials // ((1 << 20) // 2048))
+    batches = -(-config.trials // max(1, hashsim.BLOCK_ELEMS // 2048))
     assert 1 <= len(built) <= batches
 
 
@@ -262,6 +264,63 @@ def test_trial_statistics_match_float_pass(case, order, threshold):
     want = np.mean(loads >= threshold, axis=1)
     got = hashsim._trial_tail(loads, threshold)
     assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+
+def _block_sensitive_runs():
+    """Every simulator loop at shapes whose blocks split differently under
+    the default budget, one trial (seed) per block, and an odd budget."""
+    stats = dict(moment_orders=(1, 2, 3),
+                 thresholds=(Fraction(2), Fraction(9, 2)))
+    truncated = HashFamilySpec.create(7, independence=3, output_bits=4)
+    return {
+        "mc-output-bits": run_trials(SimulationConfig(
+            truncated, trials=300, master_seed=13, **stats)),
+        "mc-balls": run_trials(SimulationConfig(
+            HashFamilySpec.create(8, independence=4), trials=300,
+            master_seed=14, balls=100, **stats), threads=2),
+        **{f"independent-threads-{threads}": independent_oracle(
+            200, 50, (1, 2, 3), 400, 15, thresholds=stats["thresholds"],
+            exhaustive=False, threads=threads) for threads in (1, 2)},
+        "exact": exact_small_oracle(HashFamilySpec.create(4, independence=3)),
+        "exact-output-bits": exact_small_oracle(
+            HashFamilySpec.create(3, independence=4, output_bits=2)),
+        "assignments": hashsim.exhaustive_assignment_histogram(5, 6),
+    }
+
+
+@pytest.mark.parametrize("budget", [1 << 7, 3000])
+def test_reports_do_not_depend_on_block_size(monkeypatch, budget):
+    # 1 << 7 puts one trial in each batch (M or N >= 128 at every Monte
+    # Carlo shape); 3000 leaves a partial last block in every loop
+    want = _block_sensitive_runs()
+    monkeypatch.setattr(hashsim, "BLOCK_ELEMS", budget)
+    got = _block_sensitive_runs()
+    for name, report in want.items():
+        if isinstance(report, list):
+            assert got[name] == report, name
+            continue
+        for f in dataclasses.fields(report):
+            assert (getattr(got[name], f.name)
+                    == getattr(report, f.name)), (name, f.name)
+
+
+# tracemalloc sees numpy's buffers; with BLOCK_ELEMS-element blocks each
+# call peaks at 1.5-7.6 MiB (23-32 MiB with 2^20-2^22-element blocks)
+@pytest.mark.parametrize("call", [
+    lambda: run_trials(SimulationConfig(
+        HashFamilySpec.create(12, independence=4), trials=512,
+        master_seed=7), threads=1),
+    lambda: independent_oracle(4096, 4096, (1, 2), 512, 7, thresholds=(1,)),
+    lambda: exact_small_oracle(HashFamilySpec.create(5, independence=4)),
+], ids=["run_trials", "independent_oracle", "exact_small_oracle"])
+def test_simulator_peak_memory_bounded(call):
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 << 20, peak
 
 
 @pytest.mark.parametrize("seed", [-1, 1 << 128], ids=["-1", "2^128"])

@@ -266,6 +266,10 @@ def _run_simulate(args) -> tuple[dict, list | None, bool]:
         spec = HashFamilySpec.create(args.w, args.q,
                                      output_bits=args.output_bits)
         if args.mode == "exact":
+            if args.balls is not None:
+                raise CondboundError(
+                    "exact mode hashes every field element; it takes no "
+                    "--balls")
             return serialize.distribution_dict(
                 spec, exact_small_oracle(spec), orders, thresholds), None, True
         config = SimulationConfig(spec, trials=args.trials,

@@ -426,6 +426,8 @@ class ExactLoadDistribution:
     support: dict[int, Fraction] = field(default_factory=dict)
 
     def moment(self, order: int) -> Fraction:
+        if order < 1:
+            raise PreconditionError("moment order must be >= 1")
         return sum((p * s ** order for s, p in self.support.items()),
                    Fraction(0))
 
@@ -441,23 +443,50 @@ class ExactLoadDistribution:
 def exact_small_oracle(spec: HashFamilySpec,
                        seed_cap: int = DEFAULT_SEED_ENUM_CAP,
                        ) -> ExactLoadDistribution:
-    """Exhaustive ground truth: enumerate every seed, record bin-0 loads."""
+    """Exhaustive ground truth: the bin-0 load of every seed, counted.
+
+    Seed s has coefficients c_i = (s >> w*i) & (2^w - 1).  In
+    characteristic 2 its polynomial is p(x) = g(x) XOR c_0, with g the
+    non-constant part (c_1..c_{q-1}) = s >> w, so the top ``output_bits``
+    bits of p(x) are zero exactly when g(x) >> shift == c_0 >> shift
+    (shift = w - output_bits).  One evaluation of g at every point
+    therefore gives the bin-0 loads of all 2^w seeds (c_0, g): the
+    2^shift constants c_0 with c_0 >> shift == b put #{x : g(x) >> shift
+    == b} balls in bin 0.
+
+    The work is one evaluation per non-constant part at each of the 2^w
+    points, seed_count point evaluations in all, so ``seed_cap`` bounds
+    the work itself.
+    """
     n_seeds = spec.seed_count
     if n_seeds > seed_cap:
         raise CapacityError(
             f"{n_seeds} seeds exceed the enumeration cap {seed_cap}")
     w = spec.field_bits
     M = 1 << w
+    N = spec.bins
     split = _SplitTables(spec, M)
     shift = w - spec.output_bits
     counts = np.zeros(M + 1, dtype=np.int64)
     mask = M - 1
-    chunk = max(1, BLOCK_ELEMS // M)
-    for start, end in _chunk_ranges(n_seeds, chunk):
-        seeds = np.arange(start, end, dtype=np.int64)
-        coeffs = [(seeds >> (w * i)) & mask for i in range(spec.degree + 1)]
-        loads = np.sum((split.evaluate(coeffs) >> shift) == 0, axis=1)
-        counts += np.bincount(loads, minlength=M + 1)
+    n_parts = n_seeds >> w
+    chunk = min(max(1, BLOCK_ELEMS // M), n_parts)
+    # non-constant part i of a chunk counts its loads in bins i*N .. i*N + N-1
+    offsets = np.arange(0, chunk * N, N)[:, None]
+    buf = np.empty((chunk, M), dtype=np.int64)
+    for start, end in _chunk_ranges(n_parts, chunk):
+        parts = np.arange(start, end, dtype=np.int64)
+        # g(x), the seed polynomial with c_0 = 0
+        coeffs = [np.zeros_like(parts),
+                  *((parts >> (w * i)) & mask for i in range(spec.degree))]
+        nb = end - start
+        bins = buf[:nb]
+        np.right_shift(split.evaluate(coeffs), shift, out=bins)
+        bins += offsets[:nb]
+        # the load of every bin of every part in the chunk, counted by load
+        counts += np.bincount(np.bincount(bins.ravel(), minlength=nb * N),
+                              minlength=M + 1)
+    counts <<= shift
     support = {int(s): Fraction(int(c), n_seeds)
                for s, c in enumerate(counts) if c}
     return ExactLoadDistribution(support)
@@ -472,12 +501,15 @@ def exhaustive_assignment_histogram(M: int, N: int) -> list[int]:
             f"N^M = {total} exceeds the exhaustive assignment cap "
             f"{_EXHAUSTIVE_ASSIGNMENT_CAP}")
     hist = np.zeros(M + 1, dtype=np.int64)
-    powers = [N ** p for p in range(M)]
     for start, end in _chunk_ranges(total, BLOCK_ELEMS):
-        idx = np.arange(start, end, dtype=np.int64)
-        zeros = np.zeros(end - start, dtype=np.int64)
-        for p in powers:
-            zeros += (idx // p) % N == 0
+        rest = np.arange(start, end, dtype=np.int64)
+        ball = np.empty_like(rest)
+        # the smallest integers that hold M: a narrow array beside the
+        # int64 ones keeps the block's working set small
+        zeros = np.zeros(end - start, dtype=np.min_scalar_type(M))
+        for _ in range(M):
+            np.divmod(rest, N, out=(rest, ball))
+            zeros += ball == 0
         hist += np.bincount(zeros, minlength=M + 1)
     return [int(c) for c in hist]
 

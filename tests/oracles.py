@@ -3,8 +3,9 @@
 Nothing in this module touches the production code paths it is used to
 check: set partitions are enumerated one by one, assignment averages come
 from explicit enumeration over all N^M assignments, Bell numbers are
-rebuilt through the binomial recurrence, and the atanh series runs through
-one named rounding helper per operation.
+rebuilt through the binomial recurrence, hash seeds are evaluated one by
+one with a carry-less multiply of their own, and the atanh series runs
+through one named rounding helper per operation.
 """
 
 from fractions import Fraction
@@ -82,6 +83,43 @@ def assignment_moment(M: int, N: int, order: int) -> Fraction:
     total = N ** M
     return sum((Fraction(c, total) * s ** order for s, c in enumerate(hist)),
                Fraction(0))
+
+
+def _clmul_mod(a: int, b: int, modulus: int) -> int:
+    """a * b in GF(2)[x] / modulus, by shift-and-XOR, then reduction bit by
+    bit from the top."""
+    prod = 0
+    while b:
+        if b & 1:
+            prod ^= a
+        a <<= 1
+        b >>= 1
+    w = modulus.bit_length() - 1
+    for bit in range(prod.bit_length() - 1, w - 1, -1):
+        if prod >> bit & 1:
+            prod ^= modulus << (bit - w)
+    return prod
+
+
+def seed_bin0_histogram(w: int, q: int, output_bits: int,
+                        modulus: int) -> dict[int, int]:
+    """counts[s] = number of the 2^(w*q) seeds of the degree-(q-1)
+    polynomial family over GF(2)[x] / modulus whose hash, the top
+    output_bits bits of the polynomial's value, is 0 at exactly s of the
+    2^w points.  Seed s has coefficient (s >> w*i) & (2^w - 1) at x^i;
+    every seed is evaluated at every point by Horner."""
+    shift = w - output_bits
+    counts: dict[int, int] = {}
+    for seed in range(1 << (w * q)):
+        coeffs = [(seed >> (w * i)) & ((1 << w) - 1) for i in range(q)]
+        load = 0
+        for x in range(1 << w):
+            acc = 0
+            for c in reversed(coeffs):
+                acc = _clmul_mod(acc, x, modulus) ^ c
+            load += acc >> shift == 0
+        counts[load] = counts.get(load, 0) + 1
+    return counts
 
 
 def load_distribution_moment(support: dict, order: int) -> Fraction:

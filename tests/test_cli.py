@@ -403,6 +403,7 @@ def test_malformed_option_value_exits_2(capsys, argv, option):
 _MC = ["simulate", "--w", "12", "--q", "4", "--trials", "3"]
 _INDEPENDENT = ["simulate", "--mode", "independent", "--balls", "40",
                 "--bins", "4", "--trials", "3"]
+_EXACT = ["simulate", "--mode", "exact", "--w", "3", "--q", "2"]
 
 
 @pytest.mark.parametrize("argv, named", [
@@ -414,9 +415,13 @@ _INDEPENDENT = ["simulate", "--mode", "independent", "--balls", "40",
     (_INDEPENDENT + ["--orders", "0"], "moment order"),
     (_INDEPENDENT + ["--trials", "0"], "trials"),
     (_INDEPENDENT + ["--trials", "-3"], "trials"),
+    (_EXACT + ["--orders", "0"], "moment order"),
+    (_EXACT + ["--orders", "-1"], "moment order"),
+    (_EXACT + ["--balls", "5"], "--balls"),
 ], ids=["mc-seed-negative", "mc-seed-2^128", "independent-seed-negative",
         "mc-balls-zero", "mc-balls-negative", "independent-order-zero",
-        "independent-trials-zero", "independent-trials-negative"])
+        "independent-trials-zero", "independent-trials-negative",
+        "exact-order-zero", "exact-order-negative", "exact-balls"])
 def test_simulate_out_of_range_value_exits_2(capsys, argv, named):
     assert dispatch(argv) == 2
     assert named in capsys.readouterr().err

@@ -14,7 +14,7 @@ from condbound import (BallsBinsInstance, HashFamilySpec, SimulationConfig,
                        run_trials)
 from condbound.errors import CapacityError, PreconditionError
 
-from oracles import assignment_moment
+from oracles import assignment_moment, seed_bin0_histogram
 
 
 def test_constant_polynomial_family():
@@ -115,6 +115,53 @@ def test_truncation_preserves_uniformity():
                 seed = [s & 7, (s >> 3) & 7]
                 counts[evaluate_hash(spec, seed, x)] += 1
             assert counts == [64 // n_bins] * n_bins
+
+
+@pytest.mark.parametrize("w, q, output_bits", [
+    (2, 1, 2), (2, 3, 1), (3, 2, 3), (3, 3, 2), (3, 4, 1), (4, 3, 4),
+    (4, 3, 2)])
+def test_exact_oracle_matches_brute_force(w, q, output_bits):
+    spec = HashFamilySpec.create(w, independence=q, output_bits=output_bits)
+    counts = seed_bin0_histogram(w, q, output_bits, spec.modulus)
+    assert exact_small_oracle(spec).support == {
+        s: Fraction(c, spec.seed_count) for s, c in counts.items()}
+
+
+@pytest.mark.parametrize("w, q, output_bits", [
+    (2, 1, 2), (5, 1, 3), (3, 4, 3), (4, 3, 2), (4, 5, 4), (5, 4, 1)])
+def test_exact_oracle_work_is_seed_count(monkeypatch, w, q, output_bits):
+    # one polynomial evaluation per non-constant part serves all 2^w
+    # constant terms: seed_count point evaluations in all, the number the
+    # seed cap bounds
+    evaluated = []
+    evaluate = hashsim._SplitTables.evaluate
+
+    def counted(self, coeffs):
+        evaluated.append(len(coeffs[0]) * self.rows.shape[-1])
+        return evaluate(self, coeffs)
+
+    monkeypatch.setattr(hashsim._SplitTables, "evaluate", counted)
+    spec = HashFamilySpec.create(w, independence=q, output_bits=output_bits)
+    exact_small_oracle(spec)
+    assert sum(evaluated) == spec.seed_count
+
+
+def test_exact_oracle_at_seed_cap():
+    spec = HashFamilySpec.create(8, independence=3)    # 2^24 seeds
+    assert spec.seed_count == hashsim.DEFAULT_SEED_ENUM_CAP
+    dist = exact_small_oracle(spec)
+    assert dist.total() == 1
+    table = StirlingTable.build(3)
+    inst = BallsBinsInstance(256, 256, 3)
+    for order in (1, 2, 3):
+        assert dist.moment(order) == raw_moment(inst, order, table).value
+
+
+@pytest.mark.parametrize("order", [0, -1])
+def test_exact_distribution_rejects_order_below_one(order):
+    dist = exact_small_oracle(HashFamilySpec.create(2, independence=2))
+    with pytest.raises(PreconditionError, match="moment order"):
+        dist.moment(order)
 
 
 def test_seed_cap():

@@ -8,11 +8,17 @@ independent family:
 * ``bell-bound``: the closed form in Bell numbers: threshold
   (B_{q/2})^(2/q) / 2 and probability (1 - q^2/(2M)) (B_{q/2})^2 / (2 B_q).
 
+Each Bell-variant quantity has one definition here:
+``lemma2_probability`` for p and ``lemma2_threshold_power`` for tau^q;
+the condenser layer reads both and does no Bell arithmetic of its own.
+
 Thresholds are reported as enclosures and always consumed through their
 lower endpoint: {S >= tau} is a subset of {S >= tau.lo}, so every stated
 certificate remains true after rounding.  Probabilities stay exact
 rationals.  A certificate whose probability is not positive is vacuous
-(it claims nothing) and is a first-class value, not an error.
+(it claims nothing) and is a first-class value, not an error; for the
+Bell variants that happens exactly when q^2 >= 2M, and the exact-moment
+variant is never vacuous.
 """
 
 from __future__ import annotations
@@ -37,13 +43,16 @@ class AntiConcentrationCertificate:
     M: int
     threshold: FloatInterval
     probability: Fraction
-    vacuous: bool
     variant: str
     theta: Fraction | None = None
 
     def __post_init__(self):
-        if not self.vacuous and not 0 <= self.probability <= 1:
-            raise PreconditionError("certificate probability outside [0, 1]")
+        if self.probability > 1:
+            raise PreconditionError("certificate probability above 1")
+
+    @property
+    def vacuous(self) -> bool:
+        return self.probability <= 0
 
 
 def _check_q(q: int, table: StirlingTable):
@@ -75,14 +84,19 @@ def pz_bound(inst: BallsBinsInstance, theta, table: StirlingTable,
     threshold = nth_root((theta * half) ** 2, q, frac_bits)
     prob = (1 - theta) ** 2 * half ** 2 / full
     return AntiConcentrationCertificate(q, inst.balls, threshold, prob,
-                                        vacuous=False, variant=VARIANT_EXACT,
-                                        theta=theta)
+                                        VARIANT_EXACT, theta)
 
 
 def lemma2_probability(q: int, M: int, table: StirlingTable) -> Fraction:
-    """(1 - q^2/(2M)) * (B_{q/2})^2 / (2 B_q), exact; negative when vacuous."""
+    """(1 - q^2/(2M)) * (B_{q/2})^2 / (2 B_q), exact; not positive, so
+    vacuous, exactly when q^2 >= 2M."""
     return ((1 - Fraction(q * q, 2 * M))
             * Fraction(table.bell(q // 2) ** 2, 2 * table.bell(q)))
+
+
+def lemma2_threshold_power(q: int, table: StirlingTable) -> Fraction:
+    """tau^q = (B_{q/2})^2 / 4^(q/2) for tau = (B_{q/2})^(2/q) / 2, exact."""
+    return Fraction(table.bell(q // 2) ** 2, 4 ** (q // 2))
 
 
 def lemma2_certificate(q: int, M: int, table: StirlingTable,
@@ -96,14 +110,10 @@ def lemma2_certificate(q: int, M: int, table: StirlingTable,
     _check_q(q, table)
     if M < 1:
         raise PreconditionError("lemma2_certificate requires M >= 1")
-    bell_half = table.bell(q // 2)
-    threshold = nth_root(Fraction(bell_half ** 2, 4 ** (q // 2)), q, frac_bits)
-    prob = lemma2_probability(q, M, table)
-    vacuous = q * q >= 2 * M
-    if vacuous:
-        prob = min(prob, Fraction(0))
-    return AntiConcentrationCertificate(q, M, threshold, prob,
-                                        vacuous=vacuous, variant=VARIANT_BELL)
+    threshold = nth_root(lemma2_threshold_power(q, table), q, frac_bits)
+    return AntiConcentrationCertificate(q, M, threshold,
+                                        lemma2_probability(q, M, table),
+                                        VARIANT_BELL)
 
 
 def bell_bound_at_theta(q: int, M: int, theta, table: StirlingTable,
@@ -122,12 +132,8 @@ def bell_bound_at_theta(q: int, M: int, theta, table: StirlingTable,
     _check_q(q, table)
     threshold = nth_root((theta * table.bell(q // 2)) ** 2, q, frac_bits)
     prob = 2 * (1 - theta) ** 2 * lemma2_probability(q, M, table)
-    vacuous = q * q >= 2 * M
-    if vacuous:
-        prob = min(prob, Fraction(0))
-    return AntiConcentrationCertificate(q, M, threshold, prob,
-                                        vacuous=vacuous, variant=VARIANT_BELL,
-                                        theta=theta)
+    return AntiConcentrationCertificate(q, M, threshold, prob, VARIANT_BELL,
+                                        theta)
 
 
 @dataclass(frozen=True)

@@ -246,11 +246,22 @@ def _run_sweep(args) -> tuple[dict, None, bool]:
     return serialize.gap_rows_dict(rows), None, ok
 
 
+# simulate options that a mode never reads, so must not be given (and
+# echoed) there
+_SIMULATE_UNREAD = {"mc": ("bins",), "exact": ("balls", "bins"),
+                    "independent": ("w", "q", "output_bits")}
+
+
 def _run_simulate(args) -> tuple[dict, list | None, bool]:
     # the only command that needs numpy, so the only one that imports it
     from .hashsim import (HashFamilySpec, SimulationConfig,
                           exact_small_oracle, independent_oracle, run_trials)
 
+    for name in _SIMULATE_UNREAD[args.mode]:
+        if getattr(args, name) is not None:
+            option = "--" + name.replace("_", "-")
+            raise PreconditionError(
+                f"simulate --mode {args.mode} does not read {option}")
     orders = _parse_list("--orders", int, args.orders)
     thresholds = _parse_list("--thresholds", parse_dyadic, args.thresholds)
     if args.mode == "independent":
@@ -266,10 +277,6 @@ def _run_simulate(args) -> tuple[dict, list | None, bool]:
         spec = HashFamilySpec.create(args.w, args.q,
                                      output_bits=args.output_bits)
         if args.mode == "exact":
-            if args.balls is not None:
-                raise CondboundError(
-                    "exact mode hashes every field element; it takes no "
-                    "--balls")
             return serialize.distribution_dict(
                 spec, exact_small_oracle(spec), orders, thresholds), None, True
         config = SimulationConfig(spec, trials=args.trials,

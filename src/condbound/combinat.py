@@ -6,7 +6,8 @@ row n's last entry, and B_n is the head of row n.  Each new row consumes
 the old one as it grows, so one row is resident.  The Stirling triangle is
 built with the two-term recurrence S(q, j) = j*S(q-1, j) + S(q-1, j-1);
 one row generator serves the full triangle and the per-row maxima, which
-a Bell sequence computes only when they are first read.
+a Bell sequence computes only when they are first read.  DEFAULT_QMAX_CAP
+bounds every table built, streamed or loaded from a cache file.
 """
 
 from __future__ import annotations
@@ -39,17 +40,17 @@ def falling_factorial(n: int, k: int) -> int:
     return math.perm(n, k)
 
 
-def _check_q_max(q_max: int, cap: int) -> None:
+def _check_q_max(q_max: int) -> None:
     if q_max < 0:
         raise PreconditionError("Stirling rows require q_max >= 0")
-    if q_max > cap:
+    if q_max > DEFAULT_QMAX_CAP:
         raise CapacityError(
-            f"q_max={q_max} exceeds the configured table cap {cap}")
+            f"q_max={q_max} exceeds the table cap {DEFAULT_QMAX_CAP}")
 
 
-def _stirling_rows(q_max: int, cap: int):
+def _stirling_rows(q_max: int):
     """Yield the rows S(q, 0..q) for q = 0..q_max, one at a time."""
-    _check_q_max(q_max, cap)
+    _check_q_max(q_max)
     row = [1]
     yield row
     for q in range(1, q_max + 1):
@@ -70,8 +71,8 @@ class StirlingTable:
         self._bells: BellSequence | None = None
 
     @classmethod
-    def build(cls, q_max: int, cap: int = DEFAULT_QMAX_CAP) -> "StirlingTable":
-        return cls(list(_stirling_rows(q_max, cap)))
+    def build(cls, q_max: int) -> "StirlingTable":
+        return cls(list(_stirling_rows(q_max)))
 
     def stirling(self, q: int, j: int) -> int:
         if not 0 <= q <= self.q_max:
@@ -116,9 +117,9 @@ class BellSequence:
         self.q_max = len(values) - 1
 
     @classmethod
-    def stream(cls, q_max: int, cap: int = DEFAULT_QMAX_CAP) -> "BellSequence":
+    def stream(cls, q_max: int) -> "BellSequence":
         """Bell triangle construction; one row of big integers resident."""
-        _check_q_max(q_max, cap)
+        _check_q_max(q_max)
         values = [1]
         row = deque([1])
         for _ in range(q_max):
@@ -131,8 +132,7 @@ class BellSequence:
     @property
     def row_maxima(self) -> list[int]:
         if self._row_maxima is None:
-            self._row_maxima = [max(r) for r in
-                                _stirling_rows(self.q_max, DEFAULT_QMAX_CAP)]
+            self._row_maxima = [max(r) for r in _stirling_rows(self.q_max)]
         return self._row_maxima
 
     def bell(self, q: int) -> int:
@@ -167,6 +167,10 @@ class BellSequence:
             version, q_max = struct.unpack("<II", fh.read(8))
             if version != cls.VERSION:
                 raise PreconditionError(f"unsupported Bell cache version {version}")
+            if q_max > DEFAULT_QMAX_CAP:
+                raise PreconditionError(
+                    f"Bell cache q_max={q_max} exceeds the table cap "
+                    f"{DEFAULT_QMAX_CAP}")
             seqs = []
             for _ in range(2):
                 (count,) = struct.unpack("<I", fh.read(4))

@@ -21,9 +21,13 @@ seed and must have min-entropy m - ell for each seed); without that
 convention the seed-averaged output is exactly uniform and no lower bound
 exists.
 
-Asymptotic shorthands never produce numbers here: every reported value
-comes from exact Bell arithmetic, and the closed-form trend is attached to
-reports for comparison only.
+A vacuous certificate (p <= 0, exactly when q^2 >= 2M) yields no region
+and an ``undetermined`` verdict.
+
+This module does no Bell arithmetic of its own: p and tau^q come from
+``anticonc``, where each is defined once.  Asymptotic shorthands never
+produce numbers here; the closed-form trend is attached to reports for
+comparison only.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .anticonc import (AntiConcentrationCertificate, lemma2_certificate,
-                       lemma2_probability)
+                       lemma2_probability, lemma2_threshold_power)
 from .combinat import StirlingTable
 from .errors import CapacityError, PreconditionError
 from .intervals import (DEFAULT_FRAC_BITS, FloatInterval, log2_fraction,
@@ -182,25 +186,6 @@ def _search_window(k: int, table: StirlingTable) -> list[int]:
     return qs
 
 
-def _eps_condition(q: int, k: int, table: StirlingTable, neg_L: Fraction,
-                   frac_bits: int) -> tuple[bool, FloatInterval]:
-    """Fast certified enclosure of log2(eps_star) without materialising the
-    threshold: log2(p) + log2(B_{q/2}^2)/q - 2.
-
-    This uses the true threshold value rather than its rounded-down
-    endpoint; the two differ by far less than one enclosure ulp, and the
-    returned q is re-verified through the authoritative certificate.
-    """
-    bell_half = table.bell(q // 2)
-    p = lemma2_probability(q, 1 << k, table)
-    if p <= 0:
-        raise PreconditionError("eps condition evaluated on a vacuous point")
-    log2_tau = (log2_fraction(Fraction(bell_half * bell_half), frac_bits)
-                .divide_by_int(q).shift(-1))
-    log2_eps_star = log2_fraction(p, frac_bits) + log2_tau.shift(-1)
-    return log2_eps_star.certainly_gt(neg_L), log2_eps_star
-
-
 def necessary_independence(log2_inv_eps, k: int, loss, table: StirlingTable,
                            frac_bits: int = DEFAULT_FRAC_BITS) -> int | None:
     """Largest even q whose certificate rules out the target (loss, eps).
@@ -212,22 +197,35 @@ def necessary_independence(log2_inv_eps, k: int, loss, table: StirlingTable,
     window rules the target out; raises CapacityError when the band is
     still open at the top of the table (q_max too small to locate it).
 
-    The search is a binary search over even q, justified by the exact
-    monotonicity of log2(eps_star); any probe pair contradicting that
-    order falls back to a linear scan.
+    Each probe asks whether log2(eps_star) = log2(p) + log2(tau^q)/q - 1
+    certainly exceeds -log2(1/eps), and a plain binary search over the
+    even q of the window finds the last probe that does.  That is sound
+    because the probe predicate is monotone in q:
+
+    * eps_star(q) = (1 - q^2/(2M)) * g(q), where g depends on q only;
+    * on the window (q^2 < M) the first factor lies in (1/2, 1] and falls
+      as q grows;
+    * g falls by at least 0.84 bits per even step for 4 <= q <= 2048, and
+      DEFAULT_QMAX_CAP = 2048 bounds every table;
+    * the enclosures are about 2^-250 wide at the default frac_bits, far
+      below that drop, so their lower endpoints fall with q as well.
+
+    The probes use the exact threshold rather than its rounded-down
+    endpoint, so the q found is re-checked through the certificate.
     """
     L = _coerce_target(log2_inv_eps)
     loss = _coerce_target(loss)
     if L is None or loss is None:
         raise PreconditionError("necessary_independence needs loss and eps targets")
     qs = _search_window(k, table)
-    neg_L = -L
-    evals: dict[int, tuple[bool, FloatInterval]] = {}
+    M = 1 << k
 
     def eps_ok(q: int) -> bool:
-        if q not in evals:
-            evals[q] = _eps_condition(q, k, table, neg_L, frac_bits)
-        return evals[q][0]
+        log2_eps_star = (
+            log2_fraction(lemma2_probability(q, M, table), frac_bits)
+            + log2_fraction(lemma2_threshold_power(q, table),
+                            frac_bits).divide_by_int(q)).shift(-1)
+        return log2_eps_star.certainly_gt(-L)
 
     if eps_ok(qs[-1]):
         raise CapacityError(
@@ -235,28 +233,13 @@ def necessary_independence(log2_inv_eps, k: int, loss, table: StirlingTable,
             "the target; rebuild with a larger table")
     if not eps_ok(qs[0]):
         return None
-
     lo_idx, hi_idx = 0, len(qs) - 1
-    monotone = True
     while hi_idx - lo_idx > 1:
         mid = (lo_idx + hi_idx) // 2
         if eps_ok(qs[mid]):
             lo_idx = mid
         else:
             hi_idx = mid
-    probed = sorted(evals.items())
-    for (q1, (_, iv1)), (q2, (_, iv2)) in zip(probed, probed[1:]):
-        if not iv2.certainly_lt(iv1):
-            monotone = False
-            break
-    if not monotone:
-        best = None
-        for q in qs:
-            if eps_ok(q):
-                best = q
-        if best is None:
-            return None
-        lo_idx = qs.index(best)
     q_best = qs[lo_idx]
     verdict = impossibility_certificate(q_best, k, table, loss=loss,
                                         log2_inv_eps=L, frac_bits=frac_bits)

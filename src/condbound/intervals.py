@@ -373,10 +373,8 @@ def log2_fraction(fr, frac_bits: int = DEFAULT_FRAC_BITS) -> FloatInterval:
     if num == 1 << (num.bit_length() - 1) and den == 1 << (den.bit_length() - 1):
         e = (num.bit_length() - 1) - (den.bit_length() - 1)
         return FloatInterval.from_int(e, frac_bits)
-    n_lo, n_hi = _ln_big_scaled(num, prec)
-    d_lo, d_hi = _ln_big_scaled(den, prec)
+    diff_lo, diff_hi = _ln_positive_fraction(fr, prec)
     l2_lo, l2_hi = _ln2(prec)
-    diff_lo, diff_hi = n_lo - d_hi, n_hi - d_lo
     q_lo = min(_div_down(diff_lo, l2_hi, prec), _div_down(diff_lo, l2_lo, prec))
     q_hi = max(_div_up(diff_hi, l2_lo, prec), _div_up(diff_hi, l2_hi, prec))
     return _round_out(q_lo, q_hi, prec, frac_bits)

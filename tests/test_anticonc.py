@@ -4,6 +4,7 @@ import pytest
 
 from condbound import (BallsBinsInstance, certificate_ordering,
                        lemma2_certificate, pz_bound, raw_moment)
+from condbound.anticonc import bell_bound_at_theta, lemma2_threshold_power
 from condbound.errors import PreconditionError
 
 from oracles import assignment_bin0_histogram
@@ -21,9 +22,29 @@ def test_lemma2_worked_example(table16):
 def test_lemma2_vacuous_boundary(table16):
     cert = lemma2_certificate(4, 8, table16)
     assert cert.vacuous
-    assert cert.probability <= 0
+    assert cert.probability == 0
+    cert = lemma2_certificate(4, 7, table16)
+    assert cert.vacuous
+    assert cert.probability < 0
     cert = lemma2_certificate(4, 9, table16)
     assert not cert.vacuous
+    # the theta form turns vacuous at the same q^2 = 2M
+    for theta in (Fraction(1, 4), Fraction(1, 2)):
+        cert = bell_bound_at_theta(4, 8, theta, table16)
+        assert cert.vacuous
+        assert cert.probability == 0
+        cert = bell_bound_at_theta(4, 7, theta, table16)
+        assert cert.vacuous
+        assert cert.probability < 0
+        assert not bell_bound_at_theta(4, 9, theta, table16).vacuous
+
+
+def test_lemma2_threshold_power_is_tau_to_the_q(bells1024):
+    for q in (4, 6, 64, 1024):
+        power = lemma2_threshold_power(q, bells1024)
+        assert power == Fraction(bells1024.bell(q // 2) ** 2, 2 ** q)
+        tau = lemma2_certificate(q, 1 << 30, bells1024).threshold
+        assert tau.lo ** q <= power <= tau.hi ** q
 
 
 def test_lemma2_parity_preconditions(table16):

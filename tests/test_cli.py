@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import signal
+import struct
 import subprocess
 import sys
 from fractions import Fraction
@@ -52,7 +53,7 @@ def test_table_bell_csv(capsys):
 
 def test_table_bell_builds_no_stirling_triangle(capsys, monkeypatch,
                                                 bells1024):
-    def refuse(q_max, cap=DEFAULT_QMAX_CAP):
+    def refuse(q_max):
         raise AssertionError("the Bell table built the Stirling triangle")
 
     monkeypatch.setattr(StirlingTable, "build", refuse)
@@ -78,13 +79,26 @@ def test_precondition_error_exit_code(capsys):
 
 
 def test_strict_vacuous_exit_code(capsys):
-    code, out = run_cli(capsys, "lemma2", "--q", "4", "--log2m", "3",
-                        "--strict")
-    assert code == 3
-    assert json.loads(out)["result"]["vacuous"] is True
+    # at q^2 = 2M (q = 64, M = 2^11) p is exactly 0; past it p < 0
+    for q, log2m in [("4", "3"), ("64", "11"), ("66", "11")]:
+        code, out = run_cli(capsys, "lemma2", "--q", q, "--log2m", log2m,
+                            "--strict")
+        assert code == 3
+        assert json.loads(out)["result"]["vacuous"] is True
     code, _ = run_cli(capsys, "lemma2", "--q", "4", "--log2m", "11",
                       "--strict")
     assert code == 0
+
+
+def test_bell_cache_above_table_cap_exits_2(capsys, tmp_path):
+    # only the header: a table past the cap is never built or read
+    (tmp_path / "bell_tables.bin").write_bytes(
+        BellSequence.MAGIC
+        + struct.pack("<II", BellSequence.VERSION, DEFAULT_QMAX_CAP + 1))
+    code = dispatch(["lemma2", "--q", "4", "--log2m", "11",
+                     "--cache-dir", str(tmp_path)])
+    assert code == 2
+    assert f"q_max={DEFAULT_QMAX_CAP + 1}" in capsys.readouterr().err
 
 
 def test_strict_undetermined_condense(capsys):
@@ -427,6 +441,22 @@ def test_simulate_out_of_range_value_exits_2(capsys, argv, named):
     assert named in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["simulate", "--w", "2", "--q", "2", "--bins", "7", "--trials", "3"],
+     "--bins"),
+    (_EXACT + ["--bins", "8"], "--bins"),
+    (_INDEPENDENT + ["--w", "9"], "--w"),
+    (_INDEPENDENT + ["--q", "3"], "--q"),
+    (_INDEPENDENT + ["--output-bits", "2"], "--output-bits"),
+], ids=["mc-bins", "exact-bins", "independent-w", "independent-q",
+        "independent-output-bits"])
+def test_simulate_option_the_mode_never_reads_exits_2(capsys, argv, option):
+    assert dispatch(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert option in err
+
+
 @pytest.mark.parametrize("threads, env", [("0", None), ("-3", None),
                                           (None, "abc")],
                          ids=["zero", "negative", "env-malformed"])
@@ -464,6 +494,12 @@ GOLDEN_STDOUT = [
      "927091516160621b405150aa784fc0674306300fb6524bd4e70540530cd3718e"),
     (["moment", "--balls", "7", "--bins", "5", "--q", "4", "--format", "csv"],
      "90c0a444a8f972213fbf0b4886d941808edce7541965b1d18067be87c26e2208"),
+    # vacuous certificates, recorded before vacuity was read off p:
+    # q^2 = 2M (p exactly 0) and q^2 > 2M (p negative)
+    (["lemma2", "--q", "64", "--log2m", "11"],
+     "70e5ecc1bd93cacd335d32d716b43936624be51e0ce0c7169ade4ca53c7e9dfc"),
+    (["lemma2", "--q", "66", "--log2m", "11"],
+     "a4ca9620f193c0eb6da903a0c0306038d1a95940c355abfa019667dde686d0cd"),
 ]
 
 
@@ -471,7 +507,8 @@ GOLDEN_STDOUT = [
                          ids=["lemma2-csv", "simulate-histogram-csv",
                               "asymptotics-json", "stirling-json", "bell-json",
                               "check-no-reference", "minq-null-bound",
-                              "moment-csv"])
+                              "moment-csv", "lemma2-vacuous-p-zero",
+                              "lemma2-vacuous-p-negative"])
 def test_stdout_golden_digest(capsys, argv, sha256):
     code, out = run_cli(capsys, *argv)
     assert code == 0

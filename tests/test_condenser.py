@@ -8,11 +8,13 @@ from condbound import (BellSequence, HashFamilySpec, StirlingTable,
                        asymptotic_gap_report, impossibility_certificate,
                        lemma2_certificate, necessary_independence,
                        positive_params)
+from condbound.anticonc import lemma2_threshold_power
+from condbound.combinat import DEFAULT_QMAX_CAP
 from condbound.condenser import (FEASIBLE_IMPOSSIBLE, FEASIBLE_UNDETERMINED,
                                  heavy_bin_reduction)
 from condbound.errors import CapacityError, PreconditionError
 from condbound.gf2 import default_modulus, tables_for
-from condbound.intervals import FloatInterval, log2_interval
+from condbound.intervals import FloatInterval, log2_fraction, log2_interval
 
 
 def test_positive_params_examples():
@@ -148,6 +150,41 @@ def test_necessary_independence_consistent_with_membership(bells1024):
     v = impossibility_certificate(64, 43, bells1024, loss=Fraction("2.6"),
                                   log2_inv_eps=43)
     assert v.feasible == FEASIBLE_UNDETERMINED
+
+
+@pytest.mark.parametrize("L, loss, expect", [
+    (64, 1, 90), (128, 1, 174), (128, 2, None), (96, Fraction(3, 4), 134),
+    (32, Fraction(1, 2), None)])
+def test_necessary_independence_matches_linear_scan(L, loss, expect):
+    # the binary search against a verdict at every even q of the window
+    bells = BellSequence.stream(200)
+    ruled_out = [q for q in range(4, 201, 2)
+                 if impossibility_certificate(
+                     q, 64, bells, loss=loss, log2_inv_eps=L).feasible
+                 == FEASIBLE_IMPOSSIBLE]
+    scan = ruled_out[-1] if ruled_out else None
+    assert scan == expect
+    assert necessary_independence(L, 64, loss, bells) == scan
+
+
+def _log2_q_factor(q: int, bells: BellSequence) -> FloatInterval:
+    """log2 g(q), where eps_star(q) = (1 - q^2/(2M)) * g(q)."""
+    half = bells.bell(q // 2)
+    log2_tau = log2_fraction(lemma2_threshold_power(q, bells)).divide_by_int(q)
+    return (log2_fraction(Fraction(half * half, 2 * bells.bell(q)))
+            + log2_tau).shift(-1)
+
+
+def test_eps_star_q_factor_falls_per_even_step():
+    # the monotonicity behind the binary search in necessary_independence,
+    # certified for every even q the table cap admits (the least drop is
+    # about 0.84 bits)
+    bells = BellSequence.stream(DEFAULT_QMAX_CAP)
+    prev = _log2_q_factor(4, bells)
+    for q in range(4, DEFAULT_QMAX_CAP - 1, 2):
+        cur = _log2_q_factor(q + 2, bells)
+        assert (prev - cur).certainly_gt(Fraction(1, 2)), q
+        prev = cur
 
 
 def test_window_exhausted():

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .combinat import StirlingTable
 from .errors import CondboundError, PreconditionError
-from .intervals import DEFAULT_FRAC_BITS, FloatInterval, nth_root
+from .intervals import FloatInterval, nth_root
 from .moments import BallsBinsInstance, raw_moment
 
 VARIANT_EXACT = "exact-moment"
@@ -64,8 +64,8 @@ def _check_q(q: int, table: StirlingTable):
         raise PreconditionError(f"q={q} exceeds the Stirling table range")
 
 
-def pz_bound(inst: BallsBinsInstance, theta, table: StirlingTable,
-             frac_bits: int = DEFAULT_FRAC_BITS) -> AntiConcentrationCertificate:
+def pz_bound(inst: BallsBinsInstance, theta,
+             table: StirlingTable) -> AntiConcentrationCertificate:
     """Paley-Zygmund certificate from the exact moments of the instance.
 
     Threshold: theta^(2/q) * ||S||_{q/2}, computed as the single root
@@ -79,9 +79,9 @@ def pz_bound(inst: BallsBinsInstance, theta, table: StirlingTable,
     _check_q(q, table)
     if inst.balls != inst.bins:
         raise PreconditionError("pz_bound is stated for M = N only")
-    half = raw_moment(inst, q // 2, table, frac_bits).value
-    full = raw_moment(inst, q, table, frac_bits).value
-    threshold = nth_root((theta * half) ** 2, q, frac_bits)
+    half = raw_moment(inst, q // 2, table).value
+    full = raw_moment(inst, q, table).value
+    threshold = nth_root((theta * half) ** 2, q)
     prob = (1 - theta) ** 2 * half ** 2 / full
     return AntiConcentrationCertificate(q, inst.balls, threshold, prob,
                                         VARIANT_EXACT, theta)
@@ -99,9 +99,8 @@ def lemma2_threshold_power(q: int, table: StirlingTable) -> Fraction:
     return Fraction(table.bell(q // 2) ** 2, 4 ** (q // 2))
 
 
-def lemma2_certificate(q: int, M: int, table: StirlingTable,
-                       frac_bits: int = DEFAULT_FRAC_BITS,
-                       ) -> AntiConcentrationCertificate:
+def lemma2_certificate(q: int, M: int,
+                       table: StirlingTable) -> AntiConcentrationCertificate:
     """Bell-number certificate for M = N: threshold (B_{q/2})^(2/q) / 2,
     probability (1 - q^2/(2M)) * (B_{q/2})^2 / (2 B_q).
 
@@ -110,15 +109,14 @@ def lemma2_certificate(q: int, M: int, table: StirlingTable,
     _check_q(q, table)
     if M < 1:
         raise PreconditionError("lemma2_certificate requires M >= 1")
-    threshold = nth_root(lemma2_threshold_power(q, table), q, frac_bits)
+    threshold = nth_root(lemma2_threshold_power(q, table), q)
     return AntiConcentrationCertificate(q, M, threshold,
                                         lemma2_probability(q, M, table),
                                         VARIANT_BELL)
 
 
-def bell_bound_at_theta(q: int, M: int, theta, table: StirlingTable,
-                        frac_bits: int = DEFAULT_FRAC_BITS,
-                        ) -> AntiConcentrationCertificate:
+def bell_bound_at_theta(q: int, M: int, theta,
+                        table: StirlingTable) -> AntiConcentrationCertificate:
     """Bell-number certificate with theta kept explicit: threshold
     theta^(2/q) * (B_{q/2})^(2/q), probability
     (1-theta)^2 * (1 - q^2/(2M)) * (B_{q/2})^2 / B_q.
@@ -130,7 +128,7 @@ def bell_bound_at_theta(q: int, M: int, theta, table: StirlingTable,
     if not 0 < theta < 1:
         raise PreconditionError("bell_bound_at_theta requires 0 < theta < 1")
     _check_q(q, table)
-    threshold = nth_root((theta * table.bell(q // 2)) ** 2, q, frac_bits)
+    threshold = nth_root((theta * table.bell(q // 2)) ** 2, q)
     prob = 2 * (1 - theta) ** 2 * lemma2_probability(q, M, table)
     return AntiConcentrationCertificate(q, M, threshold, prob, VARIANT_BELL,
                                         theta)
@@ -151,22 +149,21 @@ class CertificateComparison:
     exact_tau_le_bell_tau: bool
 
 
-def certificate_ordering(q: int, M: int, table: StirlingTable,
-                         frac_bits: int = DEFAULT_FRAC_BITS,
-                         ) -> CertificateComparison:
+def certificate_ordering(q: int, M: int,
+                         table: StirlingTable) -> CertificateComparison:
     """Evaluate both variants at theta = 1/q and assert that the Bell
     variant's probability never exceeds the exact-moment one (it lower
     bounds the numerator and upper bounds the denominator)."""
     _check_q(q, table)
-    cert_l2 = lemma2_certificate(q, M, table, frac_bits)
+    cert_l2 = lemma2_certificate(q, M, table)
     if cert_l2.vacuous:
         raise PreconditionError(
             f"certificate_ordering requires a non-vacuous certificate "
             f"(q^2={q*q} >= 2M={2*M})")
     theta = Fraction(1, q)
     inst = BallsBinsInstance(M, M, q)
-    cert_exact = pz_bound(inst, theta, table, frac_bits)
-    cert_bell = bell_bound_at_theta(q, M, theta, table, frac_bits)
+    cert_exact = pz_bound(inst, theta, table)
+    cert_bell = bell_bound_at_theta(q, M, theta, table)
     p_ok = cert_bell.probability <= cert_exact.probability
     tau_ok = cert_exact.threshold.hi <= cert_bell.threshold.hi
     if not p_ok:

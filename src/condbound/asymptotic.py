@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .intervals import DEFAULT_FRAC_BITS, FloatInterval, ln_interval_of_int, ln_interval
+from .intervals import FloatInterval, ln_interval_of_int, ln_interval
 
 
 @dataclass(frozen=True)
@@ -30,31 +30,29 @@ def _check_q(q: int):
         raise PreconditionError("estimate requires q >= 3 (ln ln q positive)")
 
 
-def _closed_form(q: int, frac_bits: int) -> tuple[FloatInterval, ...]:
+def _closed_form(q: int) -> tuple[FloatInterval, ...]:
     """Enclosures of ln q, ln ln q and ln q - ln ln q - 1."""
     _check_q(q)
-    ln_q = ln_interval_of_int(q, frac_bits)
-    ln_ln_q = ln_interval(ln_q, frac_bits)
+    ln_q = ln_interval_of_int(q)
+    ln_ln_q = ln_interval(ln_q)
     return ln_q, ln_ln_q, (ln_q - ln_ln_q).shift(-1)
 
 
-def stirling_max_log_estimate(q: int,
-                              frac_bits: int = DEFAULT_FRAC_BITS) -> FloatInterval:
+def stirling_max_log_estimate(q: int) -> FloatInterval:
     """Enclosure of ln q - ln ln q - 1, the per-q leading order of
     max_j ln S(q, j)."""
-    return _closed_form(q, frac_bits)[2]
+    return _closed_form(q)[2]
 
 
-def estimate_residual(q: int, bells,
-                      frac_bits: int = DEFAULT_FRAC_BITS) -> AsymptoticEstimate:
+def estimate_residual(q: int, bells) -> AsymptoticEstimate:
     """Exact ln(B_q)/q against the closed form.
 
     ``bells`` is anything with a ``bell(q)`` accessor (StirlingTable or
     BellSequence).  scaled_residual multiplies by ln q / ln ln q, the
     reciprocal of the correction term's stated decay.
     """
-    ln_q, ln_ln_q, estimate = _closed_form(q, frac_bits)
-    exact = ln_interval_of_int(bells.bell(q), frac_bits).divide_by_int(q)
+    ln_q, ln_ln_q, estimate = _closed_form(q)
+    exact = ln_interval_of_int(bells.bell(q)).divide_by_int(q)
     residual = exact - estimate
     scaled = residual * (ln_q / ln_ln_q)
     return AsymptoticEstimate(q, estimate, exact, residual, scaled)

@@ -50,6 +50,12 @@ def _parse_list(option: str, parse, text: str) -> tuple:
                  for tok in filter(None, text.split(",")))
 
 
+def _at_least(option: str, value: int, floor: int) -> int:
+    if value < floor:
+        raise PreconditionError(f"{option} must be >= {floor}, got {value}")
+    return value
+
+
 def _threads(args) -> int:
     """--threads, else CONDBOUND_THREADS, else available parallelism."""
     if args.threads is not None:
@@ -59,9 +65,7 @@ def _threads(args) -> int:
         threads = _parse(option, int, os.environ[option])
     else:
         return os.cpu_count() or 1
-    if threads < 1:
-        raise PreconditionError(f"{option} must be >= 1, got {threads}")
-    return threads
+    return _at_least(option, threads, 1)
 
 
 def _bells(q_max: int, cache_dir: Path | None) -> BellSequence:
@@ -196,23 +200,25 @@ def _run_moment(args) -> tuple[dict, None, bool]:
 
 
 def _run_lemma2(args) -> tuple[dict, None, bool]:
-    table = _bells(args.q, args.cache_dir)
-    cert = lemma2_certificate(args.q, 1 << args.log2m, table)
+    M = 1 << _at_least("--log2m", args.log2m, 0)
+    cert = lemma2_certificate(args.q, M, _bells(args.q, args.cache_dir))
     return serialize.certificate_dict(cert), None, not cert.vacuous
 
 
 def _run_pz(args) -> tuple[dict, None, bool]:
+    M = 1 << _at_least("--log2m", args.log2m, 0)
     table = StirlingTable.build(args.q)
-    inst = BallsBinsInstance(1 << args.log2m, 1 << args.log2m, args.q)
+    inst = BallsBinsInstance(M, M, args.q)
     cert = pz_bound(inst, _parse("--theta", Fraction, args.theta), table)
     return serialize.certificate_dict(cert), None, True
 
 
 def _run_asymptotics(args) -> tuple[dict, list, bool]:
+    step = _at_least("--step", args.step, 1)
     bells = _bells(args.qmax, args.cache_dir)
     result = serialize.asymptotics_dict(
         [estimate_residual(q, bells)
-         for q in range(max(3, args.qmin), args.qmax + 1, args.step)])
+         for q in range(max(3, args.qmin), args.qmax + 1, step)])
     return result, serialize.asymptotics_rows(result), True
 
 
@@ -238,10 +244,12 @@ def _run_minq(args) -> tuple[dict, None, bool]:
 
 
 def _run_sweep(args) -> tuple[dict, None, bool]:
-    table = _bells(args.qmax, args.cache_dir)
     eps_list = _parse_list("--log2eps", Fraction, args.log2eps)
-    rows = asymptotic_gap_report(eps_list, args.k, table,
-                                 loss=_parse("--loss", Fraction, args.loss))
+    if not eps_list:
+        raise PreconditionError(f"--log2eps: no value in {args.log2eps!r}")
+    loss = _parse("--loss", Fraction, args.loss)
+    rows = asymptotic_gap_report(eps_list, args.k,
+                                 _bells(args.qmax, args.cache_dir), loss=loss)
     ok = all(r.q_minus is not None for r in rows)
     return serialize.gap_rows_dict(rows), None, ok
 

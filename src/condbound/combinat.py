@@ -162,9 +162,15 @@ class BellSequence:
     @classmethod
     def load(cls, path) -> "BellSequence":
         with open(path, "rb") as fh:
+            def read(n: int) -> bytes:
+                data = fh.read(n)
+                if len(data) != n:
+                    raise PreconditionError("Bell cache file is truncated")
+                return data
+
             if fh.read(4) != cls.MAGIC:
                 raise PreconditionError("not a Bell cache file")
-            version, q_max = struct.unpack("<II", fh.read(8))
+            version, q_max = struct.unpack("<II", read(8))
             if version != cls.VERSION:
                 raise PreconditionError(f"unsupported Bell cache version {version}")
             if q_max > DEFAULT_QMAX_CAP:
@@ -173,11 +179,11 @@ class BellSequence:
                     f"{DEFAULT_QMAX_CAP}")
             seqs = []
             for _ in range(2):
-                (count,) = struct.unpack("<I", fh.read(4))
+                (count,) = struct.unpack("<I", read(4))
                 seq = []
                 for _ in range(count):
-                    (nbytes,) = struct.unpack("<I", fh.read(4))
-                    seq.append(int.from_bytes(fh.read(nbytes), "big"))
+                    (nbytes,) = struct.unpack("<I", read(4))
+                    seq.append(int.from_bytes(read(nbytes), "big"))
                 seqs.append(seq)
         values, maxima = seqs
         if len(values) != q_max + 1:

@@ -40,8 +40,7 @@ from .anticonc import (AntiConcentrationCertificate, lemma2_certificate,
                        lemma2_probability, lemma2_threshold_power)
 from .combinat import StirlingTable
 from .errors import CapacityError, PreconditionError
-from .intervals import (DEFAULT_FRAC_BITS, FloatInterval, log2_fraction,
-                        log2_interval)
+from .intervals import FloatInterval, log2_fraction, log2_interval
 
 FEASIBLE_POSITIVE = "positive"
 FEASIBLE_IMPOSSIBLE = "impossible"
@@ -108,22 +107,21 @@ def _coerce_target(value) -> Fraction | None:
     return None if value is None else Fraction(value)
 
 
-def heavy_bin_reduction(cert: AntiConcentrationCertificate,
-                        frac_bits: int = DEFAULT_FRAC_BITS) -> HeavyBinReduction:
+def heavy_bin_reduction(
+        cert: AntiConcentrationCertificate) -> HeavyBinReduction:
     """Exact (ell_star, eps_star) corner of the ruled-out region."""
     tau_lo = cert.threshold.lo
     if tau_lo <= 0:
         raise PreconditionError("reduction requires a positive threshold")
-    ell_star = log2_fraction(tau_lo, frac_bits).shift(-1)
+    ell_star = log2_fraction(tau_lo).shift(-1)
     eps_star = cert.probability * tau_lo / 2
     return HeavyBinReduction(tau_lo, ell_star, eps_star,
-                             log2_fraction(eps_star, frac_bits))
+                             log2_fraction(eps_star))
 
 
 def impossibility_certificate(q: int, k: int, table: StirlingTable,
-                              loss=None, log2_inv_eps=None,
-                              frac_bits: int = DEFAULT_FRAC_BITS,
-                              ) -> CondenserVerdict:
+                              loss=None,
+                              log2_inv_eps=None) -> CondenserVerdict:
     """Impossibility verdict for q-universal condensing at k = m.
 
     Rules out every (loss, eps) with loss <= ell_star and eps < eps_star.
@@ -135,7 +133,7 @@ def impossibility_certificate(q: int, k: int, table: StirlingTable,
     log2_inv_eps = _coerce_target(log2_inv_eps)
     _check_side_condition(q, k)
     M = 1 << k
-    cert = lemma2_certificate(q, M, table, frac_bits)
+    cert = lemma2_certificate(q, M, table)
     params = CondenserParams(independence=q, loss_bits=loss,
                              log2_inv_eps=log2_inv_eps,
                              entropy_k=k, output_m=k)
@@ -146,7 +144,7 @@ def impossibility_certificate(q: int, k: int, table: StirlingTable,
             reference["claim_covered_by_certificate"] = False
         return CondenserVerdict(params, FEASIBLE_UNDETERMINED, cert, None,
                                 None, reference)
-    red = heavy_bin_reduction(cert, frac_bits)
+    red = heavy_bin_reduction(cert)
 
     if loss is None and log2_inv_eps is None:
         region_nonempty = red.ell_star.certainly_ge(0)
@@ -186,8 +184,8 @@ def _search_window(k: int, table: StirlingTable) -> list[int]:
     return qs
 
 
-def necessary_independence(log2_inv_eps, k: int, loss, table: StirlingTable,
-                           frac_bits: int = DEFAULT_FRAC_BITS) -> int | None:
+def necessary_independence(log2_inv_eps, k: int, loss,
+                           table: StirlingTable) -> int | None:
     """Largest even q whose certificate rules out the target (loss, eps).
 
     Certificates at lower independence transfer upward (a q'-universal
@@ -207,7 +205,7 @@ def necessary_independence(log2_inv_eps, k: int, loss, table: StirlingTable,
       as q grows;
     * g falls by at least 0.84 bits per even step for 4 <= q <= 2048, and
       DEFAULT_QMAX_CAP = 2048 bounds every table;
-    * the enclosures are about 2^-250 wide at the default frac_bits, far
+    * the enclosures are about 2^-250 wide (DEFAULT_FRAC_BITS = 256), far
       below that drop, so their lower endpoints fall with q as well.
 
     The probes use the exact threshold rather than its rounded-down
@@ -222,9 +220,9 @@ def necessary_independence(log2_inv_eps, k: int, loss, table: StirlingTable,
 
     def eps_ok(q: int) -> bool:
         log2_eps_star = (
-            log2_fraction(lemma2_probability(q, M, table), frac_bits)
-            + log2_fraction(lemma2_threshold_power(q, table),
-                            frac_bits).divide_by_int(q)).shift(-1)
+            log2_fraction(lemma2_probability(q, M, table))
+            + log2_fraction(lemma2_threshold_power(q, table)).divide_by_int(q)
+        ).shift(-1)
         return log2_eps_star.certainly_gt(-L)
 
     if eps_ok(qs[-1]):
@@ -242,7 +240,7 @@ def necessary_independence(log2_inv_eps, k: int, loss, table: StirlingTable,
             hi_idx = mid
     q_best = qs[lo_idx]
     verdict = impossibility_certificate(q_best, k, table, loss=loss,
-                                        log2_inv_eps=L, frac_bits=frac_bits)
+                                        log2_inv_eps=L)
     if verdict.feasible == FEASIBLE_IMPOSSIBLE:
         return q_best
     return None
@@ -260,8 +258,7 @@ class GapRow:
 
 
 def asymptotic_gap_report(log2_inv_eps_list, k: int, table: StirlingTable,
-                          loss=Fraction(1),
-                          frac_bits: int = DEFAULT_FRAC_BITS) -> list[GapRow]:
+                          loss=Fraction(1)) -> list[GapRow]:
     """Positive q+ versus certified q- per target quality.
 
     The attached band is the closed-form trend 1 +/- logloglog(1/eps) /
@@ -272,7 +269,7 @@ def asymptotic_gap_report(log2_inv_eps_list, k: int, table: StirlingTable,
     for L in log2_inv_eps_list:
         L = Fraction(L)
         q_plus = positive_params(L).independence
-        q_minus = necessary_independence(L, k, loss, table, frac_bits)
+        q_minus = necessary_independence(L, k, loss, table)
         ratio = None if q_minus is None else Fraction(q_minus) / L
         loglog = math.log2(math.log2(float(L)))
         half_width = loglog / math.log2(float(L))

@@ -18,11 +18,12 @@ TABLE_BYTES (16 MiB); when q positions do not fit, which happens only at
 large q for w = 16, the positions past the first ``span`` fold in by
 Horner in x^span through the exp/log tables of ``gf2``.
 
-Block budget: every simulator loop (the Monte Carlo batches and both
-exhaustive oracles) works on blocks of at most BLOCK_ELEMS elements, so
-that one int64 working array of a block fits in one core's L2 cache.
-Inside a Monte Carlo batch, ``assign`` writes the bin of every ball
-straight into the driver's reused block buffer.
+Block budget: ``_load_experiment`` is the only block loop, for the Monte
+Carlo trials and the exhaustive seed oracle alike.  Its blocks hold at
+most BLOCK_ELEMS elements, so that one int64 working array fits in one
+core's L2 cache, and each caller's ``assign`` writes the bin of every
+ball straight into the driver's reused block buffer.  The exhaustive
+independent reference is a closed form with no loop.
 
 Determinism contract: every trial draws its seed from a counter-based
 Philox generator keyed by master_seed, with the trial index t as its
@@ -129,7 +130,6 @@ class SimulationConfig:
     balls: int | None = None          # default: all 2^w field elements
     moment_orders: tuple[int, ...] = (1, 2)
     thresholds: tuple[Fraction, ...] = ()
-    throw_cap: int = DEFAULT_THROW_CAP
 
     def __post_init__(self):
         if self.trials < 1:
@@ -236,11 +236,6 @@ def _trial_tail(loads: np.ndarray, threshold: int) -> np.ndarray:
     return np.count_nonzero(loads >= threshold, axis=1) / loads.shape[1]
 
 
-def _chunk_ranges(total: int, chunk: int):
-    for start in range(0, total, chunk):
-        yield start, min(start + chunk, total)
-
-
 def _reduce_report(config_echo: dict, trials: int, orders, thresholds,
                    per_trial_moments: np.ndarray, per_trial_tails: np.ndarray,
                    hist_counts: np.ndarray,
@@ -325,59 +320,69 @@ class _SplitTables:
         return acc
 
 
-def _load_experiment(echo: dict, M: int, N: int, trials: int, orders,
-                     thresholds, exact_refs: dict[int, Fraction],
-                     threads: int, assign) -> SimulationReport:
-    """Monte Carlo bin loads of M balls in N bins, reduced to a report.
+def _load_experiment(M: int, N: int, trials: int, orders, thresholds,
+                     threads: int, assign):
+    """Bin loads of M balls in N bins over ``trials`` rows.
+
+    Returns (per_trial_moments, per_trial_tails, hist_counts): the mean
+    over bins of S^order and of S >= threshold for every row, one column
+    per order or threshold, and the number of (row, bin) pairs at each
+    load 0..M.
 
     ``assign(b0, b1, out)`` writes the bin in [0, N) of every ball in
-    trials b0..b1-1 into ``out``, the (b1 - b0, M) int64 view of the
-    chunk's reused block buffer, row i for trial b0 + i; the driver then
-    offsets the bins in place.  Trials run in batches of at most
-    BLOCK_ELEMS balls or bins, batches in chunks, chunks on the thread
-    pool; every per-trial row is written at its trial index and the chunk
-    histograms are summed in chunk order, so the report depends neither on
-    the thread count nor on where a block boundary falls.
+    rows b0..b1-1 into ``out``, the (b1 - b0, M) int64 view of the
+    chunk's reused block buffer, row i for row b0 + i; the driver then
+    offsets the bins in place and counts the loads into a second reused
+    buffer.  Rows run in batches of at most BLOCK_ELEMS balls or bins,
+    batches in chunks, chunks on the thread pool; every per-trial row is
+    written at its row index and the chunk histograms are summed in chunk
+    order, so the result depends neither on the thread count nor on where
+    a block boundary falls.
     """
     int_thrs = [_int_threshold(t) for t in thresholds]
     per_trial_moments = np.empty((trials, len(orders)), dtype=np.float64)
     per_trial_tails = np.empty((trials, len(thresholds)), dtype=np.float64)
-    hist_parts: dict[int, np.ndarray] = {}
     batch = max(1, BLOCK_ELEMS // max(M, N))
-    # trial i of a batch counts its balls in bins i*N .. i*N + N-1
+    chunk = 8 * batch
+    # row i of a batch counts its balls in bins i*N .. i*N + N-1
     offsets = np.arange(0, batch * N, N)[:, None]
 
-    def work(bounds):
-        start, end = bounds
+    def work(start):
+        end = min(start + chunk, trials)
         hist = np.zeros(M + 1, dtype=np.int64)
-        buf = np.empty((min(batch, end - start), M), dtype=np.int64)
+        rows = min(batch, end - start)
+        buf = np.empty((rows, M), dtype=np.int64)
+        # loads are counted in place: a fresh bincount array per batch,
+        # freed with the moment temporaries, lets the allocator trim and
+        # regrow the heap on every batch
+        counts = np.empty(rows * N, dtype=np.int64)
         for b0 in range(start, end, batch):
             b1 = min(b0 + batch, end)
             nb = b1 - b0
             bins = buf[:nb]
             assign(b0, b1, bins)
             bins += offsets[:nb]
-            loads = np.bincount(bins.ravel(), minlength=nb * N).reshape(nb, N)
+            loads = counts[:nb * N]
+            loads.fill(0)
+            np.add.at(loads, bins.ravel(), 1)
+            loads = loads.reshape(nb, N)
             hist += np.bincount(loads.ravel(), minlength=M + 1)
             for idx, order in enumerate(orders):
                 per_trial_moments[b0:b1, idx] = _trial_moment(loads, M, order)
             for idx, thr in enumerate(int_thrs):
                 per_trial_tails[b0:b1, idx] = _trial_tail(loads, thr)
-        hist_parts[start] = hist
+        return hist
 
-    bounds_list = list(_chunk_ranges(trials, 8 * batch))
+    starts = range(0, trials, chunk)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, bounds_list))
+            hists = list(pool.map(work, starts))
     else:
-        for b in bounds_list:
-            work(b)
+        hists = map(work, starts)
     hist_counts = np.zeros(M + 1, dtype=np.int64)
-    for start, _ in bounds_list:
-        hist_counts += hist_parts[start]
-    return _reduce_report(echo, trials, orders, thresholds,
-                          per_trial_moments, per_trial_tails, hist_counts,
-                          exact_refs)
+    for hist in hists:
+        hist_counts += hist
+    return per_trial_moments, per_trial_tails, hist_counts
 
 
 def run_trials(config: SimulationConfig, threads: int = 1) -> SimulationReport:
@@ -393,14 +398,15 @@ def run_trials(config: SimulationConfig, threads: int = 1) -> SimulationReport:
     M = config.ball_count
     if M > (1 << spec.field_bits):
         raise PreconditionError("more balls than field elements")
-    if M * config.trials > config.throw_cap:
+    if M * config.trials > DEFAULT_THROW_CAP:
         raise CapacityError(
             f"balls*trials = {M * config.trials} exceeds the throw cap "
-            f"{config.throw_cap}")
+            f"{DEFAULT_THROW_CAP}")
     split = _SplitTables(spec, M)
     N = spec.bins
     shift = spec.field_bits - spec.output_bits
     orders = tuple(config.moment_orders)
+    thresholds = tuple(Fraction(t) for t in config.thresholds)
 
     def assign(b0, b1, out):
         coeffs = np.stack([
@@ -413,10 +419,11 @@ def run_trials(config: SimulationConfig, threads: int = 1) -> SimulationReport:
             "degree": spec.degree, "output_bits": spec.output_bits,
             "modulus": spec.modulus, "balls": M, "bins": N,
             "trials": config.trials, "master_seed": config.master_seed}
-    return _load_experiment(
-        echo, M, N, config.trials, orders,
-        tuple(Fraction(t) for t in config.thresholds),
-        _exact_references(M, N, spec.independence, orders), threads, assign)
+    return _reduce_report(
+        echo, config.trials, orders, thresholds,
+        *_load_experiment(M, N, config.trials, orders, thresholds, threads,
+                          assign),
+        _exact_references(M, N, spec.independence, orders))
 
 
 @dataclass(frozen=True)
@@ -440,9 +447,7 @@ class ExactLoadDistribution:
         return sum(self.support.values(), Fraction(0))
 
 
-def exact_small_oracle(spec: HashFamilySpec,
-                       seed_cap: int = DEFAULT_SEED_ENUM_CAP,
-                       ) -> ExactLoadDistribution:
+def exact_small_oracle(spec: HashFamilySpec) -> ExactLoadDistribution:
     """Exhaustive ground truth: the bin-0 load of every seed, counted.
 
     Seed s has coefficients c_i = (s >> w*i) & (2^w - 1).  In
@@ -452,105 +457,83 @@ def exact_small_oracle(spec: HashFamilySpec,
     (shift = w - output_bits).  One evaluation of g at every point
     therefore gives the bin-0 loads of all 2^w seeds (c_0, g): the
     2^shift constants c_0 with c_0 >> shift == b put #{x : g(x) >> shift
-    == b} balls in bin 0.
+    == b} balls in bin 0.  So each non-constant part is one row of the
+    load driver, whose histogram counts the (part, b) pairs at each load,
+    and every count stands for 2^shift seeds.
 
     The work is one evaluation per non-constant part at each of the 2^w
-    points, seed_count point evaluations in all, so ``seed_cap`` bounds
-    the work itself.
+    points, seed_count point evaluations in all, so the seed cap
+    DEFAULT_SEED_ENUM_CAP bounds the work itself.
     """
     n_seeds = spec.seed_count
-    if n_seeds > seed_cap:
+    if n_seeds > DEFAULT_SEED_ENUM_CAP:
         raise CapacityError(
-            f"{n_seeds} seeds exceed the enumeration cap {seed_cap}")
+            f"{n_seeds} seeds exceed the enumeration cap "
+            f"{DEFAULT_SEED_ENUM_CAP}")
     w = spec.field_bits
     M = 1 << w
-    N = spec.bins
     split = _SplitTables(spec, M)
     shift = w - spec.output_bits
-    counts = np.zeros(M + 1, dtype=np.int64)
     mask = M - 1
-    n_parts = n_seeds >> w
-    chunk = min(max(1, BLOCK_ELEMS // M), n_parts)
-    # non-constant part i of a chunk counts its loads in bins i*N .. i*N + N-1
-    offsets = np.arange(0, chunk * N, N)[:, None]
-    buf = np.empty((chunk, M), dtype=np.int64)
-    for start, end in _chunk_ranges(n_parts, chunk):
-        parts = np.arange(start, end, dtype=np.int64)
+
+    def assign(b0, b1, out):
+        parts = np.arange(b0, b1, dtype=np.int64)
         # g(x), the seed polynomial with c_0 = 0
         coeffs = [np.zeros_like(parts),
                   *((parts >> (w * i)) & mask for i in range(spec.degree))]
-        nb = end - start
-        bins = buf[:nb]
-        np.right_shift(split.evaluate(coeffs), shift, out=bins)
-        bins += offsets[:nb]
-        # the load of every bin of every part in the chunk, counted by load
-        counts += np.bincount(np.bincount(bins.ravel(), minlength=nb * N),
-                              minlength=M + 1)
+        np.right_shift(split.evaluate(coeffs), shift, out=out)
+
+    *_, counts = _load_experiment(M, spec.bins, n_seeds >> w, (), (), 1,
+                                  assign)
     counts <<= shift
     support = {int(s): Fraction(int(c), n_seeds)
                for s, c in enumerate(counts) if c}
     return ExactLoadDistribution(support)
 
 
-def exhaustive_assignment_histogram(M: int, N: int) -> list[int]:
-    """hist[s] = number of the N^M equiprobable assignments in which bin 0
-    receives exactly s balls, by explicit enumeration."""
-    total = N ** M
-    if total > _EXHAUSTIVE_ASSIGNMENT_CAP:
-        raise CapacityError(
-            f"N^M = {total} exceeds the exhaustive assignment cap "
-            f"{_EXHAUSTIVE_ASSIGNMENT_CAP}")
-    hist = np.zeros(M + 1, dtype=np.int64)
-    for start, end in _chunk_ranges(total, BLOCK_ELEMS):
-        rest = np.arange(start, end, dtype=np.int64)
-        ball = np.empty_like(rest)
-        # the smallest integers that hold M: a narrow array beside the
-        # int64 ones keeps the block's working set small
-        zeros = np.zeros(end - start, dtype=np.min_scalar_type(M))
-        for _ in range(M):
-            np.divmod(rest, N, out=(rest, ball))
-            zeros += ball == 0
-        hist += np.bincount(zeros, minlength=M + 1)
-    return [int(c) for c in hist]
-
-
 def independent_oracle(M: int, N: int, orders, trials: int, master_seed: int,
-                       thresholds=(), throw_cap: int = DEFAULT_THROW_CAP,
-                       exhaustive: bool | None = None,
-                       threads: int = 1) -> SimulationReport:
+                       thresholds=(), threads: int = 1) -> SimulationReport:
     """Fully independent balls-into-bins reference experiment.
 
-    When N^M is small enough (and ``exhaustive`` is not False), sampling
-    is replaced by exact enumeration of all assignments; the report then
-    carries zero-noise means equal to the exact distribution's moments.
+    When N^M <= 2^20, sampling is replaced by the exact distribution: bin
+    0's load is Binomial(M, 1/N), so comb(M, s) * (N-1)^(M-s) of the N^M
+    equiprobable assignments put s balls in it.  The report then carries
+    zero-noise means equal to that distribution's moments.  Otherwise
+    ``trials`` seeded trials of M balls run through the load driver.
     """
     _check_master_seed(master_seed)
     if trials < 1:
         raise PreconditionError("trials must be >= 1")
+    if M < 1:
+        raise PreconditionError("balls must be >= 1")
+    if N < 1:
+        raise PreconditionError("bins must be >= 1")
     orders = tuple(orders)
     if any(k < 1 for k in orders):
         raise PreconditionError("moment order must be >= 1")
     thresholds = tuple(Fraction(t) for t in thresholds)
-    if exhaustive is None:
-        exhaustive = N ** M <= _EXHAUSTIVE_ASSIGNMENT_CAP
     exact_refs = _exact_references(M, N, max(orders) if orders else 1, orders)
-    if exhaustive:
-        hist = exhaustive_assignment_histogram(M, N)
+    # N >= 2 puts N^M past the cap once M > 20, so N^M is never built large
+    if N == 1 or M <= 20 and N ** M <= _EXHAUSTIVE_ASSIGNMENT_CAP:
         total = N ** M
+        # a single bin holds every ball
+        support = range(M + 1) if N > 1 else (M,)
+        hist = {s: math.comb(M, s) * (N - 1) ** (M - s) for s in support}
         dist = ExactLoadDistribution(
-            {s: Fraction(c, total) for s, c in enumerate(hist) if c})
+            {s: Fraction(c, total) for s, c in hist.items()})
         moments = tuple(MomentStat(k, float(dist.moment(k)), None,
                                    exact_refs.get(k)) for k in orders)
         tails = tuple(TailStat(t, float(dist.tail_ge(t)), None)
                       for t in thresholds)
-        histogram = tuple((s, c) for s, c in enumerate(hist) if c)
+        histogram = tuple(hist.items())
         echo = {"mode": "independent-exhaustive", "balls": M, "bins": N,
                 "assignments": total, "master_seed": master_seed}
         return SimulationReport(echo, 1, moments, tails, histogram, False)
 
-    if M * trials > throw_cap:
+    if M * trials > DEFAULT_THROW_CAP:
         raise CapacityError(
-            f"balls*trials = {M * trials} exceeds the throw cap {throw_cap}")
+            f"balls*trials = {M * trials} exceeds the throw cap "
+            f"{DEFAULT_THROW_CAP}")
 
     def assign(b0, b1, out):
         for row, rng in zip(out, _trial_rngs(master_seed, b0, b1)):
@@ -558,5 +541,7 @@ def independent_oracle(M: int, N: int, orders, trials: int, master_seed: int,
 
     echo = {"mode": "independent-monte-carlo", "balls": M, "bins": N,
             "trials": trials, "master_seed": master_seed}
-    return _load_experiment(echo, M, N, trials, orders, thresholds,
-                            exact_refs, threads, assign)
+    return _reduce_report(
+        echo, trials, orders, thresholds,
+        *_load_experiment(M, N, trials, orders, thresholds, threads, assign),
+        exact_refs)

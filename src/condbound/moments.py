@@ -13,8 +13,7 @@ from fractions import Fraction
 
 from .combinat import StirlingTable, falling_factorial
 from .errors import PreconditionError
-from .intervals import (DEFAULT_FRAC_BITS, FloatInterval, log2_fraction,
-                        nth_root)
+from .intervals import FloatInterval, log2_fraction, nth_root
 
 
 @dataclass(frozen=True)
@@ -54,8 +53,8 @@ def _check_order(inst: BallsBinsInstance, order: int, table: StirlingTable):
             f"order {order} exceeds the Stirling table range {table.q_max}")
 
 
-def raw_moment(inst: BallsBinsInstance, order: int, table: StirlingTable,
-               frac_bits: int = DEFAULT_FRAC_BITS) -> MomentResult:
+def raw_moment(inst: BallsBinsInstance, order: int,
+               table: StirlingTable) -> MomentResult:
     """E S^order as an exact reduced rational, with a log2 enclosure."""
     _check_order(inst, order, table)
     M, N = inst.balls, inst.bins
@@ -63,14 +62,13 @@ def raw_moment(inst: BallsBinsInstance, order: int, table: StirlingTable,
     for j in range(1, order + 1):
         total += Fraction(table.stirling(order, j) * falling_factorial(M, j),
                           N ** j)
-    return MomentResult(inst, order, total, log2_fraction(total, frac_bits))
+    return MomentResult(inst, order, total, log2_fraction(total))
 
 
-def moment_norm(inst: BallsBinsInstance, order: int, table: StirlingTable,
-                frac_bits: int = DEFAULT_FRAC_BITS) -> FloatInterval:
+def moment_norm(inst: BallsBinsInstance, order: int,
+                table: StirlingTable) -> FloatInterval:
     """Enclosure of (E S^order)**(1/order) with outward rounding."""
-    value = raw_moment(inst, order, table, frac_bits).value
-    return nth_root(value, order, frac_bits)
+    return nth_root(raw_moment(inst, order, table).value, order)
 
 
 def moment_sandwich(M: int, order: int,

@@ -120,8 +120,7 @@ def test_criterion_4_monte_carlo_certificate_soundness():
         config = SimulationConfig(spec, trials=100_000,
                                   master_seed=2024_0000 + q,
                                   moment_orders=(1,),
-                                  thresholds=(cert.threshold.lo,),
-                                  throw_cap=1 << 31)
+                                  thresholds=(cert.threshold.lo,))
         report = run_trials(config, threads=1)
         tail = report.tails[0]
         p = float(cert.probability)

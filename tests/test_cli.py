@@ -101,6 +101,23 @@ def test_bell_cache_above_table_cap_exits_2(capsys, tmp_path):
     assert f"q_max={DEFAULT_QMAX_CAP + 1}" in capsys.readouterr().err
 
 
+_CACHE_HEADER = BellSequence.MAGIC + struct.pack("<II", BellSequence.VERSION,
+                                                 10)
+
+
+@pytest.mark.parametrize("body", [
+    b"",
+    # 11 values announced, the first one 4 bytes long with 1 byte present
+    struct.pack("<II", 11, 4) + b"\x01",
+], ids=["header-only", "short-entry"])
+def test_truncated_bell_cache_exits_2(capsys, tmp_path, body):
+    (tmp_path / "bell_tables.bin").write_bytes(_CACHE_HEADER + body)
+    code = dispatch(["lemma2", "--q", "4", "--log2m", "11",
+                     "--cache-dir", str(tmp_path)])
+    assert code == 2
+    assert "truncated" in capsys.readouterr().err
+
+
 def test_strict_undetermined_condense(capsys):
     code, out = run_cli(capsys, "condense", "check", "--q", "4", "--k", "11",
                         "--strict")
@@ -432,13 +449,34 @@ _EXACT = ["simulate", "--mode", "exact", "--w", "3", "--q", "2"]
     (_EXACT + ["--orders", "0"], "moment order"),
     (_EXACT + ["--orders", "-1"], "moment order"),
     (_EXACT + ["--balls", "5"], "--balls"),
+    # with no --orders there are no exact references to reject the
+    # instance first
+    (_INDEPENDENT + ["--orders=", "--bins", "0"], "bins"),
+    (_INDEPENDENT + ["--orders=", "--balls", "0"], "balls"),
 ], ids=["mc-seed-negative", "mc-seed-2^128", "independent-seed-negative",
         "mc-balls-zero", "mc-balls-negative", "independent-order-zero",
         "independent-trials-zero", "independent-trials-negative",
-        "exact-order-zero", "exact-order-negative", "exact-balls"])
+        "exact-order-zero", "exact-order-negative", "exact-balls",
+        "independent-bins-zero", "independent-balls-zero"])
 def test_simulate_out_of_range_value_exits_2(capsys, argv, named):
     assert dispatch(argv) == 2
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["lemma2", "--q", "4", "--log2m", "-1"], "--log2m"),
+    (["pz", "--q", "4", "--log2m", "-1", "--theta", "1/2"], "--log2m"),
+    (["asymptotics", "--qmax", "10", "--step", "0"], "--step"),
+    (["asymptotics", "--qmax", "10", "--step", "-1"], "--step"),
+    (["condense", "sweep", "--log2eps", ",", "--k", "64", "--qmax", "16"],
+     "--log2eps"),
+], ids=["lemma2-log2m-negative", "pz-log2m-negative", "asymptotics-step-zero",
+        "asymptotics-step-negative", "sweep-log2eps-empty"])
+def test_out_of_range_value_exits_2(capsys, argv, named):
+    assert dispatch(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert named in err
 
 
 @pytest.mark.parametrize("argv, option", [

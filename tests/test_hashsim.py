@@ -14,7 +14,8 @@ from condbound import (BallsBinsInstance, HashFamilySpec, SimulationConfig,
                        run_trials)
 from condbound.errors import CapacityError, PreconditionError
 
-from oracles import assignment_moment, seed_bin0_histogram
+from oracles import (assignment_bin0_histogram, assignment_moment,
+                     seed_bin0_histogram)
 
 
 def test_constant_polynomial_family():
@@ -237,7 +238,7 @@ def test_run_trials_determinism_across_threads():
 def test_independent_oracle_determinism_across_threads():
     # 2500 trials of 4096 balls: several thread-pool chunks of eight batches
     kwargs = dict(orders=(1, 2), trials=2500, master_seed=31,
-                  thresholds=(Fraction(1), Fraction(3)), exhaustive=False)
+                  thresholds=(Fraction(1), Fraction(3)))
     a = independent_oracle(4096, 4096, threads=1, **kwargs)
     b = independent_oracle(4096, 4096, threads=2, **kwargs)
     assert a == b
@@ -327,11 +328,10 @@ def _block_sensitive_runs():
             master_seed=14, balls=100, **stats), threads=2),
         **{f"independent-threads-{threads}": independent_oracle(
             200, 50, (1, 2, 3), 400, 15, thresholds=stats["thresholds"],
-            exhaustive=False, threads=threads) for threads in (1, 2)},
+            threads=threads) for threads in (1, 2)},
         "exact": exact_small_oracle(HashFamilySpec.create(4, independence=3)),
         "exact-output-bits": exact_small_oracle(
             HashFamilySpec.create(3, independence=4, output_bits=2)),
-        "assignments": hashsim.exhaustive_assignment_histogram(5, 6),
     }
 
 
@@ -343,9 +343,6 @@ def test_reports_do_not_depend_on_block_size(monkeypatch, budget):
     monkeypatch.setattr(hashsim, "BLOCK_ELEMS", budget)
     got = _block_sensitive_runs()
     for name, report in want.items():
-        if isinstance(report, list):
-            assert got[name] == report, name
-            continue
         for f in dataclasses.fields(report):
             assert (getattr(got[name], f.name)
                     == getattr(report, f.name)), (name, f.name)
@@ -402,6 +399,24 @@ def test_independent_oracle_exhaustive():
     assert assignment_moment(3, 3, 2) == Fraction(5, 3)
 
 
+@pytest.mark.parametrize("M, N", [(1, 1), (4, 1), (1, 7), (3, 3), (5, 6),
+                                  (5, 16)])
+def test_independent_exhaustive_histogram_matches_enumeration(M, N):
+    report = independent_oracle(M, N, orders=(1, 2), trials=3, master_seed=0)
+    assert report.config_echo["assignments"] == N ** M
+    want = assignment_bin0_histogram(M, N)
+    assert report.histogram == tuple((s, c) for s, c in enumerate(want) if c)
+
+
+@pytest.mark.parametrize("M, N, mode", [
+    (5, 16, "independent-exhaustive"),       # N^M = 2^20
+    (3, 102, "independent-monte-carlo"),     # N^M = 1061208
+])
+def test_independent_oracle_mode_boundary(M, N, mode):
+    report = independent_oracle(M, N, orders=(1,), trials=3, master_seed=0)
+    assert report.config_echo["mode"] == mode
+
+
 def test_independent_oracle_degenerate():
     report = independent_oracle(1, 1, orders=(1, 2, 3), trials=5,
                                 master_seed=0)
@@ -411,7 +426,7 @@ def test_independent_oracle_degenerate():
 
 def test_independent_oracle_monte_carlo():
     report = independent_oracle(64, 64, orders=(1, 2, 4), trials=3000,
-                                master_seed=5, exhaustive=False)
+                                master_seed=5)
     for stat in report.moments:
         assert stat.exact is not None
         assert abs(stat.mean - float(stat.exact)) <= 4 * (stat.se or 1e9)

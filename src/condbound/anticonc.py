@@ -8,9 +8,11 @@ independent family:
 * ``bell-bound``: the closed form in Bell numbers: threshold
   (B_{q/2})^(2/q) / 2 and probability (1 - q^2/(2M)) (B_{q/2})^2 / (2 B_q).
 
-Each Bell-variant quantity has one definition here:
-``lemma2_probability`` for p and ``lemma2_threshold_power`` for tau^q;
-the condenser layer reads both and does no Bell arithmetic of its own.
+The exact-moment variant reads two raw moments, each from one Stirling
+row.  The Bell variants read a ``BellSequence``, and each of their
+quantities has one definition here: ``lemma2_probability`` for p and
+``lemma2_threshold_power`` for tau^q; the condenser layer reads both and
+does no Bell arithmetic of its own.
 
 Thresholds are reported as enclosures and always consumed through their
 lower endpoint: {S >= tau} is a subset of {S >= tau.lo}, so every stated
@@ -26,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .combinat import StirlingTable
+from .combinat import BellSequence
 from .errors import CondboundError, PreconditionError
 from .intervals import FloatInterval, nth_root
 from .moments import BallsBinsInstance, raw_moment
@@ -55,68 +57,66 @@ class AntiConcentrationCertificate:
         return self.probability <= 0
 
 
-def _check_q(q: int, table: StirlingTable):
+def _check_q(q: int):
     if q % 2 != 0:
         raise PreconditionError(f"q={q} must be even")
     if q < 4:
         raise PreconditionError(f"q={q} must be at least 4")
-    if q > table.q_max:
-        raise PreconditionError(f"q={q} exceeds the Stirling table range")
 
 
-def pz_bound(inst: BallsBinsInstance, theta,
-             table: StirlingTable) -> AntiConcentrationCertificate:
+def pz_bound(inst: BallsBinsInstance, theta) -> AntiConcentrationCertificate:
     """Paley-Zygmund certificate from the exact moments of the instance.
 
     Threshold: theta^(2/q) * ||S||_{q/2}, computed as the single root
     ((theta * E S^{q/2})^2)^(1/q).  Probability:
-    (1-theta)^2 * (E S^{q/2})^2 / E S^q, exact.
+    (1-theta)^2 * (E S^{q/2})^2 / E S^q, exact.  E S^q is computed first,
+    so a q above DEFAULT_QMAX_CAP is rejected before any work.
     """
     theta = Fraction(theta)
     if not 0 < theta < 1:
         raise PreconditionError("pz_bound requires 0 < theta < 1")
     q = inst.independence
-    _check_q(q, table)
+    _check_q(q)
     if inst.balls != inst.bins:
         raise PreconditionError("pz_bound is stated for M = N only")
-    half = raw_moment(inst, q // 2, table).value
-    full = raw_moment(inst, q, table).value
+    full = raw_moment(inst, q).value
+    half = raw_moment(inst, q // 2).value
     threshold = nth_root((theta * half) ** 2, q)
     prob = (1 - theta) ** 2 * half ** 2 / full
     return AntiConcentrationCertificate(q, inst.balls, threshold, prob,
                                         VARIANT_EXACT, theta)
 
 
-def lemma2_probability(q: int, M: int, table: StirlingTable) -> Fraction:
+def lemma2_probability(q: int, M: int, bells: BellSequence) -> Fraction:
     """(1 - q^2/(2M)) * (B_{q/2})^2 / (2 B_q), exact; not positive, so
     vacuous, exactly when q^2 >= 2M."""
     return ((1 - Fraction(q * q, 2 * M))
-            * Fraction(table.bell(q // 2) ** 2, 2 * table.bell(q)))
+            * Fraction(bells.bell(q // 2) ** 2, 2 * bells.bell(q)))
 
 
-def lemma2_threshold_power(q: int, table: StirlingTable) -> Fraction:
+def lemma2_threshold_power(q: int, bells: BellSequence) -> Fraction:
     """tau^q = (B_{q/2})^2 / 4^(q/2) for tau = (B_{q/2})^(2/q) / 2, exact."""
-    return Fraction(table.bell(q // 2) ** 2, 4 ** (q // 2))
+    return Fraction(bells.bell(q // 2) ** 2, 4 ** (q // 2))
 
 
 def lemma2_certificate(q: int, M: int,
-                       table: StirlingTable) -> AntiConcentrationCertificate:
+                       bells: BellSequence) -> AntiConcentrationCertificate:
     """Bell-number certificate for M = N: threshold (B_{q/2})^(2/q) / 2,
     probability (1 - q^2/(2M)) * (B_{q/2})^2 / (2 B_q).
 
     Vacuous exactly when q^2 >= 2M.
     """
-    _check_q(q, table)
+    _check_q(q)
     if M < 1:
         raise PreconditionError("lemma2_certificate requires M >= 1")
-    threshold = nth_root(lemma2_threshold_power(q, table), q)
+    threshold = nth_root(lemma2_threshold_power(q, bells), q)
     return AntiConcentrationCertificate(q, M, threshold,
-                                        lemma2_probability(q, M, table),
+                                        lemma2_probability(q, M, bells),
                                         VARIANT_BELL)
 
 
 def bell_bound_at_theta(q: int, M: int, theta,
-                        table: StirlingTable) -> AntiConcentrationCertificate:
+                        bells: BellSequence) -> AntiConcentrationCertificate:
     """Bell-number certificate with theta kept explicit: threshold
     theta^(2/q) * (B_{q/2})^(2/q), probability
     (1-theta)^2 * (1 - q^2/(2M)) * (B_{q/2})^2 / B_q.
@@ -127,9 +127,9 @@ def bell_bound_at_theta(q: int, M: int, theta,
     theta = Fraction(theta)
     if not 0 < theta < 1:
         raise PreconditionError("bell_bound_at_theta requires 0 < theta < 1")
-    _check_q(q, table)
-    threshold = nth_root((theta * table.bell(q // 2)) ** 2, q)
-    prob = 2 * (1 - theta) ** 2 * lemma2_probability(q, M, table)
+    _check_q(q)
+    threshold = nth_root((theta * bells.bell(q // 2)) ** 2, q)
+    prob = 2 * (1 - theta) ** 2 * lemma2_probability(q, M, bells)
     return AntiConcentrationCertificate(q, M, threshold, prob, VARIANT_BELL,
                                         theta)
 
@@ -150,20 +150,20 @@ class CertificateComparison:
 
 
 def certificate_ordering(q: int, M: int,
-                         table: StirlingTable) -> CertificateComparison:
+                         bells: BellSequence) -> CertificateComparison:
     """Evaluate both variants at theta = 1/q and assert that the Bell
     variant's probability never exceeds the exact-moment one (it lower
     bounds the numerator and upper bounds the denominator)."""
-    _check_q(q, table)
-    cert_l2 = lemma2_certificate(q, M, table)
+    _check_q(q)
+    cert_l2 = lemma2_certificate(q, M, bells)
     if cert_l2.vacuous:
         raise PreconditionError(
             f"certificate_ordering requires a non-vacuous certificate "
             f"(q^2={q*q} >= 2M={2*M})")
     theta = Fraction(1, q)
     inst = BallsBinsInstance(M, M, q)
-    cert_exact = pz_bound(inst, theta, table)
-    cert_bell = bell_bound_at_theta(q, M, theta, table)
+    cert_exact = pz_bound(inst, theta)
+    cert_bell = bell_bound_at_theta(q, M, theta, bells)
     p_ok = cert_bell.probability <= cert_exact.probability
     tau_ok = cert_exact.threshold.hi <= cert_bell.threshold.hi
     if not p_ok:

@@ -47,9 +47,8 @@ def stirling_max_log_estimate(q: int) -> FloatInterval:
 def estimate_residual(q: int, bells) -> AsymptoticEstimate:
     """Exact ln(B_q)/q against the closed form.
 
-    ``bells`` is anything with a ``bell(q)`` accessor (StirlingTable or
-    BellSequence).  scaled_residual multiplies by ln q / ln ln q, the
-    reciprocal of the correction term's stated decay.
+    ``bells`` is a BellSequence.  scaled_residual multiplies by
+    ln q / ln ln q, the reciprocal of the correction term's stated decay.
     """
     ln_q, ln_ln_q, estimate = _closed_form(q)
     exact = ln_interval_of_int(bells.bell(q)).divide_by_int(q)

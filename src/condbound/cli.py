@@ -24,13 +24,15 @@ from .combinat import BellSequence, StirlingTable
 from .condenser import (FEASIBLE_IMPOSSIBLE, asymptotic_gap_report,
                         impossibility_certificate, necessary_independence)
 from .anticonc import lemma2_certificate, pz_bound
-from .errors import CondboundError, PreconditionError
+from .errors import CapacityError, CondboundError, PreconditionError
 from .intervals import parse_dyadic
 from .moments import BallsBinsInstance, raw_moment
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_STRICT = 3
+# cap on --log2m and --k, since M = 2^log2m and 2^k are exact integers
+LOG2_SIZE_CAP = 1024
 
 
 def _parse(option: str, parse, text: str | None):
@@ -53,6 +55,12 @@ def _parse_list(option: str, parse, text: str) -> tuple:
 def _at_least(option: str, value: int, floor: int) -> int:
     if value < floor:
         raise PreconditionError(f"{option} must be >= {floor}, got {value}")
+    return value
+
+
+def _at_most(option: str, value: int, cap: int) -> int:
+    if value > cap:
+        raise CapacityError(f"{option} must be <= {cap}, got {value}")
     return value
 
 
@@ -193,23 +201,23 @@ def _run_table(args) -> tuple[dict, list, bool]:
 
 def _run_moment(args) -> tuple[dict, None, bool]:
     order = args.order if args.order is not None else args.q
-    table = StirlingTable.build(order)
     inst = BallsBinsInstance(args.balls, args.bins, args.q)
-    res = raw_moment(inst, order, table)
+    res = raw_moment(inst, order)
     return serialize.moment_dict(res), None, True
 
 
 def _run_lemma2(args) -> tuple[dict, None, bool]:
-    M = 1 << _at_least("--log2m", args.log2m, 0)
+    log2m = _at_least("--log2m", args.log2m, 0)
+    M = 1 << _at_most("--log2m", log2m, LOG2_SIZE_CAP)
     cert = lemma2_certificate(args.q, M, _bells(args.q, args.cache_dir))
     return serialize.certificate_dict(cert), None, not cert.vacuous
 
 
 def _run_pz(args) -> tuple[dict, None, bool]:
-    M = 1 << _at_least("--log2m", args.log2m, 0)
-    table = StirlingTable.build(args.q)
+    log2m = _at_least("--log2m", args.log2m, 0)
+    M = 1 << _at_most("--log2m", log2m, LOG2_SIZE_CAP)
     inst = BallsBinsInstance(M, M, args.q)
-    cert = pz_bound(inst, _parse("--theta", Fraction, args.theta), table)
+    cert = pz_bound(inst, _parse("--theta", Fraction, args.theta))
     return serialize.certificate_dict(cert), None, True
 
 
@@ -223,9 +231,9 @@ def _run_asymptotics(args) -> tuple[dict, list, bool]:
 
 
 def _run_check(args) -> tuple[dict, None, bool]:
-    table = _bells(args.q, args.cache_dir)
+    k = _at_most("--k", args.k, LOG2_SIZE_CAP)
     verdict = impossibility_certificate(
-        args.q, args.k, table,
+        args.q, k, _bells(args.q, args.cache_dir),
         loss=_parse("--loss", Fraction, args.loss),
         log2_inv_eps=_parse("--log2eps", Fraction, args.log2eps))
     return (serialize.verdict_dict(verdict), None,
@@ -233,13 +241,14 @@ def _run_check(args) -> tuple[dict, None, bool]:
 
 
 def _run_minq(args) -> tuple[dict, None, bool]:
-    table = _bells(args.qmax, args.cache_dir)
+    k = _at_most("--k", args.k, LOG2_SIZE_CAP)
+    bells = _bells(args.qmax, args.cache_dir)
     L = _parse("--log2eps", Fraction, args.log2eps)
     loss = _parse("--loss", Fraction, args.loss)
-    q_minus = necessary_independence(L, args.k, loss, table)
+    q_minus = necessary_independence(L, k, loss, bells)
     verdict = None if q_minus is None else impossibility_certificate(
-        q_minus, args.k, table, loss=loss, log2_inv_eps=L)
-    return (serialize.minq_dict(args.k, loss, L, q_minus, verdict), None,
+        q_minus, k, bells, loss=loss, log2_inv_eps=L)
+    return (serialize.minq_dict(k, loss, L, q_minus, verdict), None,
             q_minus is not None)
 
 
@@ -248,7 +257,8 @@ def _run_sweep(args) -> tuple[dict, None, bool]:
     if not eps_list:
         raise PreconditionError(f"--log2eps: no value in {args.log2eps!r}")
     loss = _parse("--loss", Fraction, args.loss)
-    rows = asymptotic_gap_report(eps_list, args.k,
+    k = _at_most("--k", args.k, LOG2_SIZE_CAP)
+    rows = asymptotic_gap_report(eps_list, k,
                                  _bells(args.qmax, args.cache_dir), loss=loss)
     ok = all(r.q_minus is not None for r in rows)
     return serialize.gap_rows_dict(rows), None, ok

@@ -3,11 +3,14 @@
 Everything here is exact integer arithmetic.  Bell numbers come from the
 Bell (Aitken) triangle: row n+1 is the running sum of row n started at
 row n's last entry, and B_n is the head of row n.  Each new row consumes
-the old one as it grows, so one row is resident.  The Stirling triangle is
-built with the two-term recurrence S(q, j) = j*S(q-1, j) + S(q-1, j-1);
-one row generator serves the full triangle and the per-row maxima, which
-a Bell sequence computes only when they are first read.  DEFAULT_QMAX_CAP
-bounds every table built, streamed or loaded from a cache file.
+the old one as it grows, so one row is resident.  Stirling numbers come
+from one row generator over the two-term recurrence
+S(q, j) = j*S(q-1, j) + S(q-1, j-1), which keeps at most two rows alive.
+A moment reads its last row, a Bell sequence takes the per-row maxima
+from it when they are first read, and only ``StirlingTable`` (the
+triangle that ``table`` prints) keeps every row.  Bell numbers come only
+from ``BellSequence``.  DEFAULT_QMAX_CAP bounds every row, table, stream
+and cache file.
 """
 
 from __future__ import annotations
@@ -68,7 +71,6 @@ class StirlingTable:
     def __init__(self, rows: list[list[int]]):
         self.rows = rows
         self.q_max = len(rows) - 1
-        self._bells: BellSequence | None = None
 
     @classmethod
     def build(cls, q_max: int) -> "StirlingTable":
@@ -80,24 +82,6 @@ class StirlingTable:
         if not 0 <= j <= q:
             return 0
         return self.rows[q][j]
-
-    def row(self, q: int) -> list[int]:
-        if not 0 <= q <= self.q_max:
-            raise PreconditionError(f"q={q} outside table range 0..{self.q_max}")
-        return list(self.rows[q])
-
-    def row_max(self, q: int) -> int:
-        return max(self.row(q))
-
-    def bells(self) -> "BellSequence":
-        if self._bells is None:
-            self._bells = BellSequence([sum(r) for r in self.rows])
-        return self._bells
-
-    def bell(self, q: int) -> int:
-        if not 0 <= q <= self.q_max:
-            raise PreconditionError(f"q={q} outside table range 0..{self.q_max}")
-        return self.bells().values[q]
 
 
 class BellSequence:

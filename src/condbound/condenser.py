@@ -38,7 +38,7 @@ from fractions import Fraction
 
 from .anticonc import (AntiConcentrationCertificate, lemma2_certificate,
                        lemma2_probability, lemma2_threshold_power)
-from .combinat import StirlingTable
+from .combinat import BellSequence
 from .errors import CapacityError, PreconditionError
 from .intervals import FloatInterval, log2_fraction, log2_interval
 
@@ -119,7 +119,7 @@ def heavy_bin_reduction(
                              log2_fraction(eps_star))
 
 
-def impossibility_certificate(q: int, k: int, table: StirlingTable,
+def impossibility_certificate(q: int, k: int, bells: BellSequence,
                               loss=None,
                               log2_inv_eps=None) -> CondenserVerdict:
     """Impossibility verdict for q-universal condensing at k = m.
@@ -133,23 +133,17 @@ def impossibility_certificate(q: int, k: int, table: StirlingTable,
     log2_inv_eps = _coerce_target(log2_inv_eps)
     _check_side_condition(q, k)
     M = 1 << k
-    cert = lemma2_certificate(q, M, table)
+    cert = lemma2_certificate(q, M, bells)
     params = CondenserParams(independence=q, loss_bits=loss,
                              log2_inv_eps=log2_inv_eps,
                              entropy_k=k, output_m=k)
-    reference = _reference_block(q, k)
-    if cert.vacuous:
-        if reference is not None:
-            reference = dict(reference)
-            reference["claim_covered_by_certificate"] = False
-        return CondenserVerdict(params, FEASIBLE_UNDETERMINED, cert, None,
-                                None, reference)
-    red = heavy_bin_reduction(cert)
-
-    if loss is None and log2_inv_eps is None:
+    red = None if cert.vacuous else heavy_bin_reduction(cert)
+    verdict_covered = None
+    if red is None:
+        feasible = FEASIBLE_UNDETERMINED
+    elif loss is None and log2_inv_eps is None:
         region_nonempty = red.ell_star.certainly_ge(0)
         feasible = FEASIBLE_IMPOSSIBLE if region_nonempty else FEASIBLE_UNDETERMINED
-        verdict_covered = None
     else:
         loss_ok = (red.ell_star.certainly_ge(0) if loss is None
                    else red.ell_star.certainly_ge(loss))
@@ -157,10 +151,11 @@ def impossibility_certificate(q: int, k: int, table: StirlingTable,
                   else red.log2_eps_star.certainly_gt(-log2_inv_eps))
         verdict_covered = loss_ok and eps_ok
         feasible = FEASIBLE_IMPOSSIBLE if verdict_covered else FEASIBLE_UNDETERMINED
+    reference = _reference_block(q, k)
     if reference is not None:
-        reference = dict(reference)
         reference["claim_covered_by_certificate"] = (
-            red.ell_star.certainly_ge(reference["loss"])
+            red is not None
+            and red.ell_star.certainly_ge(reference["loss"])
             and red.log2_eps_star.certainly_gt(-reference["log2_inv_eps"]))
     return CondenserVerdict(params, feasible, cert, red, verdict_covered,
                             reference)
@@ -173,8 +168,8 @@ def _reference_block(q: int, k: int) -> dict | None:
     return {"loss": claim["loss"], "log2_inv_eps": claim["log2_inv_eps"]}
 
 
-def _search_window(k: int, table: StirlingTable) -> list[int]:
-    top = table.q_max
+def _search_window(k: int, bells: BellSequence) -> list[int]:
+    top = bells.q_max
     while top >= 4 and (1 << k) <= top * top:
         top -= 1
     qs = [q for q in range(4, top + 1) if q % 2 == 0]
@@ -185,7 +180,7 @@ def _search_window(k: int, table: StirlingTable) -> list[int]:
 
 
 def necessary_independence(log2_inv_eps, k: int, loss,
-                           table: StirlingTable) -> int | None:
+                           bells: BellSequence) -> int | None:
     """Largest even q whose certificate rules out the target (loss, eps).
 
     Certificates at lower independence transfer upward (a q'-universal
@@ -215,13 +210,13 @@ def necessary_independence(log2_inv_eps, k: int, loss,
     loss = _coerce_target(loss)
     if L is None or loss is None:
         raise PreconditionError("necessary_independence needs loss and eps targets")
-    qs = _search_window(k, table)
+    qs = _search_window(k, bells)
     M = 1 << k
 
     def eps_ok(q: int) -> bool:
         log2_eps_star = (
-            log2_fraction(lemma2_probability(q, M, table))
-            + log2_fraction(lemma2_threshold_power(q, table)).divide_by_int(q)
+            log2_fraction(lemma2_probability(q, M, bells))
+            + log2_fraction(lemma2_threshold_power(q, bells)).divide_by_int(q)
         ).shift(-1)
         return log2_eps_star.certainly_gt(-L)
 
@@ -239,7 +234,7 @@ def necessary_independence(log2_inv_eps, k: int, loss,
         else:
             hi_idx = mid
     q_best = qs[lo_idx]
-    verdict = impossibility_certificate(q_best, k, table, loss=loss,
+    verdict = impossibility_certificate(q_best, k, bells, loss=loss,
                                         log2_inv_eps=L)
     if verdict.feasible == FEASIBLE_IMPOSSIBLE:
         return q_best
@@ -257,7 +252,7 @@ class GapRow:
     within_band: bool | None
 
 
-def asymptotic_gap_report(log2_inv_eps_list, k: int, table: StirlingTable,
+def asymptotic_gap_report(log2_inv_eps_list, k: int, bells: BellSequence,
                           loss=Fraction(1)) -> list[GapRow]:
     """Positive q+ versus certified q- per target quality.
 
@@ -269,7 +264,7 @@ def asymptotic_gap_report(log2_inv_eps_list, k: int, table: StirlingTable,
     for L in log2_inv_eps_list:
         L = Fraction(L)
         q_plus = positive_params(L).independence
-        q_minus = necessary_independence(L, k, loss, table)
+        q_minus = necessary_independence(L, k, loss, bells)
         ratio = None if q_minus is None else Fraction(q_minus) / L
         loglog = math.log2(math.log2(float(L)))
         half_width = loglog / math.log2(float(L))

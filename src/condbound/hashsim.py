@@ -43,7 +43,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .combinat import StirlingTable
 from .errors import CapacityError, PreconditionError
 from .gf2 import (TABLE_FIELD_BITS, default_modulus, gf_mul, tables_for)
 from .moments import BallsBinsInstance, raw_moment
@@ -72,13 +71,11 @@ class HashFamilySpec:
 
     @classmethod
     def create(cls, field_bits: int, independence: int,
-               output_bits: int | None = None,
-               modulus: int | None = None) -> "HashFamilySpec":
+               output_bits: int | None = None) -> "HashFamilySpec":
         if output_bits is None:
             output_bits = field_bits
-        if modulus is None:
-            modulus = default_modulus(field_bits)
-        return cls(field_bits, independence - 1, output_bits, modulus)
+        return cls(field_bits, independence - 1, output_bits,
+                   default_modulus(field_bits))
 
     def __post_init__(self):
         w = self.field_bits
@@ -182,9 +179,8 @@ def _exact_references(M: int, N: int, q: int,
                       orders) -> dict[int, Fraction]:
     if not orders:
         return {}
-    table = StirlingTable.build(max(orders))
     inst = BallsBinsInstance(M, N, q)
-    return {k: raw_moment(inst, k, table).value for k in orders}
+    return {k: raw_moment(inst, k).value for k in orders}
 
 
 def _check_master_seed(master_seed: int):
@@ -530,10 +526,12 @@ def independent_oracle(M: int, N: int, orders, trials: int, master_seed: int,
                 "assignments": total, "master_seed": master_seed}
         return SimulationReport(echo, 1, moments, tails, histogram, False)
 
-    if M * trials > DEFAULT_THROW_CAP:
-        raise CapacityError(
-            f"balls*trials = {M * trials} exceeds the throw cap "
-            f"{DEFAULT_THROW_CAP}")
+    # each trial draws M bins and counts and reduces N loads
+    for name, size in (("balls", M), ("bins", N)):
+        if size * trials > DEFAULT_THROW_CAP:
+            raise CapacityError(
+                f"{name}*trials = {size * trials} exceeds the throw cap "
+                f"{DEFAULT_THROW_CAP}")
 
     def assign(b0, b1, out):
         for row, rng in zip(out, _trial_rngs(master_seed, b0, b1)):

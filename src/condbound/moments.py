@@ -2,16 +2,19 @@
 
 For M balls thrown q-wise independently into N bins, the load S of a fixed
 bin satisfies E S^r = sum_j S(r, j) * M_(j) / N^j (falling factorial M_(j)),
-exactly, for every order r up to the independence level q.  Moments are
-kept as exact rationals; enclosures appear only at reporting boundaries.
+exactly, for every order r up to the independence level q.  That sum reads
+only row r of the Stirling triangle, so one row is built and resident.
+Moments are kept as exact rationals; enclosures appear only at reporting
+boundaries.  The M = N bracket in Bell numbers reads a ``BellSequence``.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .combinat import StirlingTable, falling_factorial
+from .combinat import BellSequence, _stirling_rows
 from .errors import PreconditionError
 from .intervals import FloatInterval, log2_fraction, nth_root
 
@@ -41,38 +44,41 @@ class MomentResult:
     log2_value: FloatInterval
 
 
-def _check_order(inst: BallsBinsInstance, order: int, table: StirlingTable):
+def _check_order(inst: BallsBinsInstance, order: int):
     if order < 1:
         raise PreconditionError("moment order must be >= 1")
     if order > inst.independence:
         raise PreconditionError(
             f"order {order} exceeds independence {inst.independence}: the "
             "moment is not determined by q-wise independence")
-    if order > table.q_max:
-        raise PreconditionError(
-            f"order {order} exceeds the Stirling table range {table.q_max}")
 
 
-def raw_moment(inst: BallsBinsInstance, order: int,
-               table: StirlingTable) -> MomentResult:
-    """E S^order as an exact reduced rational, with a log2 enclosure."""
-    _check_order(inst, order, table)
+def raw_moment(inst: BallsBinsInstance, order: int) -> MomentResult:
+    """E S^order as an exact reduced rational, with a log2 enclosure.
+
+    The sum over j of S(order, j) * M_(j) / N^j is taken as one integer,
+    sum_j S(order, j) * M_(j) * N^(order-j) in Horner form, over N^order.
+    Only the last Stirling row is kept; an order above DEFAULT_QMAX_CAP is
+    rejected when the rows start.
+    """
+    _check_order(inst, order)
     M, N = inst.balls, inst.bins
-    total = Fraction(0)
+    (row,) = deque(_stirling_rows(order), maxlen=1)
+    numer, falling = 0, 1
     for j in range(1, order + 1):
-        total += Fraction(table.stirling(order, j) * falling_factorial(M, j),
-                          N ** j)
+        falling *= M - j + 1            # M_(j); 0 from j = M + 1 on
+        numer = numer * N + row[j] * falling
+    total = Fraction(numer, N ** order)
     return MomentResult(inst, order, total, log2_fraction(total))
 
 
-def moment_norm(inst: BallsBinsInstance, order: int,
-                table: StirlingTable) -> FloatInterval:
+def moment_norm(inst: BallsBinsInstance, order: int) -> FloatInterval:
     """Enclosure of (E S^order)**(1/order) with outward rounding."""
-    return nth_root(raw_moment(inst, order, table).value, order)
+    return nth_root(raw_moment(inst, order).value, order)
 
 
 def moment_sandwich(M: int, order: int,
-                    table: StirlingTable) -> tuple[Fraction, int]:
+                    bells: BellSequence) -> tuple[Fraction, int]:
     """Exact bracket for E S^order in the M = N case.
 
     Returns (prod_{i=1..order} (1 - (i-1)/M) * B_order, B_order); the true
@@ -82,10 +88,7 @@ def moment_sandwich(M: int, order: int,
         raise PreconditionError("moment_sandwich requires M >= 1")
     if order < 1:
         raise PreconditionError("moment_sandwich requires order >= 1")
-    if order > table.q_max:
-        raise PreconditionError(
-            f"order {order} exceeds the Stirling table range {table.q_max}")
-    bell = table.bell(order)
+    bell = bells.bell(order)
     prod = Fraction(1)
     for i in range(1, order + 1):
         prod *= Fraction(M - (i - 1), M)

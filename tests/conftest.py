@@ -9,8 +9,13 @@ def table64() -> StirlingTable:
 
 
 @pytest.fixture(scope="session")
-def table16() -> StirlingTable:
-    return StirlingTable.build(16)
+def bells16() -> BellSequence:
+    return BellSequence.stream(16)
+
+
+@pytest.fixture(scope="session")
+def bells64() -> BellSequence:
+    return BellSequence.stream(64)
 
 
 @pytest.fixture(scope="session")

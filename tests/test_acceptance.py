@@ -37,7 +37,6 @@ def _passline(n: int, text: str):
 def test_criterion_1_moment_identity_exhaustive():
     """Eq-identity exactness against the full N^M assignment average,
     M = N in 2..8, orders up to min(M, 6); zero tolerance."""
-    table = StirlingTable.build(6)
     checked = 0
     for M in range(2, 9):
         hist = assignment_bin0_histogram(M, M)
@@ -46,7 +45,7 @@ def test_criterion_1_moment_identity_exhaustive():
             brute = sum(Fraction(c, total) * s ** order
                         for s, c in enumerate(hist))
             inst = BallsBinsInstance(M, M, order)
-            assert raw_moment(inst, order, table).value == brute, (M, order)
+            assert raw_moment(inst, order).value == brute, (M, order)
             checked += 1
     _passline(1, f"raw moments equal exhaustive averages exactly "
                  f"({checked} (M, order) pairs, M=N in 2..8)")
@@ -56,13 +55,14 @@ def test_criterion_2_combinatorics_oracle():
     """Stirling numbers vs exhaustive set-partition enumeration for
     q <= 12; Bell numbers vs row sums and the binomial recurrence."""
     table = StirlingTable.build(12)
+    bells = BellSequence.stream(12)
     triangle = bell_by_binomial_recurrence(12)
     for q in range(13):
         counts = partition_counts_by_blocks(q)
         for j in range(q + 1):
             assert table.stirling(q, j) == counts[j], (q, j)
         row_sum = sum(table.rows[q])
-        assert table.bell(q) == row_sum == triangle[q] == sum(counts)
+        assert bells.bell(q) == row_sum == triangle[q] == sum(counts)
     _passline(2, "S(q,j) matches partition enumeration and B_q matches "
                  "both identities for q <= 12 (exact)")
 
@@ -76,12 +76,12 @@ def test_criterion_3_exhaustive_certificate_soundness():
     fourth-moment case; the Paley-Zygmund variants are non-vacuous on
     every degree-3 family and are checked on all of them.
     """
-    table = StirlingTable.build(4)
+    bells = BellSequence.stream(4)
     lines = []
 
     # pairwise family over GF(4): no admissible q >= 4 certificate
     with pytest.raises(PreconditionError):
-        lemma2_certificate(2, 4, table)
+        lemma2_certificate(2, 4, bells)
     lines.append("GF(4) pairwise: no q>=4 certificate applies (skipped)")
 
     nonvacuous_checked = 0
@@ -89,7 +89,7 @@ def test_criterion_3_exhaustive_certificate_soundness():
         M = 1 << w
         spec = HashFamilySpec.create(w, independence=4)
         dist = exact_small_oracle(spec)
-        cert = lemma2_certificate(4, M, table)
+        cert = lemma2_certificate(4, M, bells)
         if cert.vacuous:
             lines.append(f"GF({M}) degree-3: lemma2 vacuous (q^2 >= 2M)")
         else:
@@ -100,7 +100,7 @@ def test_criterion_3_exhaustive_certificate_soundness():
             nonvacuous_checked += 1
         inst = BallsBinsInstance(M, M, 4)
         for theta in (Fraction(1, 2), Fraction(1, 4)):
-            pz = pz_bound(inst, theta, table)
+            pz = pz_bound(inst, theta)
             tail = dist.tail_ge(pz.threshold.lo)
             assert tail >= pz.probability, (w, theta)
             nonvacuous_checked += 1
@@ -113,8 +113,7 @@ def test_criterion_4_monte_carlo_certificate_soundness():
     (q, log2 M) in {(4,12), (6,12), (8,13)}."""
     results = []
     for q, log2m in [(4, 12), (6, 12), (8, 13)]:
-        table = StirlingTable.build(q)
-        cert = lemma2_certificate(q, 1 << log2m, table)
+        cert = lemma2_certificate(q, 1 << log2m, BellSequence.stream(q))
         assert not cert.vacuous
         spec = HashFamilySpec.create(log2m, independence=q)
         config = SimulationConfig(spec, trials=100_000,

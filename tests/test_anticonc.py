@@ -10,8 +10,8 @@ from condbound.errors import PreconditionError
 from oracles import assignment_bin0_histogram
 
 
-def test_lemma2_worked_example(table16):
-    cert = lemma2_certificate(4, 2 ** 11, table16)
+def test_lemma2_worked_example(bells16):
+    cert = lemma2_certificate(4, 2 ** 11, bells16)
     assert not cert.vacuous
     assert cert.probability == Fraction(255, 256) * Fraction(2, 15)
     assert cert.probability == Fraction(17, 128)
@@ -19,24 +19,24 @@ def test_lemma2_worked_example(table16):
     assert cert.threshold.lo ** 2 <= Fraction(1, 2) <= cert.threshold.hi ** 2
 
 
-def test_lemma2_vacuous_boundary(table16):
-    cert = lemma2_certificate(4, 8, table16)
+def test_lemma2_vacuous_boundary(bells16):
+    cert = lemma2_certificate(4, 8, bells16)
     assert cert.vacuous
     assert cert.probability == 0
-    cert = lemma2_certificate(4, 7, table16)
+    cert = lemma2_certificate(4, 7, bells16)
     assert cert.vacuous
     assert cert.probability < 0
-    cert = lemma2_certificate(4, 9, table16)
+    cert = lemma2_certificate(4, 9, bells16)
     assert not cert.vacuous
     # the theta form turns vacuous at the same q^2 = 2M
     for theta in (Fraction(1, 4), Fraction(1, 2)):
-        cert = bell_bound_at_theta(4, 8, theta, table16)
+        cert = bell_bound_at_theta(4, 8, theta, bells16)
         assert cert.vacuous
         assert cert.probability == 0
-        cert = bell_bound_at_theta(4, 7, theta, table16)
+        cert = bell_bound_at_theta(4, 7, theta, bells16)
         assert cert.vacuous
         assert cert.probability < 0
-        assert not bell_bound_at_theta(4, 9, theta, table16).vacuous
+        assert not bell_bound_at_theta(4, 9, theta, bells16).vacuous
 
 
 def test_lemma2_threshold_power_is_tau_to_the_q(bells1024):
@@ -47,12 +47,12 @@ def test_lemma2_threshold_power_is_tau_to_the_q(bells1024):
         assert tau.lo ** q <= power <= tau.hi ** q
 
 
-def test_lemma2_parity_preconditions(table16):
+def test_lemma2_parity_preconditions(bells16):
     with pytest.raises(PreconditionError):
-        lemma2_certificate(5, 2 ** 10, table16)
+        lemma2_certificate(5, 2 ** 10, bells16)
     with pytest.raises(PreconditionError):
-        lemma2_certificate(2, 2 ** 10, table16)
-    lemma2_certificate(6, 2 ** 10, table16)  # q=6 is accepted
+        lemma2_certificate(2, 2 ** 10, bells16)
+    lemma2_certificate(6, 2 ** 10, bells16)  # q=6 is accepted
 
 
 def test_lemma2_large_q(bells1024):
@@ -64,11 +64,11 @@ def test_lemma2_large_q(bells1024):
     assert cert.probability == expect
 
 
-def test_pz_worked_example(table16):
+def test_pz_worked_example():
     inst = BallsBinsInstance(3, 3, 4)
-    cert = pz_bound(inst, Fraction(1, 2), table16)
-    es2 = raw_moment(inst, 2, table16).value
-    es4 = raw_moment(inst, 4, table16).value
+    cert = pz_bound(inst, Fraction(1, 2))
+    es2 = raw_moment(inst, 2).value
+    es4 = raw_moment(inst, 4).value
     assert es2 == Fraction(5, 3)
     assert es4 == 7
     assert cert.probability == Fraction(1, 4) * es2 ** 2 / es4
@@ -85,39 +85,39 @@ def test_pz_worked_example(table16):
     assert tail >= cert.probability
 
 
-def test_pz_theta_scaling(table16):
+def test_pz_theta_scaling():
     # p scales by (1-theta)^2: theta=1/2 gives exactly 1/4 of the theta->0
     # probability factor
     inst = BallsBinsInstance(3, 3, 4)
-    p_half = pz_bound(inst, Fraction(1, 2), table16).probability
-    p_tenth = pz_bound(inst, Fraction(1, 10), table16).probability
+    p_half = pz_bound(inst, Fraction(1, 2)).probability
+    p_tenth = pz_bound(inst, Fraction(1, 10)).probability
     c_half = p_half / (1 - Fraction(1, 2)) ** 2
     c_tenth = p_tenth / (1 - Fraction(1, 10)) ** 2
     assert c_half == c_tenth
     assert p_half == c_half / 4
 
 
-def test_pz_in_unit_interval(table16):
+def test_pz_in_unit_interval():
     inst = BallsBinsInstance(2 ** 10, 2 ** 10, 4)
-    cert = pz_bound(inst, Fraction(1, 4), table16)
+    cert = pz_bound(inst, Fraction(1, 4))
     assert 0 < cert.probability < 1
 
 
-def test_pz_preconditions(table16):
+def test_pz_preconditions():
     inst = BallsBinsInstance(8, 8, 4)
     with pytest.raises(PreconditionError):
-        pz_bound(inst, Fraction(0), table16)
+        pz_bound(inst, Fraction(0))
     with pytest.raises(PreconditionError):
-        pz_bound(inst, Fraction(1), table16)
+        pz_bound(inst, Fraction(1))
     with pytest.raises(PreconditionError):
-        pz_bound(BallsBinsInstance(8, 8, 5), Fraction(1, 2), table16)
+        pz_bound(BallsBinsInstance(8, 8, 5), Fraction(1, 2))
     with pytest.raises(PreconditionError):
-        pz_bound(BallsBinsInstance(8, 4, 4), Fraction(1, 2), table16)
+        pz_bound(BallsBinsInstance(8, 4, 4), Fraction(1, 2))
 
 
-def test_certificate_ordering(table16):
+def test_certificate_ordering(bells16):
     for q, M in [(4, 2 ** 11), (8, 2 ** 10)]:
-        cmp = certificate_ordering(q, M, table16)
+        cmp = certificate_ordering(q, M, bells16)
         assert cmp.bell_p_le_exact_p
         assert cmp.bell.probability <= cmp.exact.probability
         assert cmp.exact_tau_le_bell_tau
@@ -126,9 +126,9 @@ def test_certificate_ordering(table16):
         assert cmp.lemma2.threshold.hi <= cmp.bell.threshold.hi
 
 
-def test_certificate_ordering_rejects_vacuous(table16):
+def test_certificate_ordering_rejects_vacuous(bells16):
     with pytest.raises(PreconditionError):
-        certificate_ordering(4, 8, table16)
+        certificate_ordering(4, 8, bells16)
 
 
 def test_theta_constants_over_full_range(bells1024):
@@ -139,10 +139,10 @@ def test_theta_constants_over_full_range(bells1024):
         assert 2 * (q - 1) ** 2 >= q ** 2  # (1-1/q)^2 >= 1/2
 
 
-def test_probability_monotone_in_M(table16):
+def test_probability_monotone_in_M(bells16):
     prev = None
     for log2m in range(5, 20):
-        cert = lemma2_certificate(4, 2 ** log2m, table16)
+        cert = lemma2_certificate(4, 2 ** log2m, bells16)
         if prev is not None:
             assert cert.probability >= prev
         prev = cert.probability

@@ -13,7 +13,7 @@ import pytest
 import condbound
 from condbound import hashsim
 from condbound.anticonc import lemma2_certificate
-from condbound.cli import build_parser, dispatch
+from condbound.cli import LOG2_SIZE_CAP, build_parser, dispatch
 from condbound.combinat import DEFAULT_QMAX_CAP, BellSequence, StirlingTable
 from condbound.intervals import parse_dyadic
 from condbound.serialize import flatten, parse_rational
@@ -453,14 +453,22 @@ _EXACT = ["simulate", "--mode", "exact", "--w", "3", "--q", "2"]
     # instance first
     (_INDEPENDENT + ["--orders=", "--bins", "0"], "bins"),
     (_INDEPENDENT + ["--orders=", "--balls", "0"], "balls"),
+    # every trial counts and reduces N loads, so bins*trials is capped
+    # like balls*trials
+    (["simulate", "--mode", "independent", "--balls", "40", "--bins",
+      str((1 << 20) + 1), "--trials", "1024"], "bins"),
 ], ids=["mc-seed-negative", "mc-seed-2^128", "independent-seed-negative",
         "mc-balls-zero", "mc-balls-negative", "independent-order-zero",
         "independent-trials-zero", "independent-trials-negative",
         "exact-order-zero", "exact-order-negative", "exact-balls",
-        "independent-bins-zero", "independent-balls-zero"])
+        "independent-bins-zero", "independent-balls-zero",
+        "independent-bins-times-trials-above-cap"])
 def test_simulate_out_of_range_value_exits_2(capsys, argv, named):
     assert dispatch(argv) == 2
     assert named in capsys.readouterr().err
+
+
+_ABOVE_LOG2_CAP = str(LOG2_SIZE_CAP + 1)
 
 
 @pytest.mark.parametrize("argv, named", [
@@ -470,8 +478,19 @@ def test_simulate_out_of_range_value_exits_2(capsys, argv, named):
     (["asymptotics", "--qmax", "10", "--step", "-1"], "--step"),
     (["condense", "sweep", "--log2eps", ",", "--k", "64", "--qmax", "16"],
      "--log2eps"),
+    # 2^log2m and 2^k are exact integers: the cap bounds their size
+    (["lemma2", "--q", "4", "--log2m", _ABOVE_LOG2_CAP], "--log2m"),
+    (["pz", "--q", "4", "--log2m", _ABOVE_LOG2_CAP, "--theta", "1/2"],
+     "--log2m"),
+    (["condense", "check", "--q", "64", "--k", _ABOVE_LOG2_CAP], "--k"),
+    (["condense", "minq", "--log2eps", "128", "--k", _ABOVE_LOG2_CAP,
+      "--loss", "1", "--qmax", "16"], "--k"),
+    (["condense", "sweep", "--log2eps", "64", "--k", _ABOVE_LOG2_CAP,
+      "--qmax", "16"], "--k"),
 ], ids=["lemma2-log2m-negative", "pz-log2m-negative", "asymptotics-step-zero",
-        "asymptotics-step-negative", "sweep-log2eps-empty"])
+        "asymptotics-step-negative", "sweep-log2eps-empty",
+        "lemma2-log2m-above-cap", "pz-log2m-above-cap", "check-k-above-cap",
+        "minq-k-above-cap", "sweep-k-above-cap"])
 def test_out_of_range_value_exits_2(capsys, argv, named):
     assert dispatch(argv) == 2
     out, err = capsys.readouterr()
@@ -538,6 +557,12 @@ GOLDEN_STDOUT = [
      "70e5ecc1bd93cacd335d32d716b43936624be51e0ce0c7169ade4ca53c7e9dfc"),
     (["lemma2", "--q", "66", "--log2m", "11"],
      "a4ca9620f193c0eb6da903a0c0306038d1a95940c355abfa019667dde686d0cd"),
+    # moments from one Stirling row above the orders the benchmark runs
+    (["moment", "--balls", "1000", "--bins", "3", "--q", "40", "--order",
+      "37"],
+     "60302b1c8518abc1a1ecd9c878e2fcd1b3fa4dd4ab5ec2d1445d6eb52a1ca7b9"),
+    (["pz", "--q", "64", "--log2m", "20", "--theta", "1/3"],
+     "d0a7af8ca937ff308950c7bb4eb7100f6b8c32e35be9f5a03010d171be0ae621"),
 ]
 
 
@@ -546,7 +571,8 @@ GOLDEN_STDOUT = [
                               "asymptotics-json", "stirling-json", "bell-json",
                               "check-no-reference", "minq-null-bound",
                               "moment-csv", "lemma2-vacuous-p-zero",
-                              "lemma2-vacuous-p-negative"])
+                              "lemma2-vacuous-p-negative", "moment-order-37",
+                              "pz-q64"])
 def test_stdout_golden_digest(capsys, argv, sha256):
     code, out = run_cli(capsys, *argv)
     assert code == 0

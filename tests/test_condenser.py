@@ -4,10 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from condbound import (BellSequence, HashFamilySpec, StirlingTable,
-                       asymptotic_gap_report, impossibility_certificate,
-                       lemma2_certificate, necessary_independence,
-                       positive_params)
+from condbound import (BellSequence, HashFamilySpec, asymptotic_gap_report,
+                       impossibility_certificate, lemma2_certificate,
+                       necessary_independence, positive_params)
 from condbound.anticonc import lemma2_threshold_power
 from condbound.combinat import DEFAULT_QMAX_CAP
 from condbound.condenser import (FEASIBLE_IMPOSSIBLE, FEASIBLE_UNDETERMINED,
@@ -42,15 +41,15 @@ def test_positive_params_loss_encloses_log2_q():
     assert not enclosure.contains(Fraction(math.log2(100)))
 
 
-def test_impossibility_small_q_small_k(table16):
+def test_impossibility_small_q_small_k(bells16):
     # tau = sqrt(2)/2 < 1, so no nonnegative loss is ruled out
-    v = impossibility_certificate(4, 11, table16)
+    v = impossibility_certificate(4, 11, bells16)
     assert v.feasible == FEASIBLE_UNDETERMINED
     assert v.reduction is not None
     assert v.reduction.ell_star.hi < 0
 
 
-def test_impossibility_q16_k64(table16, bells1024):
+def test_impossibility_q16_k64(bells1024):
     # exact chain: ell_star(16) = log2(B_8)/8 - 2 < 0, so no nonnegative
     # loss is ruled out yet; the certificate values themselves are exact
     v = impossibility_certificate(16, 64, bells1024)
@@ -80,11 +79,11 @@ def test_impossibility_first_positive_loss_q(bells1024):
     assert v32.feasible == FEASIBLE_IMPOSSIBLE
 
 
-def test_side_condition_enforced(table16):
+def test_side_condition_enforced(bells16):
     for k in [2, 3, 4]:
         with pytest.raises(PreconditionError, match="side condition"):
-            impossibility_certificate(4, k, table16)
-    impossibility_certificate(4, 5, table16)
+            impossibility_certificate(4, k, bells16)
+    impossibility_certificate(4, 5, bells16)
 
 
 def test_target_membership(bells1024):
@@ -227,12 +226,12 @@ def _enumerate_family_loads(w: int, degree: int):
     return loads
 
 
-def test_reduction_soundness_exhaustive_smallest_admissible(table16):
+def test_reduction_soundness_exhaustive_smallest_admissible(bells16):
     # smallest admissible k with q=4 is k=5 (side condition k > 2 log2 q);
     # 2^20 seeds of the degree-3 family over GF(32) are fully enumerated
     q, k = 4, 5
     M = 1 << k
-    v = impossibility_certificate(q, k, table16)
+    v = impossibility_certificate(q, k, bells16)
     cert = v.certificate
     assert not cert.vacuous
     red = v.reduction

@@ -8,8 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from condbound import hashsim
-from condbound import (BallsBinsInstance, HashFamilySpec, SimulationConfig,
-                       StirlingTable, evaluate_hash, exact_small_oracle,
+from condbound import (BallsBinsInstance, BellSequence, HashFamilySpec,
+                       SimulationConfig, evaluate_hash, exact_small_oracle,
                        independent_oracle, lemma2_certificate, raw_moment,
                        run_trials)
 from condbound.errors import CapacityError, PreconditionError
@@ -62,9 +62,8 @@ def test_gf4_pairwise_full_enumeration():
     assert dist.moment(1) == 1
     assert dist.moment(2) == Fraction(7, 4)
     # matches the closed form at M=N=4, order 2
-    table = StirlingTable.build(2)
     inst = BallsBinsInstance(4, 4, 2)
-    assert raw_moment(inst, 2, table).value == Fraction(7, 4)
+    assert raw_moment(inst, 2).value == Fraction(7, 4)
 
 
 def test_constant_family_distribution():
@@ -77,20 +76,18 @@ def test_exact_oracle_matches_moments_gf8():
     spec = HashFamilySpec.create(3, independence=4)  # 2^12 seeds
     dist = exact_small_oracle(spec)
     assert dist.total() == 1
-    table = StirlingTable.build(4)
     inst = BallsBinsInstance(8, 8, 4)
     for order in range(1, 5):
-        assert dist.moment(order) == raw_moment(inst, order, table).value
+        assert dist.moment(order) == raw_moment(inst, order).value
 
 
 def test_exact_oracle_matches_moments_varied_specs():
-    table = StirlingTable.build(4)
     for w, q in [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2)]:
         spec = HashFamilySpec.create(w, independence=q)
         dist = exact_small_oracle(spec)
         inst = BallsBinsInstance(1 << w, 1 << w, q)
         for order in range(1, q + 1):
-            assert dist.moment(order) == raw_moment(inst, order, table).value, \
+            assert dist.moment(order) == raw_moment(inst, order).value, \
                 (w, q, order)
 
 
@@ -98,10 +95,9 @@ def test_exact_oracle_truncated_output():
     # w=3 field truncated to 2 output bits: M=8 balls, N=4 bins
     spec = HashFamilySpec.create(3, independence=2, output_bits=2)
     dist = exact_small_oracle(spec)
-    table = StirlingTable.build(2)
     inst = BallsBinsInstance(8, 4, 2)
     for order in (1, 2):
-        assert dist.moment(order) == raw_moment(inst, order, table).value
+        assert dist.moment(order) == raw_moment(inst, order).value
 
 
 def test_truncation_preserves_uniformity():
@@ -152,10 +148,9 @@ def test_exact_oracle_at_seed_cap():
     assert spec.seed_count == hashsim.DEFAULT_SEED_ENUM_CAP
     dist = exact_small_oracle(spec)
     assert dist.total() == 1
-    table = StirlingTable.build(3)
     inst = BallsBinsInstance(256, 256, 3)
     for order in (1, 2, 3):
-        assert dist.moment(order) == raw_moment(inst, order, table).value
+        assert dist.moment(order) == raw_moment(inst, order).value
 
 
 @pytest.mark.parametrize("order", [0, -1])
@@ -206,8 +201,7 @@ def test_run_trials_top_order_underestimates_by_rare_mass():
 
 
 def test_run_trials_tail_vs_certificate():
-    table = StirlingTable.build(4)
-    cert = lemma2_certificate(4, 2 ** 8, table)
+    cert = lemma2_certificate(4, 2 ** 8, BellSequence.stream(4))
     spec = HashFamilySpec.create(8, independence=4)
     config = SimulationConfig(spec, trials=2000, master_seed=11,
                               moment_orders=(1,),

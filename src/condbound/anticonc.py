@@ -8,8 +8,8 @@ independent family:
 * ``bell-bound``: the closed form in Bell numbers: threshold
   (B_{q/2})^(2/q) / 2 and probability (1 - q^2/(2M)) (B_{q/2})^2 / (2 B_q).
 
-The exact-moment variant reads two raw moments, each from one Stirling
-row.  The Bell variants read a ``BellSequence``, and each of their
+The exact-moment variant reads two raw moments from one pass over the
+Stirling rows.  The Bell variants read a ``BellSequence``, and each of their
 quantities has one definition here: ``lemma2_probability`` for p and
 ``lemma2_threshold_power`` for tau^q; the condenser layer reads both and
 does no Bell arithmetic of its own.
@@ -31,7 +31,7 @@ from fractions import Fraction
 from .combinat import BellSequence
 from .errors import CondboundError, PreconditionError
 from .intervals import FloatInterval, nth_root
-from .moments import BallsBinsInstance, raw_moment
+from .moments import BallsBinsInstance, _moment_values
 
 VARIANT_EXACT = "exact-moment"
 VARIANT_BELL = "bell-bound"
@@ -69,8 +69,9 @@ def pz_bound(inst: BallsBinsInstance, theta) -> AntiConcentrationCertificate:
 
     Threshold: theta^(2/q) * ||S||_{q/2}, computed as the single root
     ((theta * E S^{q/2})^2)^(1/q).  Probability:
-    (1-theta)^2 * (E S^{q/2})^2 / E S^q, exact.  E S^q is computed first,
-    so a q above DEFAULT_QMAX_CAP is rejected before any work.
+    (1-theta)^2 * (E S^{q/2})^2 / E S^q, exact.  Both moments come from
+    one pass over the Stirling rows, so a q above DEFAULT_QMAX_CAP is
+    rejected before any work.
     """
     theta = Fraction(theta)
     if not 0 < theta < 1:
@@ -79,8 +80,8 @@ def pz_bound(inst: BallsBinsInstance, theta) -> AntiConcentrationCertificate:
     _check_q(q)
     if inst.balls != inst.bins:
         raise PreconditionError("pz_bound is stated for M = N only")
-    full = raw_moment(inst, q).value
-    half = raw_moment(inst, q // 2).value
+    moments = _moment_values(inst, (q, q // 2))
+    full, half = moments[q], moments[q // 2]
     threshold = nth_root((theta * half) ** 2, q)
     prob = (1 - theta) ** 2 * half ** 2 / full
     return AntiConcentrationCertificate(q, inst.balls, threshold, prob,

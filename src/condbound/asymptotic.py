@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .intervals import FloatInterval, ln_interval_of_int, ln_interval
+from .intervals import FloatInterval, ln_interval
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,7 @@ def _check_q(q: int):
 def _closed_form(q: int) -> tuple[FloatInterval, ...]:
     """Enclosures of ln q, ln ln q and ln q - ln ln q - 1."""
     _check_q(q)
-    ln_q = ln_interval_of_int(q)
+    ln_q = ln_interval(q)
     ln_ln_q = ln_interval(ln_q)
     return ln_q, ln_ln_q, (ln_q - ln_ln_q).shift(-1)
 
@@ -51,7 +51,7 @@ def estimate_residual(q: int, bells) -> AsymptoticEstimate:
     ln q / ln ln q, the reciprocal of the correction term's stated decay.
     """
     ln_q, ln_ln_q, estimate = _closed_form(q)
-    exact = ln_interval_of_int(bells.bell(q)).divide_by_int(q)
+    exact = ln_interval(bells.bell(q)).divide_by_int(q)
     residual = exact - estimate
     scaled = residual * (ln_q / ln_ln_q)
     return AsymptoticEstimate(q, estimate, exact, residual, scaled)

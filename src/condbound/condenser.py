@@ -21,8 +21,8 @@ seed and must have min-entropy m - ell for each seed); without that
 convention the seed-averaged output is exactly uniform and no lower bound
 exists.
 
-A vacuous certificate (p <= 0, exactly when q^2 >= 2M) yields no region
-and an ``undetermined`` verdict.
+The side condition 2^k > q^2 keeps the certificate non-vacuous, so every
+verdict carries a region.
 
 This module does no Bell arithmetic of its own: p and tau^q come from
 ``anticonc``, where each is defined once.  Asymptotic shorthands never
@@ -40,9 +40,8 @@ from .anticonc import (AntiConcentrationCertificate, lemma2_certificate,
                        lemma2_probability, lemma2_threshold_power)
 from .combinat import BellSequence
 from .errors import CapacityError, PreconditionError
-from .intervals import FloatInterval, log2_fraction, log2_interval
+from .intervals import FloatInterval, log2_interval
 
-FEASIBLE_POSITIVE = "positive"
 FEASIBLE_IMPOSSIBLE = "impossible"
 FEASIBLE_UNDETERMINED = "undetermined"
 
@@ -80,7 +79,7 @@ class CondenserVerdict:
     params: CondenserParams
     feasible: str
     certificate: AntiConcentrationCertificate
-    reduction: HeavyBinReduction | None
+    reduction: HeavyBinReduction
     target_covered: bool | None = None
     reference_claim: dict | None = None
 
@@ -113,10 +112,18 @@ def heavy_bin_reduction(
     tau_lo = cert.threshold.lo
     if tau_lo <= 0:
         raise PreconditionError("reduction requires a positive threshold")
-    ell_star = log2_fraction(tau_lo).shift(-1)
+    ell_star = log2_interval(tau_lo).shift(-1)
     eps_star = cert.probability * tau_lo / 2
     return HeavyBinReduction(tau_lo, ell_star, eps_star,
-                             log2_fraction(eps_star))
+                             log2_interval(eps_star))
+
+
+def _covers(reduction: HeavyBinReduction, loss, log2_inv_eps) -> bool:
+    """Whether the region certainly holds (loss, 2^-log2_inv_eps); an absent
+    loss reads as 0 and an absent eps target as any eps."""
+    return (reduction.ell_star.certainly_ge(0 if loss is None else loss)
+            and (log2_inv_eps is None
+                 or reduction.log2_eps_star.certainly_gt(-log2_inv_eps)))
 
 
 def impossibility_certificate(q: int, k: int, bells: BellSequence,
@@ -137,35 +144,18 @@ def impossibility_certificate(q: int, k: int, bells: BellSequence,
     params = CondenserParams(independence=q, loss_bits=loss,
                              log2_inv_eps=log2_inv_eps,
                              entropy_k=k, output_m=k)
-    red = None if cert.vacuous else heavy_bin_reduction(cert)
-    verdict_covered = None
-    if red is None:
-        feasible = FEASIBLE_UNDETERMINED
-    elif loss is None and log2_inv_eps is None:
-        region_nonempty = red.ell_star.certainly_ge(0)
-        feasible = FEASIBLE_IMPOSSIBLE if region_nonempty else FEASIBLE_UNDETERMINED
-    else:
-        loss_ok = (red.ell_star.certainly_ge(0) if loss is None
-                   else red.ell_star.certainly_ge(loss))
-        eps_ok = (True if log2_inv_eps is None
-                  else red.log2_eps_star.certainly_gt(-log2_inv_eps))
-        verdict_covered = loss_ok and eps_ok
-        feasible = FEASIBLE_IMPOSSIBLE if verdict_covered else FEASIBLE_UNDETERMINED
-    reference = _reference_block(q, k)
-    if reference is not None:
-        reference["claim_covered_by_certificate"] = (
-            red is not None
-            and red.ell_star.certainly_ge(reference["loss"])
-            and red.log2_eps_star.certainly_gt(-reference["log2_inv_eps"]))
-    return CondenserVerdict(params, feasible, cert, red, verdict_covered,
-                            reference)
-
-
-def _reference_block(q: int, k: int) -> dict | None:
+    # the side condition gives q^2 < M, and lemma2 is vacuous only when
+    # q^2 >= 2M, so the certificate always yields a region
+    red = heavy_bin_reduction(cert)
+    covered = _covers(red, loss, log2_inv_eps)
+    feasible = FEASIBLE_IMPOSSIBLE if covered else FEASIBLE_UNDETERMINED
+    targeted = loss is not None or log2_inv_eps is not None
     claim = REFERENCE_CLAIMS.get((q, k))
-    if claim is None:
-        return None
-    return {"loss": claim["loss"], "log2_inv_eps": claim["log2_inv_eps"]}
+    reference = None if claim is None else {
+        **claim, "claim_covered_by_certificate":
+            _covers(red, claim["loss"], claim["log2_inv_eps"])}
+    return CondenserVerdict(params, feasible, cert, red,
+                            covered if targeted else None, reference)
 
 
 def _search_window(k: int, bells: BellSequence) -> list[int]:
@@ -215,8 +205,8 @@ def necessary_independence(log2_inv_eps, k: int, loss,
 
     def eps_ok(q: int) -> bool:
         log2_eps_star = (
-            log2_fraction(lemma2_probability(q, M, bells))
-            + log2_fraction(lemma2_threshold_power(q, bells)).divide_by_int(q)
+            log2_interval(lemma2_probability(q, M, bells))
+            + log2_interval(lemma2_threshold_power(q, bells)).divide_by_int(q)
         ).shift(-1)
         return log2_eps_star.certainly_gt(-L)
 
@@ -236,9 +226,7 @@ def necessary_independence(log2_inv_eps, k: int, loss,
     q_best = qs[lo_idx]
     verdict = impossibility_certificate(q_best, k, bells, loss=loss,
                                         log2_inv_eps=L)
-    if verdict.feasible == FEASIBLE_IMPOSSIBLE:
-        return q_best
-    return None
+    return q_best if verdict.target_covered else None
 
 
 @dataclass(frozen=True)

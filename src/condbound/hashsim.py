@@ -22,8 +22,10 @@ Block budget: ``_load_experiment`` is the only block loop, for the Monte
 Carlo trials and the exhaustive seed oracle alike.  Its blocks hold at
 most BLOCK_ELEMS elements, so that one int64 working array fits in one
 core's L2 cache, and each caller's ``assign`` writes the bin of every
-ball straight into the driver's reused block buffer.  The exhaustive
-independent reference is a closed form with no loop.
+ball straight into the driver's reused block buffer.  A batch holds at
+least one trial, so in independent mode ROW_ELEMS_CAP bounds the balls M
+and bins N of one row.  The exhaustive independent reference is a closed
+form with no loop.
 
 Determinism contract: every trial draws its seed from a counter-based
 Philox generator keyed by master_seed, with the trial index t as its
@@ -45,10 +47,13 @@ import numpy as np
 
 from .errors import CapacityError, PreconditionError
 from .gf2 import (TABLE_FIELD_BITS, default_modulus, gf_mul, tables_for)
-from .moments import BallsBinsInstance, raw_moment
+from .moments import BallsBinsInstance, _moment_values
 
 DEFAULT_SEED_ENUM_CAP = 1 << 24
 DEFAULT_THROW_CAP = 1 << 30
+# elements of one trial's row in independent mode (a 128 MiB int64 row):
+# a batch holds at least one trial's M bins and N loads, whatever the block
+ROW_ELEMS_CAP = 1 << 24
 _EXHAUSTIVE_ASSIGNMENT_CAP = 1 << 20
 # bytes of split tables per evaluation grid; at w = 16 (8 MiB per
 # coefficient position) a q-position table would need q * 8 MiB
@@ -179,8 +184,7 @@ def _exact_references(M: int, N: int, q: int,
                       orders) -> dict[int, Fraction]:
     if not orders:
         return {}
-    inst = BallsBinsInstance(M, N, q)
-    return {k: raw_moment(inst, k).value for k in orders}
+    return _moment_values(BallsBinsInstance(M, N, q), orders)
 
 
 def _check_master_seed(master_seed: int):
@@ -528,6 +532,9 @@ def independent_oracle(M: int, N: int, orders, trials: int, master_seed: int,
 
     # each trial draws M bins and counts and reduces N loads
     for name, size in (("balls", M), ("bins", N)):
+        if size > ROW_ELEMS_CAP:
+            raise CapacityError(
+                f"{name} = {size} exceeds the row cap {ROW_ELEMS_CAP}")
         if size * trials > DEFAULT_THROW_CAP:
             raise CapacityError(
                 f"{name}*trials = {size * trials} exceeds the throw cap "

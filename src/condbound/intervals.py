@@ -5,6 +5,11 @@ powers) is represented as a closed interval [lo, hi] whose endpoints are
 dyadic rationals ``m / 2**frac_bits``.  All operations round outward, so
 the represented real number is always contained in the result.  Exact
 integer arithmetic only; the float unit is never involved.
+
+There is one ln kernel and one log2 kernel: ``ln_interval`` and
+``log2_interval`` take any positive rational (an int is one) and bound
+ln(num) - ln(den) through the same atanh series; ``log2_interval``
+divides by an enclosure of ln 2.
 """
 
 from __future__ import annotations
@@ -343,61 +348,46 @@ def _round_out(lo: int, hi: int, prec: int, frac_bits: int) -> FloatInterval:
                          frac_bits)
 
 
-def log2_interval(x: int, frac_bits: int = DEFAULT_FRAC_BITS) -> FloatInterval:
-    """Certified enclosure of log2(x) for an integer x >= 1.
-
-    Exact powers of two give a zero width interval; otherwise the width is
-    at most 2**(-frac_bits + 2).
-    """
-    if x < 1:
-        raise PreconditionError("log2_interval requires x >= 1")
-    e = x.bit_length() - 1
-    if x == 1 << e:
-        return FloatInterval.from_int(e, frac_bits)
-    prec = frac_bits + _GUARD
-    ln_lo, ln_hi = _ln_big_scaled(x, prec)
-    l2_lo, l2_hi = _ln2(prec)
-    # ln(x)/ln(2), all-positive quotient bounds
-    q_lo = _div_down(ln_lo, l2_hi, prec)
-    q_hi = _div_up(ln_hi, l2_lo, prec)
-    return _round_out(q_lo, q_hi, prec, frac_bits)
-
-
-def log2_fraction(fr, frac_bits: int = DEFAULT_FRAC_BITS) -> FloatInterval:
-    """Certified enclosure of log2(num/den) for a positive rational."""
-    fr = Fraction(fr)
-    if fr <= 0:
-        raise PreconditionError("log2_fraction requires a positive argument")
-    prec = frac_bits + _GUARD
-    num, den = fr.numerator, fr.denominator
-    if num == 1 << (num.bit_length() - 1) and den == 1 << (den.bit_length() - 1):
-        e = (num.bit_length() - 1) - (den.bit_length() - 1)
-        return FloatInterval.from_int(e, frac_bits)
-    diff_lo, diff_hi = _ln_positive_fraction(fr, prec)
-    l2_lo, l2_hi = _ln2(prec)
-    q_lo = min(_div_down(diff_lo, l2_hi, prec), _div_down(diff_lo, l2_lo, prec))
-    q_hi = max(_div_up(diff_hi, l2_lo, prec), _div_up(diff_hi, l2_hi, prec))
-    return _round_out(q_lo, q_hi, prec, frac_bits)
-
-
-def ln_interval_of_int(x: int, frac_bits: int = DEFAULT_FRAC_BITS) -> FloatInterval:
-    """Certified enclosure of ln(x) for an integer x >= 1."""
-    if x < 1:
-        raise PreconditionError("ln_interval_of_int requires x >= 1")
-    prec = frac_bits + _GUARD
-    lo, hi = _ln_big_scaled(x, prec)
-    return _round_out(lo, hi, prec, frac_bits)
-
-
 def _ln_positive_fraction(fr: Fraction, prec: int) -> tuple[int, int]:
-    """Scaled bounds for ln(fr), fr > 0, via ln(num) - ln(den)."""
-    n_lo, n_hi = _ln_big_scaled(fr.numerator, prec)
+    """Scaled bounds for ln(fr), fr > 0, via ln(num) - ln(den).
+
+    An integer skips ln(den) = ln(1), whose enclosure has a nonzero upper
+    end, so ln(n) is the numerator's enclosure exactly.
+    """
+    lo, hi = _ln_big_scaled(fr.numerator, prec)
+    if fr.denominator == 1:
+        return lo, hi
     d_lo, d_hi = _ln_big_scaled(fr.denominator, prec)
-    return n_lo - d_hi, n_hi - d_lo
+    return lo - d_hi, hi - d_lo
+
+
+def log2_interval(x, frac_bits: int = DEFAULT_FRAC_BITS) -> FloatInterval:
+    """Certified enclosure of log2(x) for a positive rational x (an int is
+    one).
+
+    A power of two (numerator and denominator both powers of two) gives a
+    zero width interval; otherwise an integer's width is at most
+    2**(-frac_bits + 2).
+    """
+    fr = Fraction(x)
+    if fr <= 0:
+        raise PreconditionError("log2_interval requires a positive argument")
+    num, den = fr.numerator, fr.denominator
+    if num & (num - 1) == 0 and den & (den - 1) == 0:
+        return FloatInterval.from_int(num.bit_length() - den.bit_length(),
+                                      frac_bits)
+    prec = frac_bits + _GUARD
+    ln_lo, ln_hi = _ln_positive_fraction(fr, prec)
+    l2_lo, l2_hi = _ln2(prec)
+    # ln(x)/ln(2): the divisor end that rounds outward depends on the sign
+    q_lo = min(_div_down(ln_lo, l2_hi, prec), _div_down(ln_lo, l2_lo, prec))
+    q_hi = max(_div_up(ln_hi, l2_lo, prec), _div_up(ln_hi, l2_hi, prec))
+    return _round_out(q_lo, q_hi, prec, frac_bits)
 
 
 def ln_interval(x, frac_bits: int = DEFAULT_FRAC_BITS) -> FloatInterval:
-    """Certified enclosure of ln(x) for a positive rational or interval."""
+    """Certified enclosure of ln(x) for a positive rational (an int is one)
+    or a positive interval."""
     prec = frac_bits + _GUARD
     if isinstance(x, FloatInterval):
         if x.lo_scaled <= 0:
@@ -429,15 +419,6 @@ def nth_root(fr, n: int, frac_bits: int = DEFAULT_FRAC_BITS) -> FloatInterval:
     lo = iroot_floor(t // den, n)
     hi = iroot_ceil(_ceil_div(t, den), n)
     return _round_out(lo, hi, prec, frac_bits)
-
-
-def pow_fraction(fr, num: int, den: int,
-                 frac_bits: int = DEFAULT_FRAC_BITS) -> FloatInterval:
-    """Certified enclosure of fr**(num/den) for fr > 0 and num, den >= 1."""
-    fr = Fraction(fr)
-    if fr <= 0:
-        raise PreconditionError("pow_fraction requires a positive base")
-    return nth_root(fr ** num, den, frac_bits)
 
 
 # -- dyadic string form ------------------------------------------------------

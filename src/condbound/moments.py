@@ -3,20 +3,20 @@
 For M balls thrown q-wise independently into N bins, the load S of a fixed
 bin satisfies E S^r = sum_j S(r, j) * M_(j) / N^j (falling factorial M_(j)),
 exactly, for every order r up to the independence level q.  That sum reads
-only row r of the Stirling triangle, so one row is built and resident.
+only row r of the Stirling triangle, so the rows are built once, up to the
+highest order a caller asks for, and one is resident at a time.
 Moments are kept as exact rationals; enclosures appear only at reporting
 boundaries.  The M = N bracket in Bell numbers reads a ``BellSequence``.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .combinat import BellSequence, _stirling_rows
 from .errors import PreconditionError
-from .intervals import FloatInterval, log2_fraction, nth_root
+from .intervals import FloatInterval, log2_interval, nth_root
 
 
 @dataclass(frozen=True)
@@ -53,23 +53,34 @@ def _check_order(inst: BallsBinsInstance, order: int):
             "moment is not determined by q-wise independence")
 
 
-def raw_moment(inst: BallsBinsInstance, order: int) -> MomentResult:
-    """E S^order as an exact reduced rational, with a log2 enclosure.
+def _moment_values(inst: BallsBinsInstance, orders) -> dict[int, Fraction]:
+    """E S^r for every r in ``orders``, exact, from one pass over the
+    Stirling rows up to the highest order.
 
-    The sum over j of S(order, j) * M_(j) / N^j is taken as one integer,
-    sum_j S(order, j) * M_(j) * N^(order-j) in Horner form, over N^order.
-    Only the last Stirling row is kept; an order above DEFAULT_QMAX_CAP is
-    rejected when the rows start.
+    The sum over j of S(r, j) * M_(j) / N^j is taken as one integer,
+    sum_j S(r, j) * M_(j) * N^(r-j) in Horner form, over N^r.  Every
+    order is checked first, and an order above DEFAULT_QMAX_CAP is
+    rejected when the rows start, before any work.
     """
-    _check_order(inst, order)
+    for order in orders:
+        _check_order(inst, order)
     M, N = inst.balls, inst.bins
-    (row,) = deque(_stirling_rows(order), maxlen=1)
-    numer, falling = 0, 1
-    for j in range(1, order + 1):
-        falling *= M - j + 1            # M_(j); 0 from j = M + 1 on
-        numer = numer * N + row[j] * falling
-    total = Fraction(numer, N ** order)
-    return MomentResult(inst, order, total, log2_fraction(total))
+    wanted = set(orders)
+    values = {}
+    for r, row in enumerate(_stirling_rows(max(wanted))):
+        if r in wanted:
+            numer, falling = 0, 1
+            for j in range(1, r + 1):
+                falling *= M - j + 1    # M_(j); 0 from j = M + 1 on
+                numer = numer * N + row[j] * falling
+            values[r] = Fraction(numer, N ** r)
+    return values
+
+
+def raw_moment(inst: BallsBinsInstance, order: int) -> MomentResult:
+    """E S^order as an exact reduced rational, with a log2 enclosure."""
+    total = _moment_values(inst, (order,))[order]
+    return MomentResult(inst, order, total, log2_interval(total))
 
 
 def moment_norm(inst: BallsBinsInstance, order: int) -> FloatInterval:

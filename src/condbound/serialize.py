@@ -90,10 +90,9 @@ def verdict_dict(v: CondenserVerdict) -> dict:
         "k": params.entropy_k,
         "feasible": v.feasible,
         "certificate": certificate_dict(v.certificate),
-        "ell_star": None if red is None else dyadic_str(red.ell_star.lo),
-        "log2_eps_star_lo":
-            None if red is None else dyadic_str(red.log2_eps_star.lo),
-        "reduction": None if red is None else {
+        "ell_star": dyadic_str(red.ell_star.lo),
+        "log2_eps_star_lo": dyadic_str(red.log2_eps_star.lo),
+        "reduction": {
             "tau_lo": dyadic_str(red.tau_lo),
             "ell_star": interval_dict(red.ell_star),
             "epsilon_star": rational_dict(red.epsilon_star),
@@ -110,7 +109,7 @@ def verdict_dict(v: CondenserVerdict) -> dict:
             "loss": rational_dict(claim["loss"]),
             "log2_inv_eps": rational_dict(claim["log2_inv_eps"]),
             "claim_covered_by_certificate":
-                claim.get("claim_covered_by_certificate"),
+                claim["claim_covered_by_certificate"],
         },
     }
 

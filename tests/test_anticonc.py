@@ -4,6 +4,7 @@ import pytest
 
 from condbound import (BallsBinsInstance, certificate_ordering,
                        lemma2_certificate, pz_bound, raw_moment)
+from condbound import moments
 from condbound.anticonc import bell_bound_at_theta, lemma2_threshold_power
 from condbound.errors import PreconditionError
 
@@ -146,3 +147,18 @@ def test_probability_monotone_in_M(bells16):
         if prev is not None:
             assert cert.probability >= prev
         prev = cert.probability
+
+
+def test_pz_bound_runs_one_stirling_pass(monkeypatch):
+    # E S^q and E S^{q/2} share one pass over the rows 0..q
+    starts = []
+    rows = moments._stirling_rows
+
+    def counting(q_max):
+        starts.append(q_max)
+        return rows(q_max)
+
+    monkeypatch.setattr(moments, "_stirling_rows", counting)
+    for q in (4, 8, 16):
+        pz_bound(BallsBinsInstance(64, 64, q), Fraction(1, 2))
+    assert starts == [4, 8, 16]

@@ -6,7 +6,7 @@ from condbound import (BellSequence, estimate_residual,
                        stirling_max_log_estimate)
 from condbound.asymptotic import sandwich_holds
 from condbound.errors import PreconditionError
-from condbound.intervals import ln_interval_of_int
+from condbound.intervals import ln_interval
 
 # frozen from mpmath at dps=62: ln q - ln ln q - 1
 FROZEN = {
@@ -47,7 +47,7 @@ def test_residual_q8(bells1024):
     est = estimate_residual(8, bells1024)
     assert bells1024.bell(8) == 4140
     # exact = ln(4140)/8, residual = exact - estimate, all as enclosures
-    exact_ref = ln_interval_of_int(4140).divide_by_int(8)
+    exact_ref = ln_interval(4140).divide_by_int(8)
     assert max(est.exact.lo, exact_ref.lo) <= min(est.exact.hi, exact_ref.hi)
     diff = est.exact - est.estimate
     assert max(est.residual.lo, diff.lo) <= min(est.residual.hi, diff.hi)

@@ -457,12 +457,18 @@ _EXACT = ["simulate", "--mode", "exact", "--w", "3", "--q", "2"]
     # like balls*trials
     (["simulate", "--mode", "independent", "--balls", "40", "--bins",
       str((1 << 20) + 1), "--trials", "1024"], "bins"),
+    # one trial's row holds every ball and every bin, so each is capped
+    (["simulate", "--mode", "independent", "--balls", str((1 << 24) + 1),
+      "--bins", "3", "--trials", "1"], "balls"),
+    (["simulate", "--mode", "independent", "--balls", "40", "--bins",
+      str((1 << 24) + 1), "--trials", "1"], "bins"),
 ], ids=["mc-seed-negative", "mc-seed-2^128", "independent-seed-negative",
         "mc-balls-zero", "mc-balls-negative", "independent-order-zero",
         "independent-trials-zero", "independent-trials-negative",
         "exact-order-zero", "exact-order-negative", "exact-balls",
         "independent-bins-zero", "independent-balls-zero",
-        "independent-bins-times-trials-above-cap"])
+        "independent-bins-times-trials-above-cap",
+        "independent-balls-above-row-cap", "independent-bins-above-row-cap"])
 def test_simulate_out_of_range_value_exits_2(capsys, argv, named):
     assert dispatch(argv) == 2
     assert named in capsys.readouterr().err

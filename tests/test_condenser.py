@@ -7,13 +7,13 @@ import pytest
 from condbound import (BellSequence, HashFamilySpec, asymptotic_gap_report,
                        impossibility_certificate, lemma2_certificate,
                        necessary_independence, positive_params)
-from condbound.anticonc import lemma2_threshold_power
+from condbound.anticonc import lemma2_probability, lemma2_threshold_power
 from condbound.combinat import DEFAULT_QMAX_CAP
 from condbound.condenser import (FEASIBLE_IMPOSSIBLE, FEASIBLE_UNDETERMINED,
                                  heavy_bin_reduction)
 from condbound.errors import CapacityError, PreconditionError
 from condbound.gf2 import default_modulus, tables_for
-from condbound.intervals import FloatInterval, log2_fraction, log2_interval
+from condbound.intervals import FloatInterval, log2_interval
 
 
 def test_positive_params_examples():
@@ -169,8 +169,8 @@ def test_necessary_independence_matches_linear_scan(L, loss, expect):
 def _log2_q_factor(q: int, bells: BellSequence) -> FloatInterval:
     """log2 g(q), where eps_star(q) = (1 - q^2/(2M)) * g(q)."""
     half = bells.bell(q // 2)
-    log2_tau = log2_fraction(lemma2_threshold_power(q, bells)).divide_by_int(q)
-    return (log2_fraction(Fraction(half * half, 2 * bells.bell(q)))
+    log2_tau = log2_interval(lemma2_threshold_power(q, bells)).divide_by_int(q)
+    return (log2_interval(Fraction(half * half, 2 * bells.bell(q)))
             + log2_tau).shift(-1)
 
 
@@ -184,6 +184,16 @@ def test_eps_star_q_factor_falls_per_even_step():
         cur = _log2_q_factor(q + 2, bells)
         assert (prev - cur).certainly_gt(Fraction(1, 2)), q
         prev = cur
+
+
+def test_side_condition_keeps_the_certificate_non_vacuous(bells1024):
+    # 2^k > q^2 gives q^2 < M, and lemma2 is vacuous only from q^2 >= 2M on,
+    # so impossibility_certificate has no vacuous case to handle
+    for q in range(4, 1025, 2):
+        k = (q * q).bit_length()        # the smallest k with 2^k > q^2
+        assert lemma2_probability(q, 1 << k, bells1024) > 0, q
+        with pytest.raises(PreconditionError, match="side condition"):
+            impossibility_certificate(q, k - 1, bells1024)
 
 
 def test_window_exhausted():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from condbound import hashsim
+from condbound import hashsim, moments
 from condbound import (BallsBinsInstance, BellSequence, HashFamilySpec,
                        SimulationConfig, evaluate_hash, exact_small_oracle,
                        independent_oracle, lemma2_certificate, raw_moment,
@@ -382,6 +382,36 @@ def test_throw_cap():
     config = SimulationConfig(spec, trials=10 ** 7, master_seed=0)
     with pytest.raises(CapacityError):
         run_trials(config)
+
+
+# one trial's row holds M bins and N loads whatever the block size, so a
+# row above 2^24 elements is refused before anything is allocated
+@pytest.mark.parametrize("M, N", [((1 << 24) + 1, 3), (40, (1 << 24) + 1)],
+                         ids=["balls", "bins"])
+def test_independent_row_cap_rejects_before_allocating(M, N):
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="row cap"):
+            independent_oracle(M, N, orders=(1, 2), trials=1, master_seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
+def test_exact_references_run_one_stirling_pass(monkeypatch):
+    starts = []
+    rows = moments._stirling_rows
+
+    def counting(q_max):
+        starts.append(q_max)
+        return rows(q_max)
+
+    monkeypatch.setattr(moments, "_stirling_rows", counting)
+    refs = hashsim._exact_references(5, 5, 4, (3, 1, 4, 2))
+    assert starts == [4]
+    assert refs == {k: raw_moment(BallsBinsInstance(5, 5, 4), k).value
+                    for k in (1, 2, 3, 4)}
 
 
 def test_independent_oracle_exhaustive():

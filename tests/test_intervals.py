@@ -5,9 +5,8 @@ import pytest
 
 from condbound.errors import PreconditionError
 from condbound.intervals import (FloatInterval, dyadic_str, iroot_ceil,
-                                 iroot_floor, ln_interval, ln_interval_of_int,
-                                 log2_fraction, log2_interval, nth_root,
-                                 parse_dyadic, pow_fraction)
+                                 iroot_floor, ln_interval, log2_interval,
+                                 nth_root, parse_dyadic)
 
 # ln(2) to 60 digits, frozen from mpmath.log(2) at mp.dps=60
 LN2_60 = Fraction(
@@ -52,10 +51,21 @@ def test_ln2_against_frozen_digits():
 def test_ln_log2_consistency():
     # ln(x) must contain log2(x)*ln(2) for exact cross-check points
     for x in [3, 10, 997]:
-        lniv = ln_interval_of_int(x)
+        lniv = ln_interval(x)
         l2iv = log2_interval(x)
         prod = l2iv * ln_interval(2)
         assert max(lniv.lo, prod.lo) <= min(lniv.hi, prod.hi)
+
+
+def test_integer_argument_skips_ln_of_one():
+    # an integer is a rational with denominator 1 whose ln(den) = ln 1 is
+    # not added: ln 1 starts at exactly 0, and n and Fraction(n) agree bit
+    # for bit
+    assert ln_interval(1).lo == 0
+    assert log2_interval(1) == FloatInterval.from_int(0)
+    for n in range(1, 3000):
+        assert log2_interval(n) == log2_interval(Fraction(n)), n
+        assert ln_interval(n) == ln_interval(Fraction(n)), n
 
 
 def test_ln_of_interval_monotone_endpoints():
@@ -96,15 +106,6 @@ def test_nth_root_exact_when_perfect():
     assert iv.lo == iv.hi == 2
 
 
-def test_pow_fraction():
-    # 4^(3/2) = 8
-    iv = pow_fraction(Fraction(4), 3, 2)
-    assert iv.lo == iv.hi == 8
-    # (1/2)^(1/2) encloses sqrt(1/2): check via squaring endpoints
-    iv = pow_fraction(Fraction(1, 2), 1, 2)
-    assert iv.lo ** 2 <= Fraction(1, 2) <= iv.hi ** 2
-
-
 def test_interval_arithmetic_containment():
     rng = random.Random(7)
     for _ in range(200):
@@ -122,9 +123,9 @@ def test_interval_arithmetic_containment():
 
 
 def test_log2_fraction_signs():
-    iv = log2_fraction(Fraction(1, 8))
+    iv = log2_interval(Fraction(1, 8))
     assert iv.lo == iv.hi == -3
-    iv = log2_fraction(Fraction(3, 4))
+    iv = log2_interval(Fraction(3, 4))
     assert iv.lo < 0 < -iv.lo
     # log2(3/4) = log2 3 - 2
     ref = log2_interval(3).shift(-2)

@@ -77,7 +77,7 @@ def test_raw_moment_keeps_one_stirling_row():
 def test_log2_value_encloses():
     inst = BallsBinsInstance(3, 3, 2)
     res = raw_moment(inst, 2)
-    from condbound.intervals import log2_fraction, log2_interval
+    from condbound.intervals import log2_interval
     # log2(5/3) = log2 5 - log2 3: independent recombination must overlap
     ref = log2_interval(5) - log2_interval(3)
     assert max(res.log2_value.lo, ref.lo) <= min(res.log2_value.hi, ref.hi)

@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 from condbound import intervals
 from condbound.intervals import (_GUARD, DEFAULT_FRAC_BITS, FloatInterval,
                                  _atanh_series, _ln_big_scaled, ln_interval,
-                                 log2_fraction, log2_interval, nth_root,
-                                 parse_dyadic)
+                                 log2_interval, nth_root, parse_dyadic)
 from condbound.serialize import (interval_dict, parse_rational,
                                  rational_dict, to_json)
 
@@ -78,12 +77,14 @@ def test_log2_interval_encloses(x, f):
     iv = log2_interval(x, f)
     _assert_log_enclosure(iv, Fraction(x), _pow2, _pow2)
     assert iv.width <= Fraction(4, 1 << f)
+    # an int is the rational x/1, with the same enclosure
+    assert log2_interval(Fraction(x), f) == iv
 
 
 @checked
 @given(positive_rationals, frac_bits)
 def test_log2_fraction_encloses(x, f):
-    iv = log2_fraction(x, f)
+    iv = log2_interval(x, f)
     _assert_log_enclosure(iv, x, _pow2, _pow2)
 
 
@@ -274,7 +275,7 @@ def test_log2_interval_contains_decimal_reference(x):
 @example(Fraction((1 << 600) - 1, (1 << 600) - 3))
 @example(Fraction(3, 1 << 600))
 def test_log2_fraction_contains_decimal_reference(fr):
-    lo, hi = _log2_scaled(log2_fraction, fr)
+    lo, hi = _log2_scaled(log2_interval, fr)
     with localcontext() as ctx:
         ctx.prec = 2 * _DIGITS
         value = _decimal_log2(fr.numerator, fr.denominator)
@@ -301,7 +302,7 @@ def test_log2_quotient_rounds_outward(num_ln, den_ln, ln2):
         mp.setattr(intervals, "_ln2", lambda prec: ln2)
         for (lo, hi), (diff_lo, diff_hi) in [
                 (_log2_scaled(log2_interval, 3), num_ln),
-                (_log2_scaled(log2_fraction, Fraction(3, 5)),
+                (_log2_scaled(log2_interval, Fraction(3, 5)),
                  (num_ln[0] - den_ln[1], num_ln[1] - den_ln[0]))]:
             for l2 in ln2:
                 assert lo <= Fraction(diff_lo << _P, l2)

@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 from . import serialize
 from .asymptotic import estimate_residual
-from .combinat import BellSequence, StirlingTable
+from .combinat import BellSequence
 from .condenser import (FEASIBLE_IMPOSSIBLE, asymptotic_gap_report,
                         impossibility_certificate, necessary_independence)
 from .anticonc import lemma2_certificate, pz_bound
@@ -31,16 +32,19 @@ from .moments import BallsBinsInstance, raw_moment
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_STRICT = 3
-# cap on --log2m and --k, since M = 2^log2m and 2^k are exact integers
+# cap on --log2m, --k and a value's exponent: each power is an exact integer
 LOG2_SIZE_CAP = 1024
+_EXPONENT = re.compile(r"[eE^][-+]?(\d[\d_]*)")
 
 
 def _parse(option: str, parse, text: str | None):
-    """parse(text), or None for an absent option; a malformed value raises
-    PreconditionError naming the option."""
+    """parse(text), or None for an absent option; a malformed value, or an
+    exponent above LOG2_SIZE_CAP (checked first), raises naming the option."""
     if text is None:
         return None
     try:
+        exponent = max(map(int, _EXPONENT.findall(text)), default=0)
+        _at_most(option + " exponent", exponent, LOG2_SIZE_CAP)
         return parse(text)
     except (ValueError, ZeroDivisionError):
         raise PreconditionError(
@@ -193,9 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 # Handlers return (payload, CSV rows or None for field/value rows, verdict ok)
 def _run_table(args) -> tuple[dict, list, bool]:
-    build = (StirlingTable.build if args.what == "stirling"
-             else BellSequence.stream)
-    result = serialize.table_dict(build(args.qmax))
+    result = serialize.table_dict(args.qmax, args.what)
     return result, serialize.table_rows(result), True
 
 
@@ -231,7 +233,7 @@ def _run_asymptotics(args) -> tuple[dict, list, bool]:
 
 
 def _run_check(args) -> tuple[dict, None, bool]:
-    k = _at_most("--k", args.k, LOG2_SIZE_CAP)
+    k = _at_most("--k", _at_least("--k", args.k, 1), LOG2_SIZE_CAP)
     verdict = impossibility_certificate(
         args.q, k, _bells(args.q, args.cache_dir),
         loss=_parse("--loss", Fraction, args.loss),
@@ -241,7 +243,7 @@ def _run_check(args) -> tuple[dict, None, bool]:
 
 
 def _run_minq(args) -> tuple[dict, None, bool]:
-    k = _at_most("--k", args.k, LOG2_SIZE_CAP)
+    k = _at_most("--k", _at_least("--k", args.k, 1), LOG2_SIZE_CAP)
     bells = _bells(args.qmax, args.cache_dir)
     L = _parse("--log2eps", Fraction, args.log2eps)
     loss = _parse("--loss", Fraction, args.loss)
@@ -257,7 +259,7 @@ def _run_sweep(args) -> tuple[dict, None, bool]:
     if not eps_list:
         raise PreconditionError(f"--log2eps: no value in {args.log2eps!r}")
     loss = _parse("--loss", Fraction, args.loss)
-    k = _at_most("--k", args.k, LOG2_SIZE_CAP)
+    k = _at_most("--k", _at_least("--k", args.k, 1), LOG2_SIZE_CAP)
     rows = asymptotic_gap_report(eps_list, k,
                                  _bells(args.qmax, args.cache_dir), loss=loss)
     ok = all(r.q_minus is not None for r in rows)
@@ -321,11 +323,11 @@ def dispatch(argv=None) -> int:
         return EXIT_USAGE
     if args.format == "json":
         env = serialize.envelope(args.subcommand, _parameter_echo(args), result)
-        sys.stdout.write(serialize.to_json(env) + "\n")
+        serialize.write_json(env, sys.stdout)
     else:
         if csv_rows is None:
             csv_rows = [("field", "value"), *serialize.flatten(result)]
-        sys.stdout.write(serialize.to_csv(csv_rows))
+        serialize.write_csv(csv_rows, sys.stdout)
     strict = getattr(args, "strict", False)
     return EXIT_STRICT if strict and not ok else EXIT_OK
 

@@ -6,11 +6,11 @@ row n's last entry, and B_n is the head of row n.  Each new row consumes
 the old one as it grows, so one row is resident.  Stirling numbers come
 from one row generator over the two-term recurrence
 S(q, j) = j*S(q-1, j) + S(q-1, j-1), which keeps at most two rows alive.
-A moment reads its last row, a Bell sequence takes the per-row maxima
-from it when they are first read, and only ``StirlingTable`` (the
-triangle that ``table`` prints) keeps every row.  Bell numbers come only
-from ``BellSequence``.  DEFAULT_QMAX_CAP bounds every row, table, stream
-and cache file.
+It is the only source of Stirling numbers: a moment reads its last row,
+a Bell sequence takes the per-row maxima from it when they are first
+read, and ``table`` writes each row as it is built, so no caller holds
+the triangle.  Bell numbers come only from ``BellSequence``.
+DEFAULT_QMAX_CAP bounds every row, stream and cache file.
 """
 
 from __future__ import annotations
@@ -63,25 +63,6 @@ def _stirling_rows(q_max: int):
         new[q] = 1
         row = new
         yield row
-
-
-class StirlingTable:
-    """Full triangle rows[q][j] = S(q, j) for 0 <= j <= q <= q_max."""
-
-    def __init__(self, rows: list[list[int]]):
-        self.rows = rows
-        self.q_max = len(rows) - 1
-
-    @classmethod
-    def build(cls, q_max: int) -> "StirlingTable":
-        return cls(list(_stirling_rows(q_max)))
-
-    def stirling(self, q: int, j: int) -> int:
-        if not 0 <= q <= self.q_max:
-            raise PreconditionError(f"q={q} outside table range 0..{self.q_max}")
-        if not 0 <= j <= q:
-            return 0
-        return self.rows[q][j]
 
 
 class BellSequence:

@@ -63,7 +63,6 @@ class CondenserParams:
     loss_bits: Fraction | FloatInterval | None
     log2_inv_eps: Fraction | None
     entropy_k: int | None = None
-    output_m: int | None = None
 
 
 @dataclass(frozen=True)
@@ -142,8 +141,7 @@ def impossibility_certificate(q: int, k: int, bells: BellSequence,
     M = 1 << k
     cert = lemma2_certificate(q, M, bells)
     params = CondenserParams(independence=q, loss_bits=loss,
-                             log2_inv_eps=log2_inv_eps,
-                             entropy_k=k, output_m=k)
+                             log2_inv_eps=log2_inv_eps, entropy_k=k)
     # the side condition gives q^2 < M, and lemma2 is vacuous only when
     # q^2 >= 2M, so the certificate always yields a region
     red = heavy_bin_reduction(cert)

@@ -379,10 +379,7 @@ def _load_experiment(M: int, N: int, trials: int, orders, thresholds,
             hists = list(pool.map(work, starts))
     else:
         hists = map(work, starts)
-    hist_counts = np.zeros(M + 1, dtype=np.int64)
-    for hist in hists:
-        hist_counts += hist
-    return per_trial_moments, per_trial_tails, hist_counts
+    return per_trial_moments, per_trial_tails, sum(hists)
 
 
 def run_trials(config: SimulationConfig, threads: int = 1) -> SimulationReport:

@@ -10,16 +10,16 @@ statistics (means, standard errors) are genuine floats and stay floats.
 from __future__ import annotations
 
 import csv
-import io
 import json
 from dataclasses import asdict
 from fractions import Fraction
+from itertools import islice
 from typing import TYPE_CHECKING
 
 from . import __version__
 from .anticonc import AntiConcentrationCertificate
 from .asymptotic import AsymptoticEstimate
-from .combinat import BellSequence, StirlingTable
+from .combinat import BellSequence, _check_q_max, _stirling_rows
 from .condenser import CondenserVerdict, GapRow
 from .errors import PreconditionError
 from .intervals import FloatInterval, any_length, dyadic_str
@@ -137,13 +137,29 @@ def minq_dict(k: int, loss, log2_inv_eps, q_minus: int | None,
     }
 
 
-def table_dict(table: StirlingTable | BellSequence) -> dict:
-    """The Stirling triangle, or the Bell numbers of a Bell sequence."""
-    if isinstance(table, StirlingTable):
-        return {"q_max": table.q_max, "what": "stirling",
-                "rows": [[decimal(v) for v in row] for row in table.rows]}
-    return {"q_max": table.q_max, "what": "bell",
-            "bells": [decimal(v) for v in table.values]}
+class _StirlingRows(list):
+    """Stirling rows as decimal strings, each built when a writer reaches it.
+    json's pure-Python encoder, which ``indent`` selects, writes a list by
+    iterating it, so this streams the full list's bytes; C would write []."""
+
+    def __init__(self, q_max: int):
+        _check_q_max(q_max)  # here, not at the first row: before any output
+        self.q_max = q_max
+
+    def __len__(self) -> int:
+        return self.q_max + 1
+
+    def __iter__(self):
+        return ([decimal(v) for v in row]
+                for row in _stirling_rows(self.q_max))
+
+
+def table_dict(q_max: int, what: str) -> dict:
+    """The Stirling triangle, streamed, or the Bell numbers up to q_max."""
+    if what == "stirling":
+        return {"q_max": q_max, "what": what, "rows": _StirlingRows(q_max)}
+    return {"q_max": q_max, "what": what,
+            "bells": [decimal(v) for v in BellSequence.stream(q_max).values]}
 
 
 def table_rows(result: dict) -> list:
@@ -221,8 +237,16 @@ def envelope(subcommand: str, parameters: dict, result) -> dict:
     }
 
 
-def to_json(env: dict) -> str:
-    return json.dumps(env, indent=2, sort_keys=True, allow_nan=False)
+_JSON = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)
+
+
+def write_json(env: dict, out) -> None:
+    """Write env as JSON and a newline, joining the encoder's chunks 4096 to
+    a write: one write per chunk is slower."""
+    chunks = _JSON.iterencode(env)
+    while batch := "".join(islice(chunks, 4096)):
+        out.write(batch)
+    out.write("\n")
 
 
 def flatten(value, prefix: str = "") -> list[tuple[str, str]]:
@@ -245,7 +269,5 @@ def flatten(value, prefix: str = "") -> list[tuple[str, str]]:
     return [(prefix, str(value))]
 
 
-def to_csv(rows) -> str:
-    out = io.StringIO()
+def write_csv(rows, out) -> None:
     csv.writer(out, lineterminator="\n").writerows(rows)
-    return out.getvalue()

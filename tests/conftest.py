@@ -1,11 +1,12 @@
 import pytest
 
-from condbound import BellSequence, StirlingTable
+from condbound import BellSequence
+from condbound.combinat import _stirling_rows
 
 
 @pytest.fixture(scope="session")
-def table64() -> StirlingTable:
-    return StirlingTable.build(64)
+def table64() -> list[list[int]]:
+    return list(_stirling_rows(64))
 
 
 @pytest.fixture(scope="session")

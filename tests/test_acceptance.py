@@ -13,11 +13,12 @@ from fractions import Fraction
 import pytest
 
 from condbound import (BallsBinsInstance, BellSequence, HashFamilySpec,
-                       SimulationConfig, StirlingTable, exact_small_oracle,
+                       SimulationConfig, exact_small_oracle,
                        lemma2_certificate, positive_params, pz_bound,
                        raw_moment, run_trials)
 from condbound.asymptotic import estimate_residual, sandwich_holds
 from condbound.cli import dispatch
+from condbound.combinat import _stirling_rows
 from condbound.condenser import necessary_independence
 from condbound.errors import PreconditionError
 from condbound.intervals import FloatInterval, parse_dyadic
@@ -54,14 +55,14 @@ def test_criterion_1_moment_identity_exhaustive():
 def test_criterion_2_combinatorics_oracle():
     """Stirling numbers vs exhaustive set-partition enumeration for
     q <= 12; Bell numbers vs row sums and the binomial recurrence."""
-    table = StirlingTable.build(12)
+    rows = list(_stirling_rows(12))
     bells = BellSequence.stream(12)
     triangle = bell_by_binomial_recurrence(12)
     for q in range(13):
         counts = partition_counts_by_blocks(q)
         for j in range(q + 1):
-            assert table.stirling(q, j) == counts[j], (q, j)
-        row_sum = sum(table.rows[q])
+            assert rows[q][j] == counts[j], (q, j)
+        row_sum = sum(rows[q])
         assert bells.bell(q) == row_sum == triangle[q] == sum(counts)
     _passline(2, "S(q,j) matches partition enumeration and B_q matches "
                  "both identities for q <= 12 (exact)")

@@ -1,20 +1,23 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import signal
 import struct
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import condbound
-from condbound import hashsim
+from condbound import combinat, hashsim, serialize
 from condbound.anticonc import lemma2_certificate
 from condbound.cli import LOG2_SIZE_CAP, build_parser, dispatch
-from condbound.combinat import DEFAULT_QMAX_CAP, BellSequence, StirlingTable
+from condbound.combinat import DEFAULT_QMAX_CAP, BellSequence
 from condbound.intervals import parse_dyadic
 from condbound.serialize import flatten, parse_rational
 
@@ -54,14 +57,43 @@ def test_table_bell_csv(capsys):
 def test_table_bell_builds_no_stirling_triangle(capsys, monkeypatch,
                                                 bells1024):
     def refuse(q_max):
-        raise AssertionError("the Bell table built the Stirling triangle")
+        raise AssertionError("the Bell table built Stirling rows")
 
-    monkeypatch.setattr(StirlingTable, "build", refuse)
+    for module in (combinat, serialize):
+        monkeypatch.setattr(module, "_stirling_rows", refuse)
     code, out = run_cli(capsys, "table", "--qmax", "1024", "--what", "bell")
     assert code == 0
     lines = out.splitlines()
     assert len(lines) == 1026
     assert lines[-1] == f"1024,{bells1024.bell(1024)}"
+
+
+class _CountingSink(io.TextIOBase):
+    """A text stream that keeps only the number of characters written."""
+
+    chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+        return len(text)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_streams_its_rows(fmt):
+    # built in memory, the triangle at q_max 256 peaked at 16.9 MiB as CSV
+    # and 19.4 MiB as JSON; written row by row it stays under 4 MiB, less
+    # than the text it writes
+    sink = _CountingSink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = dispatch(["table", "--qmax", "256", "--format", fmt])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 4 << 20, peak
+    assert sink.chars > 4 << 20
 
 
 def test_usage_error_exit_code(capsys):
@@ -493,15 +525,75 @@ _ABOVE_LOG2_CAP = str(LOG2_SIZE_CAP + 1)
       "--loss", "1", "--qmax", "16"], "--k"),
     (["condense", "sweep", "--log2eps", "64", "--k", _ABOVE_LOG2_CAP,
       "--qmax", "16"], "--k"),
+    # the search window is 2^k wide
+    (["condense", "minq", "--log2eps", "128", "--k", "-1", "--loss", "1"],
+     "--k"),
+    (["condense", "sweep", "--log2eps", "64", "--k", "-1"], "--k"),
+    # the cap is checked before the first row is written
+    (["table", "--qmax", "-1"], "q_max"),
+    (["table", "--qmax", "-1", "--format", "json"], "q_max"),
+    (["table", "--qmax", str(DEFAULT_QMAX_CAP + 1)], "q_max"),
+    (["table", "--qmax", str(DEFAULT_QMAX_CAP + 1), "--format", "json"],
+     "q_max"),
 ], ids=["lemma2-log2m-negative", "pz-log2m-negative", "asymptotics-step-zero",
         "asymptotics-step-negative", "sweep-log2eps-empty",
         "lemma2-log2m-above-cap", "pz-log2m-above-cap", "check-k-above-cap",
-        "minq-k-above-cap", "sweep-k-above-cap"])
+        "minq-k-above-cap", "sweep-k-above-cap", "minq-k-negative",
+        "sweep-k-negative", "table-qmax-negative-csv",
+        "table-qmax-negative-json", "table-qmax-above-cap-csv",
+        "table-qmax-above-cap-json"])
 def test_out_of_range_value_exits_2(capsys, argv, named):
     assert dispatch(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert named in err
+
+
+_HUGE_EXPONENT = "100000000"
+_EXACT_W2 = ["simulate", "--mode", "exact", "--w", "2", "--q", "2"]
+
+
+# 10^e and 2^k are built as exact integers, so an exponent past the cap
+# is refused before the value is built
+@pytest.mark.parametrize("argv, option", [
+    (["condense", "check", "--q", "64", "--k", "43",
+      "--loss", "1e" + _HUGE_EXPONENT], "--loss"),
+    (["condense", "check", "--q", "64", "--k", "43",
+      "--log2eps", "1e" + _HUGE_EXPONENT], "--log2eps"),
+    (["condense", "minq", "--log2eps", "1e" + _HUGE_EXPONENT, "--k", "64",
+      "--loss", "1"], "--log2eps"),
+    (["condense", "sweep", "--log2eps", "64,1e" + _HUGE_EXPONENT,
+      "--k", "64"], "--log2eps"),
+    (["pz", "--q", "4", "--log2m", "10", "--theta", "1e-" + _HUGE_EXPONENT],
+     "--theta"),
+    (_EXACT_W2 + ["--thresholds", "1e-" + _HUGE_EXPONENT], "--thresholds"),
+    (_EXACT_W2 + ["--thresholds", "1/2^10000000000"], "--thresholds"),
+], ids=["check-loss", "check-log2eps", "minq-log2eps", "sweep-log2eps",
+        "pz-theta", "exact-thresholds-decimal", "exact-thresholds-dyadic"])
+def test_exponent_above_cap_exits_2_at_once(capsys, argv, option):
+    def expire(signum, frame):
+        raise TimeoutError("still running after 1 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        code = dispatch(argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"{option} exponent must be <= {LOG2_SIZE_CAP}" in err
+
+
+def test_exponent_at_cap_is_admitted(capsys):
+    code, out = run_cli(capsys, *_EXACT_W2, "--thresholds",
+                        f"1/2^{LOG2_SIZE_CAP},1e{LOG2_SIZE_CAP}")
+    assert code == 0
+    tails = json.loads(out)["result"]["tails"]
+    assert [parse_dyadic(t["threshold"]) for t in tails] == [
+        Fraction(1, 1 << LOG2_SIZE_CAP), 10 ** LOG2_SIZE_CAP]
 
 
 @pytest.mark.parametrize("argv, option", [
@@ -569,6 +661,11 @@ GOLDEN_STDOUT = [
      "60302b1c8518abc1a1ecd9c878e2fcd1b3fa4dd4ab5ec2d1445d6eb52a1ca7b9"),
     (["pz", "--q", "64", "--log2m", "20", "--theta", "1/3"],
      "d0a7af8ca937ff308950c7bb4eb7100f6b8c32e35be9f5a03010d171be0ae621"),
+    # the Stirling triangle, recorded before `table` streamed its rows
+    (["table", "--qmax", "200"],
+     "b71e2acf00830c5194983bf9b7ede2400e471f8bbbb15e6eb326b30e9e68bf10"),
+    (["table", "--qmax", "200", "--format", "json"],
+     "d9df6ff93636cb0c42af8167bce6471c2c7bbd65f04423452d697f56218c8da8"),
 ]
 
 
@@ -578,7 +675,8 @@ GOLDEN_STDOUT = [
                               "check-no-reference", "minq-null-bound",
                               "moment-csv", "lemma2-vacuous-p-zero",
                               "lemma2-vacuous-p-negative", "moment-order-37",
-                              "pz-q64"])
+                              "pz-q64", "stirling-200-csv",
+                              "stirling-200-json"])
 def test_stdout_golden_digest(capsys, argv, sha256):
     code, out = run_cli(capsys, *argv)
     assert code == 0

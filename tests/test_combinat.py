@@ -6,8 +6,9 @@ from itertools import accumulate
 
 import pytest
 
-from condbound import BellSequence, StirlingTable, binomial, falling_factorial
+from condbound import BellSequence, binomial, falling_factorial
 from condbound import combinat
+from condbound.combinat import _stirling_rows
 from condbound.errors import CapacityError, PreconditionError
 
 from oracles import (bell_by_binomial_recurrence, enumerate_partitions,
@@ -15,32 +16,29 @@ from oracles import (bell_by_binomial_recurrence, enumerate_partitions,
 
 
 def test_table_qmax_zero():
-    t = StirlingTable.build(0)
-    assert t.q_max == 0
-    assert t.stirling(0, 0) == 1
+    assert list(_stirling_rows(0)) == [[1]]
 
 
 def test_stirling_examples():
-    t = StirlingTable.build(5)
+    rows = list(_stirling_rows(5))
     # brute force: partitions of a 4-set into 2 blocks
     brute = sum(1 for p in enumerate_partitions(range(4)) if len(p) == 2)
     assert brute == 7
-    assert t.stirling(4, 2) == 7
-    assert t.stirling(5, 5) == 1
-    assert t.stirling(3, 0) == 0
-    assert t.stirling(2, 5) == 0
+    assert rows[4][2] == 7
+    assert rows[5][5] == 1
+    assert rows[3][0] == 0
 
 
 def test_stirling_matches_partition_enumeration():
-    t = StirlingTable.build(10)
+    rows = list(_stirling_rows(10))
     for q in range(0, 11):
         counts = partition_counts_by_blocks(q)
         for j in range(q + 1):
-            assert t.stirling(q, j) == counts[j], (q, j)
+            assert rows[q][j] == counts[j], (q, j)
 
 
 def test_capacity_cap():
-    for build in (StirlingTable.build, BellSequence.stream):
+    for build in (lambda q: list(_stirling_rows(q)), BellSequence.stream):
         with pytest.raises(CapacityError):
             build(5000)
         with pytest.raises(PreconditionError):
@@ -63,13 +61,13 @@ def test_bell_out_of_range(bells16):
 
 def test_row_sums_equal_bells(table64, bells64):
     for q in range(65):
-        assert sum(table64.rows[q]) == bells64.values[q]
+        assert sum(table64[q]) == bells64.values[q]
 
 
 def test_binomial_recurrence_independent_identity(table64):
     ref = bell_by_binomial_recurrence(64)
     for q in range(65):
-        assert sum(table64.rows[q]) == ref[q]
+        assert sum(table64[q]) == ref[q]
 
 
 def test_binomial():
@@ -91,8 +89,8 @@ def test_falling_factorial():
 
 def test_streaming_matches_table(table64):
     stream = BellSequence.stream(64)
-    assert stream.values == [sum(r) for r in table64.rows]
-    assert stream.row_maxima == [max(r) for r in table64.rows]
+    assert stream.values == [sum(r) for r in table64]
+    assert stream.row_maxima == [max(r) for r in table64]
 
 
 def test_bell_triangle_matches_binomial_recurrence():
@@ -101,7 +99,7 @@ def test_bell_triangle_matches_binomial_recurrence():
 
 @pytest.mark.parametrize("q", [0, 1, 2, 200])
 def test_bell_triangle_matches_stirling_row_sums(q):
-    row_sums = [sum(r) for r in StirlingTable.build(q).rows]
+    row_sums = [sum(r) for r in _stirling_rows(q)]
     assert BellSequence.stream(q).values == row_sums
 
 
@@ -126,13 +124,13 @@ def test_bell_cache_without_maxima_computes_them(tmp_path, table64):
     BellSequence.stream(64).save(path)
     assert path.read_bytes()[-4:] == struct.pack("<I", 0)  # no maxima
     loaded = BellSequence.load(path)
-    assert loaded.values == [sum(r) for r in table64.rows]
-    assert loaded.row_maxima == [max(r) for r in table64.rows]
+    assert loaded.values == [sum(r) for r in table64]
+    assert loaded.row_maxima == [max(r) for r in table64]
 
 
 def test_bell_cache_with_maxima_still_loads(tmp_path, table64, monkeypatch):
-    values = [sum(r) for r in table64.rows]
-    maxima = [max(r) for r in table64.rows]
+    values = [sum(r) for r in table64]
+    maxima = [max(r) for r in table64]
     path = tmp_path / "bells.bin"
     BellSequence(values, maxima).save(path)
     monkeypatch.setattr(combinat, "_stirling_rows", None)  # read, not rebuilt

@@ -399,6 +399,19 @@ def test_independent_row_cap_rejects_before_allocating(M, N):
     assert peak < 1 << 20, peak
 
 
+def test_independent_row_holds_three_row_arrays():
+    # a 2^20-ball row: the driver's buffer, the draws it copies in and the
+    # chunk histogram (M + 1 entries); no zeroed total waits beside them
+    M = 1 << 20
+    tracemalloc.start()
+    try:
+        independent_oracle(M, 3, (1,), 1, 0, threads=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * 8 * M, peak
+
+
 def test_exact_references_run_one_stirling_pass(monkeypatch):
     starts = []
     rows = moments._stirling_rows

@@ -2,6 +2,7 @@
 rational inequalities and a ``decimal`` reference, and lossless round trips
 through ``serialize``."""
 
+import io
 import json
 import math
 from decimal import ROUND_FLOOR, Decimal, localcontext
@@ -16,7 +17,7 @@ from condbound.intervals import (_GUARD, DEFAULT_FRAC_BITS, FloatInterval,
                                  _atanh_series, _ln_big_scaled, ln_interval,
                                  log2_interval, nth_root, parse_dyadic)
 from condbound.serialize import (interval_dict, parse_rational,
-                                 rational_dict, to_json)
+                                 rational_dict, write_json)
 
 from oracles import atanh_series_by_helpers
 
@@ -310,7 +311,9 @@ def test_log2_quotient_rounds_outward(num_ln, den_ln, ln2):
 
 
 def _json_round_trip(value):
-    return json.loads(to_json({"value": value}))["value"]
+    out = io.StringIO()
+    write_json({"value": value}, out)
+    return json.loads(out.getvalue())["value"]
 
 
 # up to ~6000 decimal digits, past CPython's 4300-digit int/str limit

@@ -32,7 +32,8 @@ from .moments import BallsBinsInstance, raw_moment
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_STRICT = 3
-# cap on --log2m, --k and a value's exponent: each power is an exact integer
+# cap on --log2m, --k and a value's exponent: each power is an exact
+# integer; moment --balls and --bins are capped at the same power of 2
 LOG2_SIZE_CAP = 1024
 _EXPONENT = re.compile(r"[eE^][-+]?(\d[\d_]*)")
 
@@ -203,6 +204,9 @@ def _run_table(args) -> tuple[dict, list, bool]:
 
 def _run_moment(args) -> tuple[dict, None, bool]:
     order = args.order if args.order is not None else args.q
+    for option, size in (("--balls", args.balls), ("--bins", args.bins)):
+        if size > 1 << LOG2_SIZE_CAP:
+            raise CapacityError(f"{option} must be <= 2^{LOG2_SIZE_CAP}")
     inst = BallsBinsInstance(args.balls, args.bins, args.q)
     res = raw_moment(inst, order)
     return serialize.moment_dict(res), None, True
@@ -333,7 +337,16 @@ def dispatch(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(dispatch())
+    try:
+        code = dispatch()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, so that the flush
+        # at exit cannot fail again, and exit 1 without a traceback (the
+        # recipe of the signal module's documentation)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -22,10 +22,14 @@ Block budget: ``_load_experiment`` is the only block loop, for the Monte
 Carlo trials and the exhaustive seed oracle alike.  Its blocks hold at
 most BLOCK_ELEMS elements, so that one int64 working array fits in one
 core's L2 cache, and each caller's ``assign`` writes the bin of every
-ball straight into the driver's reused block buffer.  A batch holds at
-least one trial, so in independent mode ROW_ELEMS_CAP bounds the balls M
-and bins N of one row.  The exhaustive independent reference is a closed
-form with no loop.
+ball straight into the driver's reused block buffer.  The driver also
+checks every cap, for every caller, before it allocates: a batch holds
+at least one trial, so ROW_ELEMS_CAP bounds the balls M and bins N of
+one row; DEFAULT_THROW_CAP bounds M and N times the trials; and
+_TRIAL_STATS_CAP bounds the trials times their statistics.  The
+exhaustive seed oracle meets its tighter seed cap first.  The exhaustive
+independent reference runs no loop: it reads the closed-form
+``ExactLoadDistribution`` of ``moments``.
 
 Determinism contract: every trial draws its seed from a counter-based
 Philox generator keyed by master_seed, with the trial index t as its
@@ -40,20 +44,23 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import CapacityError, PreconditionError
 from .gf2 import (TABLE_FIELD_BITS, default_modulus, gf_mul, tables_for)
-from .moments import BallsBinsInstance, _moment_values
+from .moments import BallsBinsInstance, ExactLoadDistribution, _moment_values
 
 DEFAULT_SEED_ENUM_CAP = 1 << 24
 DEFAULT_THROW_CAP = 1 << 30
-# elements of one trial's row in independent mode (a 128 MiB int64 row):
-# a batch holds at least one trial's M bins and N loads, whatever the block
+# elements of one trial's row (a 128 MiB int64 row): a batch holds at
+# least one trial's M bins and N loads, whatever the block
 ROW_ELEMS_CAP = 1 << 24
+# trials times (1 + statistics): at most 32 MiB of per-trial float64
+# arrays, and about a minute of the ~15 us fixed cost of a trial
+_TRIAL_STATS_CAP = 1 << 22
 _EXHAUSTIVE_ASSIGNMENT_CAP = 1 << 20
 # bytes of split tables per evaluation grid; at w = 16 (8 MiB per
 # coefficient position) a q-position table would need q * 8 MiB
@@ -178,13 +185,6 @@ class SimulationReport:
 def _int_threshold(threshold: Fraction) -> int:
     """Smallest integer load satisfying S >= threshold."""
     return max(0, -((-threshold.numerator) // threshold.denominator))
-
-
-def _exact_references(M: int, N: int, q: int,
-                      orders) -> dict[int, Fraction]:
-    if not orders:
-        return {}
-    return _moment_values(BallsBinsInstance(M, N, q), orders)
 
 
 def _check_master_seed(master_seed: int):
@@ -338,7 +338,25 @@ def _load_experiment(M: int, N: int, trials: int, orders, thresholds,
     written at its row index and the chunk histograms are summed in chunk
     order, so the result depends neither on the thread count nor on where
     a block boundary falls.
+
+    Every cap is checked here, for every caller, before anything is
+    allocated: a row holds M bins and N loads whatever the block, the
+    rows throw M balls and count N loads each, and every row costs a
+    fixed overhead plus one float per statistic.
     """
+    for name, size in (("balls", M), ("bins", N)):
+        if size > ROW_ELEMS_CAP:
+            raise CapacityError(
+                f"{name} = {size} exceeds the row cap {ROW_ELEMS_CAP}")
+        if size * trials > DEFAULT_THROW_CAP:
+            raise CapacityError(
+                f"{name}*trials = {size * trials} exceeds the throw cap "
+                f"{DEFAULT_THROW_CAP}")
+    stats = 1 + len(orders) + len(thresholds)
+    if trials * stats > _TRIAL_STATS_CAP:
+        raise CapacityError(
+            f"trials*(1 + orders + thresholds) = {trials * stats} exceeds "
+            f"the trial cap {_TRIAL_STATS_CAP}")
     int_thrs = [_int_threshold(t) for t in thresholds]
     per_trial_moments = np.empty((trials, len(orders)), dtype=np.float64)
     per_trial_tails = np.empty((trials, len(thresholds)), dtype=np.float64)
@@ -395,10 +413,6 @@ def run_trials(config: SimulationConfig, threads: int = 1) -> SimulationReport:
     M = config.ball_count
     if M > (1 << spec.field_bits):
         raise PreconditionError("more balls than field elements")
-    if M * config.trials > DEFAULT_THROW_CAP:
-        raise CapacityError(
-            f"balls*trials = {M * config.trials} exceeds the throw cap "
-            f"{DEFAULT_THROW_CAP}")
     split = _SplitTables(spec, M)
     N = spec.bins
     shift = spec.field_bits - spec.output_bits
@@ -420,28 +434,7 @@ def run_trials(config: SimulationConfig, threads: int = 1) -> SimulationReport:
         echo, config.trials, orders, thresholds,
         *_load_experiment(M, N, config.trials, orders, thresholds, threads,
                           assign),
-        _exact_references(M, N, spec.independence, orders))
-
-
-@dataclass(frozen=True)
-class ExactLoadDistribution:
-    """Distribution of the load of bin 0 over every seed of a family."""
-
-    support: dict[int, Fraction] = field(default_factory=dict)
-
-    def moment(self, order: int) -> Fraction:
-        if order < 1:
-            raise PreconditionError("moment order must be >= 1")
-        return sum((p * s ** order for s, p in self.support.items()),
-                   Fraction(0))
-
-    def tail_ge(self, threshold) -> Fraction:
-        thr = Fraction(threshold)
-        return sum((p for s, p in self.support.items() if s >= thr),
-                   Fraction(0))
-
-    def total(self) -> Fraction:
-        return sum(self.support.values(), Fraction(0))
+        _moment_values(BallsBinsInstance(M, N, spec.independence), orders))
 
 
 def exact_small_oracle(spec: HashFamilySpec) -> ExactLoadDistribution:
@@ -493,10 +486,10 @@ def independent_oracle(M: int, N: int, orders, trials: int, master_seed: int,
     """Fully independent balls-into-bins reference experiment.
 
     When N^M <= 2^20, sampling is replaced by the exact distribution: bin
-    0's load is Binomial(M, 1/N), so comb(M, s) * (N-1)^(M-s) of the N^M
-    equiprobable assignments put s balls in it.  The report then carries
-    zero-noise means equal to that distribution's moments.  Otherwise
-    ``trials`` seeded trials of M balls run through the load driver.
+    0's load is Binomial(M, 1/N) (``ExactLoadDistribution._independent``).
+    The report then carries its tails and histogram, and zero-noise means
+    equal to the exact moments.  Otherwise ``trials`` seeded trials of M
+    balls run through the load driver.
     """
     _check_master_seed(master_seed)
     if trials < 1:
@@ -509,33 +502,22 @@ def independent_oracle(M: int, N: int, orders, trials: int, master_seed: int,
     if any(k < 1 for k in orders):
         raise PreconditionError("moment order must be >= 1")
     thresholds = tuple(Fraction(t) for t in thresholds)
-    exact_refs = _exact_references(M, N, max(orders) if orders else 1, orders)
+    exact_refs = _moment_values(
+        BallsBinsInstance(M, N, max(orders, default=1)), orders)
     # N >= 2 puts N^M past the cap once M > 20, so N^M is never built large
     if N == 1 or M <= 20 and N ** M <= _EXHAUSTIVE_ASSIGNMENT_CAP:
-        total = N ** M
-        # a single bin holds every ball
-        support = range(M + 1) if N > 1 else (M,)
-        hist = {s: math.comb(M, s) * (N - 1) ** (M - s) for s in support}
-        dist = ExactLoadDistribution(
-            {s: Fraction(c, total) for s, c in hist.items()})
-        moments = tuple(MomentStat(k, float(dist.moment(k)), None,
-                                   exact_refs.get(k)) for k in orders)
+        dist = ExactLoadDistribution._independent(M, N)
+        # one of the N^M assignments puts every ball in bin 0
+        total = dist.support[M].denominator
+        moments = tuple(MomentStat(k, float(exact_refs[k]), None,
+                                   exact_refs[k]) for k in orders)
         tails = tuple(TailStat(t, float(dist.tail_ge(t)), None)
                       for t in thresholds)
-        histogram = tuple(hist.items())
+        histogram = tuple((s, int(p * total))
+                          for s, p in dist.support.items())
         echo = {"mode": "independent-exhaustive", "balls": M, "bins": N,
                 "assignments": total, "master_seed": master_seed}
         return SimulationReport(echo, 1, moments, tails, histogram, False)
-
-    # each trial draws M bins and counts and reduces N loads
-    for name, size in (("balls", M), ("bins", N)):
-        if size > ROW_ELEMS_CAP:
-            raise CapacityError(
-                f"{name} = {size} exceeds the row cap {ROW_ELEMS_CAP}")
-        if size * trials > DEFAULT_THROW_CAP:
-            raise CapacityError(
-                f"{name}*trials = {size * trials} exceeds the throw cap "
-                f"{DEFAULT_THROW_CAP}")
 
     def assign(b0, b1, out):
         for row, rng in zip(out, _trial_rngs(master_seed, b0, b1)):

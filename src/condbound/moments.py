@@ -7,11 +7,18 @@ only row r of the Stirling triangle, so the rows are built once, up to the
 highest order a caller asks for, and one is resident at a time.
 Moments are kept as exact rationals; enclosures appear only at reporting
 boundaries.  The M = N bracket in Bell numbers reads a ``BellSequence``.
+
+``ExactLoadDistribution`` holds a whole load distribution as exact
+rationals: the exhaustive seed oracle of ``hashsim`` fills it, and under
+full independence it is Binomial(M, 1/N) in closed form.  Like the rest
+of this module it needs only the standard library, so exact references
+never import numpy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .combinat import BellSequence, _stirling_rows
@@ -60,14 +67,14 @@ def _moment_values(inst: BallsBinsInstance, orders) -> dict[int, Fraction]:
     The sum over j of S(r, j) * M_(j) / N^j is taken as one integer,
     sum_j S(r, j) * M_(j) * N^(r-j) in Horner form, over N^r.  Every
     order is checked first, and an order above DEFAULT_QMAX_CAP is
-    rejected when the rows start, before any work.
+    rejected when the rows start, before any work.  No orders give {}.
     """
     for order in orders:
         _check_order(inst, order)
     M, N = inst.balls, inst.bins
     wanted = set(orders)
     values = {}
-    for r, row in enumerate(_stirling_rows(max(wanted))):
+    for r, row in enumerate(_stirling_rows(max(wanted, default=0))):
         if r in wanted:
             numer, falling = 0, 1
             for j in range(1, r + 1):
@@ -104,3 +111,36 @@ def moment_sandwich(M: int, order: int,
     for i in range(1, order + 1):
         prod *= Fraction(M - (i - 1), M)
     return prod * bell, bell
+
+
+@dataclass(frozen=True)
+class ExactLoadDistribution:
+    """Exact distribution of the load of bin 0: the probability of each
+    load, over every seed of a family or every assignment of balls."""
+
+    support: dict[int, Fraction] = field(default_factory=dict)
+
+    @classmethod
+    def _independent(cls, M: int, N: int) -> "ExactLoadDistribution":
+        """Binomial(M, 1/N), the load of fully independent balls:
+        comb(M, s) * (N-1)^(M-s) of the N^M equiprobable assignments put
+        s balls in bin 0."""
+        total = N ** M
+        # a single bin holds every ball
+        support = range(M + 1) if N > 1 else (M,)
+        return cls({s: Fraction(math.comb(M, s) * (N - 1) ** (M - s), total)
+                    for s in support})
+
+    def moment(self, order: int) -> Fraction:
+        if order < 1:
+            raise PreconditionError("moment order must be >= 1")
+        return sum((p * s ** order for s, p in self.support.items()),
+                   Fraction(0))
+
+    def tail_ge(self, threshold) -> Fraction:
+        thr = Fraction(threshold)
+        return sum((p for s, p in self.support.items() if s >= thr),
+                   Fraction(0))
+
+    def total(self) -> Fraction:
+        return sum(self.support.values(), Fraction(0))

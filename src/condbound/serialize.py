@@ -13,7 +13,6 @@ import csv
 import json
 from dataclasses import asdict
 from fractions import Fraction
-from itertools import islice
 from typing import TYPE_CHECKING
 
 from . import __version__
@@ -23,11 +22,10 @@ from .combinat import BellSequence, _check_q_max, _stirling_rows
 from .condenser import CondenserVerdict, GapRow
 from .errors import PreconditionError
 from .intervals import FloatInterval, any_length, dyadic_str
-from .moments import MomentResult
+from .moments import ExactLoadDistribution, MomentResult
 
 if TYPE_CHECKING:  # only annotations name them; hashsim imports numpy
-    from .hashsim import (ExactLoadDistribution, HashFamilySpec,
-                          SimulationReport)
+    from .hashsim import HashFamilySpec, SimulationReport
 
 
 def decimal(n: int) -> str:
@@ -238,15 +236,22 @@ def envelope(subcommand: str, parameters: dict, result) -> dict:
 
 
 _JSON = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)
+# characters per write of write_json: one write per encoder chunk is
+# slower, and a fixed count of chunks grows with the numbers they hold
+_JSON_BATCH_CHARS = 1 << 16
 
 
 def write_json(env: dict, out) -> None:
-    """Write env as JSON and a newline, joining the encoder's chunks 4096 to
-    a write: one write per chunk is slower."""
-    chunks = _JSON.iterencode(env)
-    while batch := "".join(islice(chunks, 4096)):
-        out.write(batch)
-    out.write("\n")
+    """Write env as JSON and a newline, joining the encoder's chunks until
+    a write holds at least _JSON_BATCH_CHARS characters."""
+    batch, size = [], 0
+    for chunk in _JSON.iterencode(env):
+        batch.append(chunk)
+        size += len(chunk)
+        if size >= _JSON_BATCH_CHARS:
+            out.write("".join(batch))
+            batch, size = [], 0
+    out.write("".join(batch) + "\n")
 
 
 def flatten(value, prefix: str = "") -> list[tuple[str, str]]:

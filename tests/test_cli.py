@@ -96,6 +96,30 @@ def test_table_streams_its_rows(fmt):
     assert sink.chars > 4 << 20
 
 
+class _RecordingSink(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(len(text))
+        return super().write(text)
+
+
+def test_write_json_batches_by_characters():
+    # numbers of hundreds of digits: 4096 encoder chunks made a 1 MiB write
+    env = serialize.envelope("table", {},
+                             serialize.table_dict(300, "stirling"))
+    chunks = list(serialize._JSON.iterencode(env))
+    sink = _RecordingSink()
+    serialize.write_json(env, sink)
+    assert sink.getvalue() == json.dumps(env, indent=2,
+                                         sort_keys=True) + "\n"
+    assert len(sink.writes) > 2
+    longest = max(map(len, chunks))
+    assert max(sink.writes) < serialize._JSON_BATCH_CHARS + longest
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         dispatch(["moment", "--balls", "4"])
@@ -506,7 +530,44 @@ def test_simulate_out_of_range_value_exits_2(capsys, argv, named):
     assert named in capsys.readouterr().err
 
 
+# The load driver checks every cap for every mode, before its per-trial
+# arrays exist: admitted, these runs would allocate 8 GiB, 15.6 GiB, 0 and
+# 64 MiB of them and take days, hours, an hour and a minute
+@pytest.mark.parametrize("argv, cap", [
+    (["simulate", "--w", "16", "--q", "2", "--balls", "1",
+      "--trials", str(1 << 30), "--orders", "1"], "throw cap"),
+    (["simulate", "--w", "2", "--q", "2", "--trials", str(1 << 20),
+      "--orders", ",".join(["1"] * 2000)], "trial cap"),
+    (["simulate", "--w", "2", "--q", "2", "--trials", str(1 << 28),
+      "--orders="], "trial cap"),
+    (_INDEPENDENT[:-1] + [str(1 << 22), "--orders", "1"], "trial cap"),
+], ids=["mc-bins-times-trials", "mc-trials-times-statistics",
+        "mc-trials-no-statistics", "independent-trials-times-statistics"])
+def test_simulate_caps_bound_the_work(capsys, argv, cap):
+    def expire(signum, frame):
+        raise TimeoutError("simulate still running after 5 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    tracemalloc.start()
+    try:
+        code = dispatch(argv + ["--threads", "1"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert cap in err
+    # the GF(2^16) exp/log tables, built before the driver runs, take
+    # 2.5 MiB when no earlier test has cached them
+    assert peak < 4 << 20, peak
+
+
 _ABOVE_LOG2_CAP = str(LOG2_SIZE_CAP + 1)
+_ABOVE_SIZE_CAP = str((1 << LOG2_SIZE_CAP) + 1)
 
 
 @pytest.mark.parametrize("argv, named", [
@@ -535,13 +596,19 @@ _ABOVE_LOG2_CAP = str(LOG2_SIZE_CAP + 1)
     (["table", "--qmax", str(DEFAULT_QMAX_CAP + 1)], "q_max"),
     (["table", "--qmax", str(DEFAULT_QMAX_CAP + 1), "--format", "json"],
      "q_max"),
+    # a moment's exact sum grows with the digits of M and N
+    (["moment", "--balls", _ABOVE_SIZE_CAP, "--bins", "4", "--q", "3"],
+     "--balls"),
+    (["moment", "--balls", "4", "--bins", _ABOVE_SIZE_CAP, "--q", "3"],
+     "--bins"),
 ], ids=["lemma2-log2m-negative", "pz-log2m-negative", "asymptotics-step-zero",
         "asymptotics-step-negative", "sweep-log2eps-empty",
         "lemma2-log2m-above-cap", "pz-log2m-above-cap", "check-k-above-cap",
         "minq-k-above-cap", "sweep-k-above-cap", "minq-k-negative",
         "sweep-k-negative", "table-qmax-negative-csv",
         "table-qmax-negative-json", "table-qmax-above-cap-csv",
-        "table-qmax-above-cap-json"])
+        "table-qmax-above-cap-json", "moment-balls-above-cap",
+        "moment-bins-above-cap"])
 def test_out_of_range_value_exits_2(capsys, argv, named):
     assert dispatch(argv) == 2
     out, err = capsys.readouterr()
@@ -585,6 +652,14 @@ def test_exponent_above_cap_exits_2_at_once(capsys, argv, option):
     out, err = capsys.readouterr()
     assert out == ""
     assert f"{option} exponent must be <= {LOG2_SIZE_CAP}" in err
+
+
+def test_moment_size_at_cap_is_admitted(capsys):
+    size = str(1 << LOG2_SIZE_CAP)
+    res = run_json(capsys, "moment", "--balls", size, "--bins", size,
+                   "--q", "2")
+    assert parse_rational(res["result"]["value"]) == 2 - Fraction(
+        1, 1 << LOG2_SIZE_CAP)
 
 
 def test_exponent_at_cap_is_admitted(capsys):
@@ -738,6 +813,31 @@ def test_module_entry_point_matches_console_script():
                 if line.startswith(b"import time:")}
     assert b"condbound.cli" in imported
     assert b"numpy" not in imported
+
+
+def test_exact_load_distribution_leaves_numpy_unloaded():
+    src = str(Path(condbound.__file__).resolve().parent.parent)
+    probe = ("import sys, condbound; condbound.ExactLoadDistribution; "
+             "print('numpy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src},
+                          timeout=120, check=True)
+    assert proc.stdout == "False\n"
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    # `condbound table --qmax 200 | head -1`: the reader leaves after one
+    # line of the 4 MiB triangle
+    src = str(Path(condbound.__file__).resolve().parent.parent)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "condbound", "table", "--qmax", "200"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.readline() == b"1\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 1
+    assert err == b""
 
 
 def test_simulate_loads_numpy():

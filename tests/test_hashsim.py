@@ -421,7 +421,7 @@ def test_exact_references_run_one_stirling_pass(monkeypatch):
         return rows(q_max)
 
     monkeypatch.setattr(moments, "_stirling_rows", counting)
-    refs = hashsim._exact_references(5, 5, 4, (3, 1, 4, 2))
+    refs = moments._moment_values(BallsBinsInstance(5, 5, 4), (3, 1, 4, 2))
     assert starts == [4]
     assert refs == {k: raw_moment(BallsBinsInstance(5, 5, 4), k).value
                     for k in (1, 2, 3, 4)}

@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from condbound import (BallsBinsInstance, moment_norm, moment_sandwich,
-                       raw_moment)
+from condbound import (BallsBinsInstance, ExactLoadDistribution,
+                       moment_norm, moment_sandwich, raw_moment)
 from condbound.combinat import DEFAULT_QMAX_CAP
 from condbound.errors import CondboundError, PreconditionError
+from condbound.moments import _moment_values
 
-from oracles import assignment_moment
+from oracles import assignment_bin0_histogram, assignment_moment
 
 
 def test_first_moment_is_one_when_square():
@@ -151,3 +152,22 @@ def test_limit_toward_bell(bells16):
             val = raw_moment(inst, order).value
             bell = bells16.bell(order)
             assert abs(val - bell) <= Fraction(bell * order ** 2, 2 * M)
+
+
+def test_moment_values_of_no_orders_is_empty():
+    assert _moment_values(BallsBinsInstance(5, 5, 4), ()) == {}
+
+
+@pytest.mark.parametrize("M", range(1, 7))
+@pytest.mark.parametrize("N", range(1, 6))
+def test_independent_distribution_matches_moments_and_enumeration(M, N):
+    # the exhaustive independent reference reads its means from
+    # _moment_values and its counts from this distribution
+    dist = ExactLoadDistribution._independent(M, N)
+    assert dist.total() == 1
+    counts = assignment_bin0_histogram(M, N)
+    assert {s: p * N ** M for s, p in dist.support.items()} == {
+        s: c for s, c in enumerate(counts) if c}
+    orders = range(1, 8)
+    want = _moment_values(BallsBinsInstance(M, N, max(orders)), orders)
+    assert {r: dist.moment(r) for r in orders} == want

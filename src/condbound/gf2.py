@@ -1,8 +1,5 @@
-"""GF(2^w) arithmetic: carryless polynomial multiplication modulo a fixed
-irreducible polynomial, plus log/antilog tables for elementwise products
-of arrays (w <= 16).  The simulator multiplies with them only to build its
-split tables of the powers x^i and to fold in, by Horner, the coefficient
-positions those tables leave out.
+"""GF(2^w) arithmetic on Python integers: carryless multiplication modulo
+a fixed irreducible polynomial, irreducibility and primitive elements.
 
 Moduli for w in [2, 64] ship as a data file (hex encoded, one per line);
 each entry is the smallest irreducible polynomial of its degree by integer
@@ -14,13 +11,10 @@ from __future__ import annotations
 from functools import lru_cache
 from importlib import resources
 
-import numpy as np
-
 from .errors import PreconditionError
 
 MIN_FIELD_BITS = 2
 MAX_FIELD_BITS = 64
-TABLE_FIELD_BITS = 16  # largest w for which exp/log tables are built
 
 
 def clmul(a: int, b: int) -> int:
@@ -44,6 +38,17 @@ def poly_mod(a: int, modulus: int) -> int:
 
 def gf_mul(a: int, b: int, modulus: int) -> int:
     return poly_mod(clmul(a, b), modulus)
+
+
+def _gf_pow(a: int, e: int, modulus: int) -> int:
+    """a^e mod modulus, by square and multiply."""
+    r = 1
+    while e:
+        if e & 1:
+            r = gf_mul(r, a, modulus)
+        a = gf_mul(a, a, modulus)
+        e >>= 1
+    return r
 
 
 def poly_gcd(a: int, b: int) -> int:
@@ -123,58 +128,12 @@ def default_modulus(w: int) -> int:
     return modulus_table()[w]
 
 
-class GFTables:
-    """Exp/log tables over GF(2^w) for vectorised multiplication, w <= 16."""
-
-    def __init__(self, w: int, modulus: int):
-        if w > TABLE_FIELD_BITS:
-            raise PreconditionError(
-                f"exp/log tables are limited to w <= {TABLE_FIELD_BITS}")
-        self.w = w
-        self.modulus = modulus
-        self.order = (1 << w) - 1
-        gen = self._find_generator()
-        self.generator = gen
-        # log[0] is a sentinel 2*order; any product involving zero indexes
-        # past 2*order-2 into the zero-filled region of exp, so mul_vec
-        # needs no masking
-        exp = np.zeros(4 * self.order + 1, dtype=np.int64)
-        log = np.full(1 << w, 2 * self.order, dtype=np.int64)
-        v = 1
-        for i in range(self.order):
-            exp[i] = v
-            exp[i + self.order] = v
-            log[v] = i
-            v = gf_mul(v, gen, modulus)
-        if v != 1:
-            raise PreconditionError("generator order mismatch; modulus not irreducible?")
-        exp[2 * self.order - 1] = 0   # index never produced; keep zeroed
-        self.exp = exp
-        self.log = log
-
-    def _find_generator(self) -> int:
-        factors = _prime_factors(self.order)
-        for cand in range(2, 1 << self.w):
-            if all(self._pow(cand, self.order // p) != 1 for p in factors):
-                return cand
-        raise PreconditionError("no multiplicative generator found")
-
-    def _pow(self, a: int, e: int) -> int:
-        r = 1
-        while e:
-            if e & 1:
-                r = gf_mul(r, a, self.modulus)
-            a = gf_mul(a, a, self.modulus)
-            e >>= 1
-        return r
-
-    def mul_vec(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Elementwise product; either argument may be broadcastable."""
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        return self.exp[self.log[a] + self.log[b]]
-
-
-@lru_cache(maxsize=32)
-def tables_for(w: int, modulus: int) -> GFTables:
-    return GFTables(w, modulus)
+def primitive_element(modulus: int) -> int:
+    """Least generator of the multiplicative group of GF(2)[x] / modulus:
+    the least element whose order is 2^w - 1, for an irreducible modulus
+    of degree w."""
+    order = (1 << (modulus.bit_length() - 1)) - 1
+    factors = _prime_factors(order)
+    return next(cand for cand in range(2, order + 1)
+                if all(_gf_pow(cand, order // p, modulus) != 1
+                       for p in factors))

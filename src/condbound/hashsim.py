@@ -13,10 +13,11 @@ field).  Multiplying a coefficient by a fixed x^i is GF(2)-linear, so
 uint16 tables of (v << 4j) * x^i over the grid, one row per coefficient
 position i, nibble j and nibble value v, turn each batch into contiguous
 row gathers XORed into one accumulator (the split-table method of Plank,
-Greenan and Miller, FAST 2013).  The tables of one run take at most
-TABLE_BYTES (16 MiB); when q positions do not fit, which happens only at
-large q for w = 16, the positions past the first ``span`` fold in by
-Horner in x^span through the exp/log tables of ``gf2``.
+Greenan and Miller, FAST 2013); the pass that fills the rows of x^i
+also accumulates x^(i+1).  The uint16 rows bound w by TABLE_FIELD_BITS,
+and one run's tables take at most TABLE_BYTES (16 MiB).  Only when the
+q positions do not fit do those past the first ``span`` fold in by
+Horner in x^span, through exp/log tables built for that case alone.
 
 Block budget: ``_load_experiment`` is the only block loop, for the Monte
 Carlo trials and the exhaustive seed oracle alike.  Its blocks hold at
@@ -43,16 +44,21 @@ regardless of how trials are scheduled across threads.
 from __future__ import annotations
 
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import CapacityError, PreconditionError
-from .gf2 import (TABLE_FIELD_BITS, default_modulus, gf_mul, tables_for)
+from .gf2 import (default_modulus, gf_mul, is_irreducible,
+                  primitive_element)
 from .moments import BallsBinsInstance, ExactLoadDistribution, _moment_values
 
+# widest field the simulator runs: its split-table rows are uint16
+TABLE_FIELD_BITS = 16
 DEFAULT_SEED_ENUM_CAP = 1 << 24
 DEFAULT_THROW_CAP = 1 << 30
 # elements of one trial's row (a 128 MiB int64 row): a batch holds at
@@ -100,6 +106,8 @@ class HashFamilySpec:
             raise PreconditionError("output_bits must be in [1, field_bits]")
         if self.modulus.bit_length() - 1 != w:
             raise PreconditionError("modulus degree must equal field_bits")
+        if not is_irreducible(self.modulus):
+            raise PreconditionError("modulus must be irreducible")
 
     @property
     def independence(self) -> int:
@@ -148,6 +156,8 @@ class SimulationConfig:
         _check_master_seed(self.master_seed)
         q = self.family.independence
         for order in self.moment_orders:
+            if order < 1:
+                raise PreconditionError("moment order must be >= 1")
             if order > q:
                 raise PreconditionError(
                     f"moment order {order} exceeds independence {q}")
@@ -227,7 +237,9 @@ def _trial_moment(loads: np.ndarray, M: int, order: int):
         return M / N
     if M ** order < 1 << 53:
         return np.sum(loads ** order, axis=1) / N
-    return np.mean(loads.astype(np.float64) ** order, axis=1)
+    # a power past the float range reads inf, which _reduce_report rejects
+    with np.errstate(over="ignore"):
+        return np.mean(loads.astype(np.float64) ** order, axis=1)
 
 
 def _trial_tail(loads: np.ndarray, threshold: int) -> np.ndarray:
@@ -236,27 +248,57 @@ def _trial_tail(loads: np.ndarray, threshold: int) -> np.ndarray:
     return np.count_nonzero(loads >= threshold, axis=1) / loads.shape[1]
 
 
+def _finite(value, what: str) -> float:
+    """value as a float64, which must be finite (else ``what`` is named)."""
+    if not abs(value) <= sys.float_info.max:
+        raise CapacityError(f"{what} is not finite in float64")
+    return float(value)
+
+
 def _reduce_report(config_echo: dict, trials: int, orders, thresholds,
                    per_trial_moments: np.ndarray, per_trial_tails: np.ndarray,
                    hist_counts: np.ndarray,
                    exact_refs: dict[int, Fraction]) -> SimulationReport:
     se_defined = trials >= 2
-    moments = []
-    for idx, order in enumerate(orders):
-        col = per_trial_moments[:, idx]
-        mean = float(np.mean(col))
-        se = float(np.std(col, ddof=1) / math.sqrt(trials)) if se_defined else None
-        moments.append(MomentStat(order, mean, se, exact_refs.get(order)))
-    tails = []
-    for idx, thr in enumerate(thresholds):
-        col = per_trial_tails[:, idx]
-        freq = float(np.mean(col))
-        se = float(np.std(col, ddof=1) / math.sqrt(trials)) if se_defined else None
-        tails.append(TailStat(thr, freq, se))
+
+    def mean_se(col, what):
+        mean = _finite(np.mean(col), f"the mean of {what}")
+        if not se_defined:
+            return mean, None
+        return mean, _finite(np.std(col, ddof=1) / math.sqrt(trials),
+                             f"the standard error of {what}")
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        moments = tuple(
+            MomentStat(order, *mean_se(per_trial_moments[:, idx],
+                                       f"moment order {order}"),
+                       exact_refs.get(order))
+            for idx, order in enumerate(orders))
+        tails = tuple(
+            TailStat(thr, *mean_se(per_trial_tails[:, idx],
+                                   f"the tail at {thr}"))
+            for idx, thr in enumerate(thresholds))
     nz = np.nonzero(hist_counts)[0]
     histogram = tuple((int(s), int(hist_counts[s])) for s in nz)
-    return SimulationReport(config_echo, trials, tuple(moments), tuple(tails),
-                            histogram, se_defined)
+    return SimulationReport(config_echo, trials, moments, tails, histogram,
+                            se_defined)
+
+
+@lru_cache(maxsize=4)
+def _fold_tables(w: int, modulus: int) -> tuple[np.ndarray, np.ndarray]:
+    """(exp, log) of GF(2^w) for the fold: exp[log[a] + log[b]] = a * b.
+    log[0] is the sentinel 2 * order, so a product with a zero factor
+    indexes the zero-filled top of exp and the fold needs no masking."""
+    order = (1 << w) - 1
+    gen = primitive_element(modulus)
+    exp = np.zeros(4 * order + 1, dtype=np.int64)
+    log = np.full(1 << w, 2 * order, dtype=np.int64)
+    v = 1
+    for i in range(order):
+        exp[i] = exp[i + order] = v
+        log[v] = i
+        v = gf_mul(v, gen, modulus)
+    return exp, log
 
 
 class _SplitTables:
@@ -275,7 +317,6 @@ class _SplitTables:
         if w > TABLE_FIELD_BITS:
             raise CapacityError(
                 f"the simulator supports field_bits <= {TABLE_FIELD_BITS}")
-        self.tables = tables_for(w, spec.modulus)
         self.nibbles = -(-w // 4)
         position_bytes = self.nibbles * 16 * points * 2
         self.span = max(1, min(spec.independence,
@@ -286,14 +327,17 @@ class _SplitTables:
         power = np.ones(points, dtype=np.int64)          # x^i
         for i in range(self.span):
             basis = power                                # 2^b * x^i
+            power = np.zeros(points, dtype=np.int64)     # x^(i+1)
             for b in range(w):
                 j, k = divmod(b, 4)
                 self.rows[i, j, (np.arange(16) >> k) & 1 == 1] ^= \
                     basis.astype(np.uint16)
+                power ^= basis & -(xs >> b & 1)          # bit b of x
                 basis = basis << 1                       # times x, reduced
                 basis ^= (basis >> w) * spec.modulus
-            power = self.tables.mul_vec(power, xs)
-        self.log_fold = self.tables.log[power]           # log of x^span
+        if self.span < spec.independence:
+            self.exp, self.log = _fold_tables(w, spec.modulus)
+            self.log_fold = self.log[power]              # log of x^span
 
     def evaluate(self, coeffs) -> np.ndarray:
         """(seeds, points) uint16 values of the seed polynomials.
@@ -308,10 +352,10 @@ class _SplitTables:
             logs = np.empty(acc.shape, dtype=np.int64)
         for base in range(top, -1, -self.span):
             if base < top:
-                # acc * x^span as GFTables.mul_vec computes it, in place
-                np.take(self.tables.log, acc, out=logs, mode="clip")
+                # acc * x^span through the exp/log tables, in place
+                np.take(self.log, acc, out=logs, mode="clip")
                 logs += self.log_fold
-                np.take(self.tables.exp, logs, out=acc, mode="clip")
+                np.take(self.exp, logs, out=acc, mode="clip")
             for i in range(base, min(base + self.span, len(coeffs))):
                 for j in range(self.nibbles):
                     np.take(self.rows[i - base, j], (coeffs[i] >> 4 * j) & 15,
@@ -509,8 +553,9 @@ def independent_oracle(M: int, N: int, orders, trials: int, master_seed: int,
         dist = ExactLoadDistribution._independent(M, N)
         # one of the N^M assignments puts every ball in bin 0
         total = dist.support[M].denominator
-        moments = tuple(MomentStat(k, float(exact_refs[k]), None,
-                                   exact_refs[k]) for k in orders)
+        moments = tuple(MomentStat(
+            k, _finite(exact_refs[k], f"the mean of moment order {k}"), None,
+            exact_refs[k]) for k in orders)
         tails = tuple(TailStat(t, float(dist.tail_ge(t)), None)
                       for t in thresholds)
         histogram = tuple((s, int(p * total))

@@ -92,12 +92,6 @@ def iroot_floor(x: int, n: int) -> int:
     return r
 
 
-def iroot_ceil(x: int, n: int) -> int:
-    """Smallest r >= 0 with r**n >= x."""
-    r = iroot_floor(x, n)
-    return r if r ** n == x else r + 1
-
-
 def _scale_fraction(fr: Fraction, frac_bits: int) -> tuple[int, int]:
     """Outward-rounded (lo_scaled, hi_scaled) of a rational at 2**-frac_bits."""
     t = fr.numerator << frac_bits
@@ -417,7 +411,8 @@ def nth_root(fr, n: int, frac_bits: int = DEFAULT_FRAC_BITS) -> FloatInterval:
     num, den = fr.numerator, fr.denominator
     t = num << (n * prec)
     lo = iroot_floor(t // den, n)
-    hi = iroot_ceil(_ceil_div(t, den), n)
+    # the least hi with hi**n * den >= t: lo**n <= t // den < (lo + 1)**n
+    hi = lo if lo ** n * den == t else lo + 1
     return _round_out(lo, hi, prec, frac_bits)
 
 

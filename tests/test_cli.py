@@ -8,6 +8,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -561,9 +562,34 @@ def test_simulate_caps_bound_the_work(capsys, argv, cap):
     out, err = capsys.readouterr()
     assert out == ""
     assert cap in err
-    # the GF(2^16) exp/log tables, built before the driver runs, take
-    # 2.5 MiB when no earlier test has cached them
+    # nothing the size of the per-trial arrays is allocated (q = 2 fits
+    # the split tables, so no exp/log tables are built either)
     assert peak < 4 << 20, peak
+
+
+# a mean or standard error past the float range is refused, naming the
+# statistic, in every branch that reports floats
+@pytest.mark.parametrize("argv, named", [
+    (["simulate", "--mode", "independent", "--balls", "30", "--bins", "2",
+      "--orders", "300", "--trials", "10"], "mean of moment order 300"),
+    (["simulate", "--mode", "independent", "--balls", "30", "--bins", "2",
+      "--orders", "300", "--trials", "10", "--format", "csv"],
+     "mean of moment order 300"),
+    (["simulate", "--mode", "independent", "--balls", "2000", "--bins", "1",
+      "--orders", "100"], "mean of moment order 100"),
+    (["simulate", "--mode", "independent", "--balls", "1" + "0" * 400,
+      "--bins", "1", "--orders", "1"], "mean of moment order 1"),
+    (["simulate", "--w", "8", "--q", "256", "--orders", "256", "--trials",
+      "3"], "standard error of moment order 256"),
+], ids=["independent-mc", "independent-mc-csv", "independent-exhaustive",
+        "independent-exhaustive-huge-balls", "mc-standard-error"])
+def test_non_finite_statistic_exits_2(capsys, argv, named):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dispatch(argv + ["--threads", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert named in err
 
 
 _ABOVE_LOG2_CAP = str(LOG2_SIZE_CAP + 1)

@@ -12,8 +12,10 @@ from condbound.combinat import DEFAULT_QMAX_CAP
 from condbound.condenser import (FEASIBLE_IMPOSSIBLE, FEASIBLE_UNDETERMINED,
                                  heavy_bin_reduction)
 from condbound.errors import CapacityError, PreconditionError
-from condbound.gf2 import default_modulus, tables_for
+from condbound.gf2 import default_modulus
 from condbound.intervals import FloatInterval, log2_interval
+
+from oracles import _clmul_mod
 
 
 def test_positive_params_examples():
@@ -214,8 +216,10 @@ def test_gap_report_shapes(bells1024):
 def _enumerate_family_loads(w: int, degree: int):
     """Per-seed load vectors over all bins for the full seed enumeration."""
     mod = default_modulus(w)
-    tables = tables_for(w, mod)
     M = 1 << w
+    # the full product table of GF(2^w), from the oracle's own multiply
+    product = np.array([[_clmul_mod(a, b, mod) for b in range(M)]
+                        for a in range(M)], dtype=np.int64)
     n_seeds = 1 << (w * (degree + 1))
     xs = np.arange(M, dtype=np.int64)
     loads = np.zeros((n_seeds, M), dtype=np.int8)
@@ -227,7 +231,7 @@ def _enumerate_family_loads(w: int, degree: int):
         acc = np.broadcast_to(coeffs[degree][:, None],
                               (len(seeds), M)).copy()
         for i in range(degree - 1, -1, -1):
-            acc = tables.mul_vec(acc, xs[None, :])
+            acc = product[acc, xs[None, :]]
             acc ^= coeffs[i][:, None]
         offsets = np.arange(end - start, dtype=np.int64) * M
         flat = (acc + offsets[:, None]).ravel()

@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import condbound
 from condbound.errors import PreconditionError
 from condbound.gf2 import (clmul, default_modulus, gf_mul, is_irreducible,
-                           modulus_table, poly_mod, smallest_irreducible,
-                           tables_for)
+                           modulus_table, poly_mod, primitive_element,
+                           smallest_irreducible)
 
 
 def test_clmul_basic():
@@ -61,28 +67,36 @@ def test_width_range():
 
 
 def test_tables_match_scalar_multiplication():
-    import numpy as np
+    # the exp/log pair of the simulator's Horner fold, against gf_mul
+    from condbound.hashsim import _fold_tables
     for w in [2, 3, 8]:
         mod = default_modulus(w)
-        t = tables_for(w, mod)
+        exp, log = _fold_tables(w, mod)
         size = 1 << w
-        a = np.repeat(np.arange(size), size)
-        b = np.tile(np.arange(size), size)
-        got = t.mul_vec(a, b)
-        for i in range(0, size * size, max(1, size * size // 257)):
-            assert got[i] == gf_mul(int(a[i]), int(b[i]), mod)
-        # full check at w=2,3
-        if w <= 3:
-            for i in range(size * size):
-                assert got[i] == gf_mul(int(a[i]), int(b[i]), mod)
+        step = 1 if w <= 3 else 7
+        for a in range(0, size, step):
+            for b in range(size):
+                assert exp[log[a] + log[b]] == gf_mul(a, b, mod), (w, a, b)
 
 
 def test_generator_order():
-    t = tables_for(4, default_modulus(4))
-    seen = set()
-    v = 1
-    for _ in range(15):
-        seen.add(v)
-        v = gf_mul(v, t.generator, t.modulus)
-    assert v == 1
-    assert len(seen) == 15
+    for w in [2, 3, 4, 8, 12]:
+        mod = default_modulus(w)
+        g = primitive_element(mod)
+        order = (1 << w) - 1
+        seen = set()
+        v = 1
+        for _ in range(order):
+            seen.add(v)
+            v = gf_mul(v, g, mod)
+        assert v == 1
+        assert len(seen) == order
+
+
+def test_gf2_leaves_numpy_unloaded():
+    src = str(Path(condbound.__file__).resolve().parent.parent)
+    probe = "import sys, condbound.gf2; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src},
+                          timeout=120, check=True)
+    assert proc.stdout == "False\n"

@@ -377,6 +377,20 @@ def test_moment_orders_capped_by_independence():
         SimulationConfig(spec, trials=10, master_seed=0, moment_orders=(3,))
 
 
+def test_moment_order_below_one_rejected_by_config():
+    # checked before any trial runs, like the order above q
+    spec = HashFamilySpec.create(12, independence=4)
+    with pytest.raises(PreconditionError, match="moment order"):
+        SimulationConfig(spec, trials=10, master_seed=0, moment_orders=(0,))
+
+
+def test_reducible_modulus_rejected():
+    # x^4 + 1 = (x + 1)^4: no field, so no q-wise independent family
+    with pytest.raises(PreconditionError, match="irreducible"):
+        spec = HashFamilySpec(4, 1, 4, 0b10001)
+        run_trials(SimulationConfig(spec, trials=2, master_seed=0))
+
+
 def test_throw_cap():
     spec = HashFamilySpec.create(12, independence=2)
     config = SimulationConfig(spec, trials=10 ** 7, master_seed=0)
@@ -495,6 +509,8 @@ def test_split_table_kernel_matches_scalar_horner(w, q):
     split = hashsim._SplitTables(spec, 1 << w)
     # w = 16 has room for two positions only: the x^span fold runs twice
     assert (split.span < q) == (w == 16)
+    # exp/log tables are built for the fold only
+    assert hasattr(split, "log") == (split.span < q)
     assert split.rows.nbytes <= hashsim.TABLE_BYTES
     _kernel_values_checked(spec, split, np.random.default_rng(1000 + w))
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from condbound.errors import PreconditionError
-from condbound.intervals import (FloatInterval, dyadic_str, iroot_ceil,
+from condbound.intervals import (_GUARD, FloatInterval, dyadic_str,
                                  iroot_floor, ln_interval, log2_interval,
                                  nth_root, parse_dyadic)
 
@@ -86,11 +86,40 @@ def test_iroot_exactness_random():
         x = rng.getrandbits(rng.randint(1, 256))
         r = iroot_floor(x, n)
         assert r ** n <= x < (r + 1) ** n
-        rc = iroot_ceil(x, n)
-        if x == 0:
-            assert rc == 0
-        else:
-            assert (rc - 1) ** n < x <= rc ** n
+
+
+def _nth_root_by_two_roots(fr: Fraction, n: int,
+                           frac_bits: int) -> FloatInterval:
+    """nth_root as two integer roots: the floor root of floor(t / den) and
+    the ceiling root of ceil(t / den), t = num * 2^(n * prec)."""
+    prec = frac_bits + _GUARD
+    t, den = fr.numerator << (n * prec), fr.denominator
+    lo = iroot_floor(t // den, n)
+    up = -(-t // den)
+    hi = iroot_floor(up, n)
+    if hi ** n != up:
+        hi += 1
+    return FloatInterval(lo >> _GUARD, -(-hi >> _GUARD), frac_bits)
+
+
+def test_nth_root_matches_two_roots():
+    rng = random.Random(2048)
+    for _ in range(300):
+        fr = Fraction(rng.getrandbits(rng.randint(1, 200)),
+                      rng.getrandbits(rng.randint(1, 200)) + 1)
+        n = rng.randint(1, 40)
+        frac_bits = rng.choice((8, 64, 256))
+        assert nth_root(fr, n, frac_bits) == \
+            _nth_root_by_two_roots(fr, n, frac_bits), (fr, n, frac_bits)
+    for _ in range(100):
+        # perfect powers of a base dyadic at 8 bits: both roots are exact
+        base = Fraction(rng.getrandbits(rng.randint(1, 64)),
+                        1 << rng.randint(0, 8))
+        n = rng.randint(1, 40)
+        frac_bits = rng.choice((8, 64, 256))
+        iv = nth_root(base ** n, n, frac_bits)
+        assert iv == _nth_root_by_two_roots(base ** n, n, frac_bits)
+        assert iv.lo == iv.hi == base, (base, n, frac_bits)
 
 
 def test_nth_root_directed_rounding():

@@ -84,14 +84,18 @@ def _threads(args) -> int:
 def _bells(q_max: int, cache_dir: Path | None) -> BellSequence:
     if cache_dir is None:
         return BellSequence.stream(q_max)
-    cache_dir.mkdir(parents=True, exist_ok=True)
     path = cache_dir / "bell_tables.bin"
-    if path.exists():
-        cached = BellSequence.load(path)
-        if cached.q_max >= q_max:
-            return cached
-    bells = BellSequence.stream(q_max)
-    bells.save(path)
+    try:
+        cache_dir.mkdir(parents=True, exist_ok=True)
+        if path.exists():
+            cached = BellSequence.load(path)
+            if cached.q_max >= q_max:
+                return cached
+        bells = BellSequence.stream(q_max)
+        bells.save(path)
+    except OSError as exc:
+        raise PreconditionError(
+            f"--cache-dir {str(cache_dir)!r}: {exc.strerror or exc}") from None
     return bells
 
 

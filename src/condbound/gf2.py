@@ -1,15 +1,14 @@
 """GF(2^w) arithmetic on Python integers: carryless multiplication modulo
 a fixed irreducible polynomial, irreducibility and primitive elements.
 
-Moduli for w in [2, 64] ship as a data file (hex encoded, one per line);
-each entry is the smallest irreducible polynomial of its degree by integer
-encoding, and ``is_irreducible`` re-verifies any entry on demand.
+The modulus for w in [2, 64] is derived at run time, not shipped: it is
+the smallest irreducible polynomial of degree w by integer encoding, found
+by ``smallest_irreducible`` and cached per width.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from importlib import resources
 
 from .errors import PreconditionError
 
@@ -85,7 +84,7 @@ def is_irreducible(modulus: int) -> bool:
     w = modulus.bit_length() - 1
     if w < 1:
         return False
-    if _pow_x_2exp(w, modulus) != 2:  # x^(2^w) == x (mod modulus)
+    if _pow_x_2exp(w, modulus) != poly_mod(2, modulus):  # x^(2^w) == x
         return False
     for p in _prime_factors(w):
         h = _pow_x_2exp(w // p, modulus) ^ 2
@@ -98,34 +97,20 @@ def smallest_irreducible(w: int) -> int:
     """Smallest degree-w irreducible polynomial by integer encoding."""
     if w < 1:
         raise PreconditionError("degree must be >= 1")
-    # an irreducible polynomial of degree >= 1 has odd constant term
-    for cand in range((1 << w) + 1, 1 << (w + 1), 2):
-        if is_irreducible(cand):
-            return cand
-    raise PreconditionError(f"no irreducible polynomial of degree {w} found")
+    # from degree 2 on, an irreducible polynomial has odd constant term
+    step = 1 if w == 1 else 2
+    return next(cand for cand in range((1 << w) + step - 1, 1 << (w + 1), step)
+                if is_irreducible(cand))
 
 
-@lru_cache(maxsize=1)
-def modulus_table() -> dict[int, int]:
-    """Shipped moduli per field width w in [2, 64]."""
-    text = resources.files("condbound").joinpath(
-        "data/irreducible_polys.txt").read_text()
-    table = {}
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        w_str, hex_str = line.split()
-        table[int(w_str)] = int(hex_str, 16)
-    return table
-
-
+@lru_cache(maxsize=None)
 def default_modulus(w: int) -> int:
+    """The modulus of GF(2^w): the smallest degree-w irreducible polynomial."""
     if not MIN_FIELD_BITS <= w <= MAX_FIELD_BITS:
         raise PreconditionError(
             f"field width {w} outside supported range "
             f"[{MIN_FIELD_BITS}, {MAX_FIELD_BITS}]")
-    return modulus_table()[w]
+    return smallest_irreducible(w)
 
 
 def primitive_element(modulus: int) -> int:

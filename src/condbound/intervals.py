@@ -19,6 +19,7 @@ import sys
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import PreconditionError
 
@@ -41,10 +42,6 @@ def any_length(convert, value):
             return convert(value)
         finally:
             sys.set_int_max_str_digits(limit)
-
-
-def _floor_div(a: int, b: int) -> int:
-    return a // b
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -95,7 +92,7 @@ def iroot_floor(x: int, n: int) -> int:
 def _scale_fraction(fr: Fraction, frac_bits: int) -> tuple[int, int]:
     """Outward-rounded (lo_scaled, hi_scaled) of a rational at 2**-frac_bits."""
     t = fr.numerator << frac_bits
-    lo = _floor_div(t, fr.denominator)
+    lo = t // fr.denominator
     hi = _ceil_div(t, fr.denominator)
     return lo, hi
 
@@ -179,7 +176,7 @@ class FloatInterval:
         fb = self.frac_bits
         prods = [self.lo_scaled * other.lo_scaled, self.lo_scaled * other.hi_scaled,
                  self.hi_scaled * other.lo_scaled, self.hi_scaled * other.hi_scaled]
-        return FloatInterval(_floor_div(min(prods), 1 << fb),
+        return FloatInterval(min(prods) // (1 << fb),
                              _ceil_div(max(prods), 1 << fb), fb)
 
     def __truediv__(self, other: "FloatInterval") -> "FloatInterval":
@@ -213,7 +210,7 @@ class FloatInterval:
     def divide_by_int(self, n: int) -> "FloatInterval":
         if n <= 0:
             raise PreconditionError("divide_by_int requires n > 0")
-        return FloatInterval(_floor_div(self.lo_scaled, n),
+        return FloatInterval(self.lo_scaled // n,
                              _ceil_div(self.hi_scaled, n), self.frac_bits)
 
     # -- certified comparisons ---------------------------------------------
@@ -245,7 +242,7 @@ class FloatInterval:
 # rounding direction of the returned value.
 
 def _div_down(a: int, b: int, prec: int) -> int:
-    return _floor_div(a << prec, b)
+    return (a << prec) // b
 
 
 def _div_up(a: int, b: int, prec: int) -> int:
@@ -285,20 +282,10 @@ def _atanh_series(u_lo: int, u_hi: int, prec: int) -> tuple[int, int]:
     return 2 * lo_sum, 2 * (hi_sum + tail_hi)
 
 
-def _ln2_scaled(prec: int) -> tuple[int, int]:
-    """Bounds for ln 2 = 2*atanh(1/3), scaled by 2**prec."""
-    u_lo = _floor_div(1 << prec, 3)
-    u_hi = _ceil_div(1 << prec, 3)
-    return _atanh_series(u_lo, u_hi, prec)
-
-
-_LN2_CACHE: dict[int, tuple[int, int]] = {}
-
-
+@lru_cache(maxsize=None)
 def _ln2(prec: int) -> tuple[int, int]:
-    if prec not in _LN2_CACHE:
-        _LN2_CACHE[prec] = _ln2_scaled(prec)
-    return _LN2_CACHE[prec]
+    """Bounds for ln 2 = 2*atanh(1/3), scaled by 2**prec."""
+    return _atanh_series((1 << prec) // 3, _ceil_div(1 << prec, 3), prec)
 
 
 def _ln_mantissa(m_lo: int, m_hi: int, prec: int) -> tuple[int, int]:
@@ -327,7 +314,7 @@ def _ln_big_scaled(x: int, prec: int) -> tuple[int, int]:
     # mantissa m = x / 2**e in [1, 2), directed to prec bits (m_hi may
     # round up to 2)
     if e >= prec:
-        m_lo = _floor_div(x, 1 << (e - prec))
+        m_lo = x // (1 << (e - prec))
         m_hi = _ceil_div(x, 1 << (e - prec))
     else:
         m_lo = m_hi = x << (prec - e)
@@ -338,7 +325,7 @@ def _ln_big_scaled(x: int, prec: int) -> tuple[int, int]:
 
 def _round_out(lo: int, hi: int, prec: int, frac_bits: int) -> FloatInterval:
     shift = prec - frac_bits
-    return FloatInterval(_floor_div(lo, 1 << shift), _ceil_div(hi, 1 << shift),
+    return FloatInterval(lo // (1 << shift), _ceil_div(hi, 1 << shift),
                          frac_bits)
 
 

@@ -4,8 +4,9 @@ Nothing in this module touches the production code paths it is used to
 check: set partitions are enumerated one by one, assignment averages come
 from explicit enumeration over all N^M assignments, Bell numbers are
 rebuilt through the binomial recurrence, hash seeds are evaluated one by
-one with a carry-less multiply of their own, and the atanh series runs
-through one named rounding helper per operation.
+one with a carry-less multiply of their own, the smallest irreducible
+polynomial of a degree is found by trial division, and the atanh series
+runs through one named rounding helper per operation.
 """
 
 from fractions import Fraction
@@ -120,6 +121,18 @@ def seed_bin0_histogram(w: int, q: int, output_bits: int,
             load += acc >> shift == 0
         counts[load] = counts.get(load, 0) + 1
     return counts
+
+
+def smallest_irreducible_by_trial_division(w: int) -> int:
+    """The least degree-w binary polynomial, by integer encoding, that no
+    polynomial of degree 1 to w // 2 divides."""
+    def remainder(a: int, d: int) -> int:
+        while a.bit_length() >= d.bit_length():
+            a ^= d << (a.bit_length() - d.bit_length())
+        return a
+
+    return next(p for p in range(1 << w, 1 << (w + 1))
+                if all(remainder(p, d) for d in range(2, 1 << (w // 2 + 1))))
 
 
 def load_distribution_moment(support: dict, order: int) -> Fraction:

@@ -175,6 +175,17 @@ def test_truncated_bell_cache_exits_2(capsys, tmp_path, body):
     assert "truncated" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cache_dir", ["file", "file/sub", "dir"],
+                         ids=["file", "under-file", "cache-is-directory"])
+def test_unusable_cache_dir_exits_2(capsys, tmp_path, cache_dir):
+    (tmp_path / "file").write_bytes(b"")
+    (tmp_path / "dir" / "bell_tables.bin").mkdir(parents=True)
+    code = dispatch(["lemma2", "--q", "4", "--log2m", "11",
+                     "--cache-dir", str(tmp_path / cache_dir)])
+    assert code == 2
+    assert "--cache-dir" in capsys.readouterr().err
+
+
 def test_strict_undetermined_condense(capsys):
     code, out = run_cli(capsys, "condense", "check", "--q", "4", "--k", "11",
                         "--strict")

@@ -8,8 +8,8 @@ import pytest
 import condbound
 from condbound.errors import PreconditionError
 from condbound.gf2 import (clmul, default_modulus, gf_mul, is_irreducible,
-                           modulus_table, poly_mod, primitive_element,
-                           smallest_irreducible)
+                           poly_mod, primitive_element, smallest_irreducible)
+from oracles import smallest_irreducible_by_trial_division
 
 
 def test_clmul_basic():
@@ -35,26 +35,32 @@ def test_gf4_multiplication_table():
 
 
 def test_shipped_moduli_are_irreducible():
-    table = modulus_table()
-    assert sorted(table) == list(range(2, 65))
-    for w, mod in table.items():
+    for w in range(2, 65):
+        mod = default_modulus(w)
         assert mod.bit_length() - 1 == w
         assert is_irreducible(mod), w
 
 
 def test_shipped_moduli_are_smallest():
-    for w in [2, 3, 4, 8, 12]:
-        assert modulus_table()[w] == smallest_irreducible(w)
+    for w in range(1, 13):
+        expected = smallest_irreducible_by_trial_division(w)
+        assert smallest_irreducible(w) == expected, w
+        if w >= 2:
+            assert default_modulus(w) == expected, w
 
 
 def test_classic_degree8_modulus():
-    assert modulus_table()[8] == 0x11B
+    assert default_modulus(8) == 0x11B
+    assert default_modulus(64) == 0x1000000000000001B  # x^64+x^4+x^3+x+1
 
 
 def test_irreducibility_rejects_composites():
     assert not is_irreducible(0b101)      # x^2+1 = (x+1)^2
     assert not is_irreducible(0b1001)     # x^3+1 = (x+1)(x^2+x+1)
     assert not is_irreducible(0b110)      # divisible by x
+    assert not is_irreducible(0b1)        # a constant has degree 0
+    assert is_irreducible(0b10)           # x
+    assert is_irreducible(0b11)           # x+1
     assert is_irreducible(0b111)
     assert is_irreducible(0b1011)
 

@@ -9,7 +9,7 @@ from .anticonc import (AntiConcentrationCertificate, certificate_ordering,
                        lemma2_certificate, pz_bound)
 from .asymptotic import (AsymptoticEstimate, estimate_residual,
                          stirling_max_log_estimate)
-from .combinat import BellSequence, binomial, falling_factorial
+from .combinat import BellSequence
 from .condenser import (CondenserParams, CondenserVerdict,
                         asymptotic_gap_report, impossibility_certificate,
                         necessary_independence, positive_params)
@@ -24,9 +24,8 @@ __all__ = [
     "CondenserParams", "CondenserVerdict", "ExactLoadDistribution",
     "FloatInterval", "HashFamilySpec", "MomentResult", "PreconditionError",
     "SimulationConfig", "SimulationReport", "asymptotic_gap_report",
-    "binomial",
     "certificate_ordering", "estimate_residual", "evaluate_hash",
-    "exact_small_oracle", "falling_factorial", "impossibility_certificate",
+    "exact_small_oracle", "impossibility_certificate",
     "independent_oracle", "lemma2_certificate", "log2_interval",
     "moment_norm", "moment_sandwich", "necessary_independence", "nth_root",
     "positive_params", "pz_bound", "raw_moment", "run_trials",

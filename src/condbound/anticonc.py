@@ -9,14 +9,16 @@ independent family:
   (B_{q/2})^(2/q) / 2 and probability (1 - q^2/(2M)) (B_{q/2})^2 / (2 B_q).
 
 The exact-moment variant reads two raw moments from one pass over the
-Stirling rows.  The Bell variants read a ``BellSequence``, and each of their
-quantities has one definition here: ``lemma2_probability`` for p and
-``lemma2_threshold_power`` for tau^q; the condenser layer reads both and
-does no Bell arithmetic of its own.
+Stirling rows.  The Bell variants read a ``BellSequence``, and p has one
+definition here, ``lemma2_probability``; the condenser layer does no Bell
+arithmetic of its own.
 
-Thresholds are reported as enclosures and always consumed through their
-lower endpoint: {S >= tau} is a subset of {S >= tau.lo}, so every stated
-certificate remains true after rounding.  Probabilities stay exact
+Every threshold is a q-th root of an exact rational.  A certificate keeps
+tau^q exact as ``threshold_power``, and its ``threshold`` property takes
+the root, the only one here, on first read; the condenser search reads
+log2(tau^q)/q instead.  Thresholds are enclosures, always consumed through
+their lower endpoint: {S >= tau} is a subset of {S >= tau.lo}, so every
+stated certificate remains true after rounding.  Probabilities stay exact
 rationals.  A certificate whose probability is not positive is vacuous
 (it claims nothing) and is a first-class value, not an error; for the
 Bell variants that happens exactly when q^2 >= 2M, and the exact-moment
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .combinat import BellSequence
 from .errors import CondboundError, PreconditionError
@@ -39,11 +42,12 @@ VARIANT_BELL = "bell-bound"
 
 @dataclass(frozen=True)
 class AntiConcentrationCertificate:
-    """Pr[S >= threshold.lo] >= probability, unless vacuous."""
+    """Pr[S >= threshold.lo] >= probability, unless vacuous, where
+    threshold encloses the q-th root of threshold_power."""
 
     q: int
     M: int
-    threshold: FloatInterval
+    threshold_power: Fraction
     probability: Fraction
     variant: str
     theta: Fraction | None = None
@@ -51,6 +55,10 @@ class AntiConcentrationCertificate:
     def __post_init__(self):
         if self.probability > 1:
             raise PreconditionError("certificate probability above 1")
+
+    @cached_property
+    def threshold(self) -> FloatInterval:
+        return nth_root(self.threshold_power, self.q)
 
     @property
     def vacuous(self) -> bool:
@@ -67,8 +75,8 @@ def _check_q(q: int):
 def pz_bound(inst: BallsBinsInstance, theta) -> AntiConcentrationCertificate:
     """Paley-Zygmund certificate from the exact moments of the instance.
 
-    Threshold: theta^(2/q) * ||S||_{q/2}, computed as the single root
-    ((theta * E S^{q/2})^2)^(1/q).  Probability:
+    Threshold: theta^(2/q) * ||S||_{q/2}, the q-th root of
+    (theta * E S^{q/2})^2.  Probability:
     (1-theta)^2 * (E S^{q/2})^2 / E S^q, exact.  Both moments come from
     one pass over the Stirling rows, so a q above DEFAULT_QMAX_CAP is
     rejected before any work.
@@ -82,10 +90,9 @@ def pz_bound(inst: BallsBinsInstance, theta) -> AntiConcentrationCertificate:
         raise PreconditionError("pz_bound is stated for M = N only")
     moments = _moment_values(inst, (q, q // 2))
     full, half = moments[q], moments[q // 2]
-    threshold = nth_root((theta * half) ** 2, q)
     prob = (1 - theta) ** 2 * half ** 2 / full
-    return AntiConcentrationCertificate(q, inst.balls, threshold, prob,
-                                        VARIANT_EXACT, theta)
+    return AntiConcentrationCertificate(q, inst.balls, (theta * half) ** 2,
+                                        prob, VARIANT_EXACT, theta)
 
 
 def lemma2_probability(q: int, M: int, bells: BellSequence) -> Fraction:
@@ -95,23 +102,19 @@ def lemma2_probability(q: int, M: int, bells: BellSequence) -> Fraction:
             * Fraction(bells.bell(q // 2) ** 2, 2 * bells.bell(q)))
 
 
-def lemma2_threshold_power(q: int, bells: BellSequence) -> Fraction:
-    """tau^q = (B_{q/2})^2 / 4^(q/2) for tau = (B_{q/2})^(2/q) / 2, exact."""
-    return Fraction(bells.bell(q // 2) ** 2, 4 ** (q // 2))
-
-
 def lemma2_certificate(q: int, M: int,
                        bells: BellSequence) -> AntiConcentrationCertificate:
     """Bell-number certificate for M = N: threshold (B_{q/2})^(2/q) / 2,
-    probability (1 - q^2/(2M)) * (B_{q/2})^2 / (2 B_q).
+    the q-th root of (B_{q/2})^2 / 4^(q/2), and probability
+    (1 - q^2/(2M)) * (B_{q/2})^2 / (2 B_q).
 
     Vacuous exactly when q^2 >= 2M.
     """
     _check_q(q)
     if M < 1:
         raise PreconditionError("lemma2_certificate requires M >= 1")
-    threshold = nth_root(lemma2_threshold_power(q, bells), q)
-    return AntiConcentrationCertificate(q, M, threshold,
+    power = Fraction(bells.bell(q // 2) ** 2, 4 ** (q // 2))
+    return AntiConcentrationCertificate(q, M, power,
                                         lemma2_probability(q, M, bells),
                                         VARIANT_BELL)
 
@@ -119,8 +122,8 @@ def lemma2_certificate(q: int, M: int,
 def bell_bound_at_theta(q: int, M: int, theta,
                         bells: BellSequence) -> AntiConcentrationCertificate:
     """Bell-number certificate with theta kept explicit: threshold
-    theta^(2/q) * (B_{q/2})^(2/q), probability
-    (1-theta)^2 * (1 - q^2/(2M)) * (B_{q/2})^2 / B_q.
+    theta^(2/q) * (B_{q/2})^(2/q), the q-th root of (theta * B_{q/2})^2,
+    and probability (1-theta)^2 * (1 - q^2/(2M)) * (B_{q/2})^2 / B_q.
 
     Setting theta = 1/q and relaxing theta^(2/q) and (1-theta)^2 to 1/2
     recovers lemma2_certificate.
@@ -129,9 +132,9 @@ def bell_bound_at_theta(q: int, M: int, theta,
     if not 0 < theta < 1:
         raise PreconditionError("bell_bound_at_theta requires 0 < theta < 1")
     _check_q(q)
-    threshold = nth_root((theta * bells.bell(q // 2)) ** 2, q)
+    power = (theta * bells.bell(q // 2)) ** 2
     prob = 2 * (1 - theta) ** 2 * lemma2_probability(q, M, bells)
-    return AntiConcentrationCertificate(q, M, threshold, prob, VARIANT_BELL,
+    return AntiConcentrationCertificate(q, M, power, prob, VARIANT_BELL,
                                         theta)
 
 
@@ -146,7 +149,6 @@ class CertificateComparison:
     bell: AntiConcentrationCertificate
     exact: AntiConcentrationCertificate
     lemma2: AntiConcentrationCertificate
-    bell_p_le_exact_p: bool
     exact_tau_le_bell_tau: bool
 
 
@@ -165,11 +167,10 @@ def certificate_ordering(q: int, M: int,
     inst = BallsBinsInstance(M, M, q)
     cert_exact = pz_bound(inst, theta)
     cert_bell = bell_bound_at_theta(q, M, theta, bells)
-    p_ok = cert_bell.probability <= cert_exact.probability
-    tau_ok = cert_exact.threshold.hi <= cert_bell.threshold.hi
-    if not p_ok:
+    if cert_bell.probability > cert_exact.probability:
         raise CondboundError(
             "bell-bound probability exceeded the exact-moment probability; "
             "this contradicts the moment sandwich")
+    tau_ok = cert_exact.threshold.hi <= cert_bell.threshold.hi
     return CertificateComparison(q, M, theta, cert_bell, cert_exact, cert_l2,
-                                 p_ok, tau_ok)
+                                 tau_ok)

@@ -15,32 +15,15 @@ DEFAULT_QMAX_CAP bounds every row, stream and cache file.
 
 from __future__ import annotations
 
-import math
+import os
 import struct
+import tempfile
 from collections import deque
 from itertools import accumulate, repeat
 
 from .errors import CapacityError, PreconditionError
 
 DEFAULT_QMAX_CAP = 2048
-
-
-def binomial(n: int, k: int) -> int:
-    """n choose k; 0 when k > n."""
-    if k < 0:
-        raise PreconditionError("binomial requires k >= 0")
-    if n < 0:
-        raise PreconditionError("binomial requires n >= 0")
-    return math.comb(n, k)
-
-
-def falling_factorial(n: int, k: int) -> int:
-    """n*(n-1)*...*(n-k+1); 0 when k > n, 1 when k = 0."""
-    if k < 0:
-        raise PreconditionError("falling_factorial requires k >= 0")
-    if n < 0:
-        raise PreconditionError("falling_factorial requires n >= 0")
-    return math.perm(n, k)
 
 
 def _check_q_max(q_max: int) -> None:
@@ -113,16 +96,27 @@ class BellSequence:
     # -- binary cache ------------------------------------------------------
 
     def save(self, path) -> None:
-        with open(path, "wb") as fh:
-            fh.write(self.MAGIC)
-            fh.write(struct.pack("<II", self.VERSION, self.q_max))
-            # row maxima are written only when already known
-            for seq in (self.values, self._row_maxima or []):
-                fh.write(struct.pack("<I", len(seq)))
-                for v in seq:
-                    blob = v.to_bytes((v.bit_length() + 7) // 8 or 1, "big")
-                    fh.write(struct.pack("<I", len(blob)))
-                    fh.write(blob)
+        """Write a temporary file beside ``path`` and move it into place, so
+        a failed save leaves the previous cache file as it was."""
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".")
+        try:
+            with open(fd, "wb") as fh:
+                self._write(fh)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+
+    def _write(self, fh) -> None:
+        fh.write(self.MAGIC)
+        fh.write(struct.pack("<II", self.VERSION, self.q_max))
+        # row maxima are written only when already known
+        for seq in (self.values, self._row_maxima or []):
+            fh.write(struct.pack("<I", len(seq)))
+            for v in seq:
+                blob = v.to_bytes((v.bit_length() + 7) // 8 or 1, "big")
+                fh.write(struct.pack("<I", len(blob)))
+                fh.write(blob)
 
     @classmethod
     def load(cls, path) -> "BellSequence":

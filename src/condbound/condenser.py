@@ -24,10 +24,10 @@ exists.
 The side condition 2^k > q^2 keeps the certificate non-vacuous, so every
 verdict carries a region.
 
-This module does no Bell arithmetic of its own: p and tau^q come from
-``anticonc``, where each is defined once.  Asymptotic shorthands never
-produce numbers here; the closed-form trend is attached to reports for
-comparison only.
+This module does no Bell arithmetic of its own: it reads p and tau^q from
+the ``anticonc`` certificate, where each is defined once.  Asymptotic
+shorthands never produce numbers here; the closed-form trend is attached
+to reports for comparison only.
 """
 
 from __future__ import annotations
@@ -36,8 +36,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .anticonc import (AntiConcentrationCertificate, lemma2_certificate,
-                       lemma2_probability, lemma2_threshold_power)
+from .anticonc import AntiConcentrationCertificate, lemma2_certificate
 from .combinat import BellSequence
 from .errors import CapacityError, PreconditionError
 from .intervals import FloatInterval, log2_interval
@@ -191,8 +190,8 @@ def necessary_independence(log2_inv_eps, k: int, loss,
     * the enclosures are about 2^-250 wide (DEFAULT_FRAC_BITS = 256), far
       below that drop, so their lower endpoints fall with q as well.
 
-    The probes use the exact threshold rather than its rounded-down
-    endpoint, so the q found is re-checked through the certificate.
+    The probes read tau^q and never take its root; the q found is
+    re-checked through the verdict, which uses tau's rounded-down endpoint.
     """
     L = _coerce_target(log2_inv_eps)
     loss = _coerce_target(loss)
@@ -202,9 +201,10 @@ def necessary_independence(log2_inv_eps, k: int, loss,
     M = 1 << k
 
     def eps_ok(q: int) -> bool:
+        cert = lemma2_certificate(q, M, bells)
         log2_eps_star = (
-            log2_interval(lemma2_probability(q, M, bells))
-            + log2_interval(lemma2_threshold_power(q, bells)).divide_by_int(q)
+            log2_interval(cert.probability)
+            + log2_interval(cert.threshold_power).divide_by_int(q)
         ).shift(-1)
         return log2_eps_star.certainly_gt(-L)
 

@@ -5,7 +5,7 @@ import pytest
 from condbound import (BallsBinsInstance, certificate_ordering,
                        lemma2_certificate, pz_bound, raw_moment)
 from condbound import moments
-from condbound.anticonc import bell_bound_at_theta, lemma2_threshold_power
+from condbound.anticonc import bell_bound_at_theta
 from condbound.errors import PreconditionError
 
 from oracles import assignment_bin0_histogram
@@ -42,10 +42,30 @@ def test_lemma2_vacuous_boundary(bells16):
 
 def test_lemma2_threshold_power_is_tau_to_the_q(bells1024):
     for q in (4, 6, 64, 1024):
-        power = lemma2_threshold_power(q, bells1024)
+        cert = lemma2_certificate(q, 1 << 30, bells1024)
+        power = cert.threshold_power
         assert power == Fraction(bells1024.bell(q // 2) ** 2, 2 ** q)
-        tau = lemma2_certificate(q, 1 << 30, bells1024).threshold
+        tau = cert.threshold
         assert tau.lo ** q <= power <= tau.hi ** q
+
+
+def test_each_builder_stores_tau_to_the_q(bells64):
+    # tau^q is kept exact, and threshold encloses its q-th root
+    M = 2 ** 10
+    for q, theta in ((4, Fraction(1, 2)), (8, Fraction(1, 8)),
+                     (16, Fraction(3, 4))):
+        inst = BallsBinsInstance(M, M, q)
+        half = raw_moment(inst, q // 2).value
+        b_half = bells64.bell(q // 2)
+        for cert, power in (
+                (pz_bound(inst, theta), (theta * half) ** 2),
+                (lemma2_certificate(q, M, bells64),
+                 Fraction(b_half ** 2, 4 ** (q // 2))),
+                (bell_bound_at_theta(q, M, theta, bells64),
+                 (theta * b_half) ** 2)):
+            assert cert.threshold_power == power
+            tau = cert.threshold
+            assert tau.lo ** q <= power <= tau.hi ** q
 
 
 def test_lemma2_parity_preconditions(bells16):
@@ -119,7 +139,6 @@ def test_pz_preconditions():
 def test_certificate_ordering(bells16):
     for q, M in [(4, 2 ** 11), (8, 2 ** 10)]:
         cmp = certificate_ordering(q, M, bells16)
-        assert cmp.bell_p_le_exact_p
         assert cmp.bell.probability <= cmp.exact.probability
         assert cmp.exact_tau_le_bell_tau
         # lemma2 is the fully relaxed corner of the theta form

@@ -1,12 +1,16 @@
+import os
 import struct
+import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import accumulate
+from pathlib import Path
 
 import pytest
 
-from condbound import BellSequence, binomial, falling_factorial
+import condbound
+from condbound import BellSequence
 from condbound import combinat
 from condbound.combinat import _stirling_rows
 from condbound.errors import CapacityError, PreconditionError
@@ -70,23 +74,6 @@ def test_binomial_recurrence_independent_identity(table64):
         assert sum(table64[q]) == ref[q]
 
 
-def test_binomial():
-    assert binomial(5, 2) == 10
-    assert binomial(7, 0) == 1
-    assert binomial(3, 7) == 0
-    with pytest.raises(PreconditionError):
-        binomial(3, -1)
-
-
-def test_falling_factorial():
-    assert falling_factorial(4, 3) == 24
-    assert falling_factorial(9, 1) == 9
-    assert falling_factorial(4, 0) == 1
-    assert falling_factorial(3, 7) == 0
-    with pytest.raises(PreconditionError):
-        falling_factorial(4, -2)
-
-
 def test_streaming_matches_table(table64):
     stream = BellSequence.stream(64)
     assert stream.values == [sum(r) for r in table64]
@@ -146,6 +133,32 @@ def test_bell_cache_roundtrip(tmp_path):
     loaded = BellSequence.load(path)
     assert loaded.values == bells.values
     assert loaded.row_maxima == bells.row_maxima
+
+
+_SAVE_UNDER_FSIZE_LIMIT = """
+import resource, sys
+from condbound import BellSequence
+resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096))
+BellSequence([10 ** 100] * 2000).save(sys.argv[1])
+"""
+
+
+def test_failed_save_keeps_the_previous_cache(tmp_path):
+    # past the file-size limit a write fails with EFBIG (CPython ignores
+    # SIGXFSZ); the cache written before must survive, with no leftovers
+    path = tmp_path / "bell_tables.bin"
+    BellSequence.stream(12).save(path)
+    before = path.read_bytes()
+    src = str(Path(condbound.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", _SAVE_UNDER_FSIZE_LIMIT, str(path)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode != 0
+    assert "File too large" in proc.stderr
+    assert path.read_bytes() == before
+    assert BellSequence.load(path).values == BellSequence.stream(12).values
+    assert os.listdir(tmp_path) == ["bell_tables.bin"]
 
 
 def test_bell_cache_integrity(tmp_path):

@@ -7,7 +7,8 @@ import pytest
 from condbound import (BellSequence, HashFamilySpec, asymptotic_gap_report,
                        impossibility_certificate, lemma2_certificate,
                        necessary_independence, positive_params)
-from condbound.anticonc import lemma2_probability, lemma2_threshold_power
+from condbound import anticonc
+from condbound.anticonc import lemma2_probability
 from condbound.combinat import DEFAULT_QMAX_CAP
 from condbound.condenser import (FEASIBLE_IMPOSSIBLE, FEASIBLE_UNDETERMINED,
                                  heavy_bin_reduction)
@@ -171,7 +172,8 @@ def test_necessary_independence_matches_linear_scan(L, loss, expect):
 def _log2_q_factor(q: int, bells: BellSequence) -> FloatInterval:
     """log2 g(q), where eps_star(q) = (1 - q^2/(2M)) * g(q)."""
     half = bells.bell(q // 2)
-    log2_tau = log2_interval(lemma2_threshold_power(q, bells)).divide_by_int(q)
+    power = lemma2_certificate(q, 1 << 64, bells).threshold_power
+    log2_tau = log2_interval(power).divide_by_int(q)
     return (log2_interval(Fraction(half * half, 2 * bells.bell(q)))
             + log2_tau).shift(-1)
 
@@ -186,6 +188,21 @@ def test_eps_star_q_factor_falls_per_even_step():
         cur = _log2_q_factor(q + 2, bells)
         assert (prev - cur).certainly_gt(Fraction(1, 2)), q
         prev = cur
+
+
+def test_necessary_independence_takes_one_root(monkeypatch, bells1024):
+    # the probes read tau^q exactly; only the verdict on the q found takes
+    # a q-th root
+    roots = []
+    nth_root = anticonc.nth_root
+
+    def counting(x, n, *args):
+        roots.append(n)
+        return nth_root(x, n, *args)
+
+    monkeypatch.setattr(anticonc, "nth_root", counting)
+    assert necessary_independence(128, 64, 1, bells1024) == 174
+    assert roots == [174]
 
 
 def test_side_condition_keeps_the_certificate_non_vacuous(bells1024):

@@ -26,6 +26,8 @@ def test_readme_library_block():
     assert eval("raw_moment(inst, 3).value", namespace) == Fraction(29, 8)
     assert commented["cert.probability"].startswith("Fraction(17, 128)")
     assert eval("cert.probability", namespace) == Fraction(17, 128)
+    assert commented["cert.threshold_power"].startswith("Fraction(1, 4)")
+    assert eval("cert.threshold_power", namespace) == Fraction(1, 4)
     assert commented["verdict.reduction.epsilon_star"].endswith("~2^-43.54")
     eps = eval("verdict.reduction.epsilon_star", namespace)
     log2_eps = math.log2(eps.numerator) - math.log2(eps.denominator)

@@ -32,6 +32,7 @@ to reports for comparison only.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -167,20 +168,21 @@ def _search_window(k: int, bells: BellSequence) -> list[int]:
 
 
 def necessary_independence(log2_inv_eps, k: int, loss,
-                           bells: BellSequence) -> int | None:
-    """Largest even q whose certificate rules out the target (loss, eps).
+                           bells: BellSequence) -> CondenserVerdict | None:
+    """Verdict at the largest even q whose certificate rules out the target
+    (loss, eps); its ``params.independence`` is that q.
 
     Certificates at lower independence transfer upward (a q'-universal
-    family is q-universal for q <= q'), so the returned q, the top of the
+    family is q-universal for q <= q'), so the q found, the top of the
     certifying band, rules the target out for every family whose
     independence is at least q.  Returns None when no q in the admissible
     window rules the target out; raises CapacityError when the band is
     still open at the top of the table (q_max too small to locate it).
 
     Each probe asks whether log2(eps_star) = log2(p) + log2(tau^q)/q - 1
-    certainly exceeds -log2(1/eps), and a plain binary search over the
-    even q of the window finds the last probe that does.  That is sound
-    because the probe predicate is monotone in q:
+    certainly exceeds -log2(1/eps), and a bisection over the even q of the
+    window finds the first probe that does not.  That is sound because the
+    probe predicate is monotone in q:
 
     * eps_star(q) = (1 - q^2/(2M)) * g(q), where g depends on q only;
     * on the window (q^2 < M) the first factor lies in (1/2, 1] and falls
@@ -191,7 +193,8 @@ def necessary_independence(log2_inv_eps, k: int, loss,
       below that drop, so their lower endpoints fall with q as well.
 
     The probes read tau^q and never take its root; the q found is
-    re-checked through the verdict, which uses tau's rounded-down endpoint.
+    re-checked through the verdict, which uses tau's rounded-down endpoint,
+    so a call takes one q-th root.
     """
     L = _coerce_target(log2_inv_eps)
     loss = _coerce_target(loss)
@@ -208,23 +211,16 @@ def necessary_independence(log2_inv_eps, k: int, loss,
         ).shift(-1)
         return log2_eps_star.certainly_gt(-L)
 
-    if eps_ok(qs[-1]):
+    first_fail = bisect.bisect_left(qs, True, key=lambda q: not eps_ok(q))
+    if first_fail == len(qs):
         raise CapacityError(
             f"search window exhausted: eps_star at q={qs[-1]} still exceeds "
             "the target; rebuild with a larger table")
-    if not eps_ok(qs[0]):
+    if first_fail == 0:
         return None
-    lo_idx, hi_idx = 0, len(qs) - 1
-    while hi_idx - lo_idx > 1:
-        mid = (lo_idx + hi_idx) // 2
-        if eps_ok(qs[mid]):
-            lo_idx = mid
-        else:
-            hi_idx = mid
-    q_best = qs[lo_idx]
-    verdict = impossibility_certificate(q_best, k, bells, loss=loss,
-                                        log2_inv_eps=L)
-    return q_best if verdict.target_covered else None
+    verdict = impossibility_certificate(qs[first_fail - 1], k, bells,
+                                        loss=loss, log2_inv_eps=L)
+    return verdict if verdict.target_covered else None
 
 
 @dataclass(frozen=True)
@@ -250,7 +246,8 @@ def asymptotic_gap_report(log2_inv_eps_list, k: int, bells: BellSequence,
     for L in log2_inv_eps_list:
         L = Fraction(L)
         q_plus = positive_params(L).independence
-        q_minus = necessary_independence(L, k, loss, bells)
+        verdict = necessary_independence(L, k, loss, bells)
+        q_minus = None if verdict is None else verdict.params.independence
         ratio = None if q_minus is None else Fraction(q_minus) / L
         loglog = math.log2(math.log2(float(L)))
         half_width = loglog / math.log2(float(L))

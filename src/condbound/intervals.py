@@ -112,12 +112,6 @@ class FloatInterval:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_fraction(cls, fr, frac_bits: int = DEFAULT_FRAC_BITS) -> "FloatInterval":
-        fr = Fraction(fr)
-        lo, hi = _scale_fraction(fr, frac_bits)
-        return cls(lo, hi, frac_bits)
-
-    @classmethod
     def from_int(cls, n: int, frac_bits: int = DEFAULT_FRAC_BITS) -> "FloatInterval":
         return cls(n << frac_bits, n << frac_bits, frac_bits)
 
@@ -135,23 +129,6 @@ class FloatInterval:
     def width(self) -> Fraction:
         return Fraction(self.hi_scaled - self.lo_scaled, 1 << self.frac_bits)
 
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
-    def contains(self, value) -> bool:
-        v = Fraction(value)
-        return self.lo <= v <= self.hi
-
-    def __float__(self) -> float:
-        return float(self.midpoint())
-
-    def __repr__(self):
-        return f"FloatInterval(~{float(self):.12g}, width=2^{self.width_log2()})"
-
-    def width_log2(self) -> int:
-        w = self.hi_scaled - self.lo_scaled
-        return w.bit_length() - self.frac_bits if w else -(10 ** 9)
-
     # -- arithmetic (outward) ----------------------------------------------
 
     def _check(self, other: "FloatInterval"):
@@ -167,9 +144,6 @@ class FloatInterval:
         self._check(other)
         return FloatInterval(self.lo_scaled - other.hi_scaled,
                              self.hi_scaled - other.lo_scaled, self.frac_bits)
-
-    def __neg__(self) -> "FloatInterval":
-        return FloatInterval(-self.hi_scaled, -self.lo_scaled, self.frac_bits)
 
     def __mul__(self, other: "FloatInterval") -> "FloatInterval":
         self._check(other)
@@ -190,15 +164,6 @@ class FloatInterval:
         _, hi = _scale_fraction(max(quots), fb)
         return FloatInterval(lo, hi, fb)
 
-    def scale(self, fr) -> "FloatInterval":
-        """Multiply by an exact rational, outward rounded."""
-        fr = Fraction(fr)
-        fb = self.frac_bits
-        cands = [self.lo * fr, self.hi * fr]
-        lo, _ = _scale_fraction(min(cands), fb)
-        _, hi = _scale_fraction(max(cands), fb)
-        return FloatInterval(lo, hi, fb)
-
     def shift(self, fr) -> "FloatInterval":
         """Add an exact rational, outward rounded."""
         fr = Fraction(fr)
@@ -213,27 +178,13 @@ class FloatInterval:
         return FloatInterval(self.lo_scaled // n,
                              _ceil_div(self.hi_scaled, n), self.frac_bits)
 
-    # -- certified comparisons ---------------------------------------------
+    # -- certified comparisons with an exact rational ----------------------
 
-    def certainly_lt(self, other) -> bool:
-        if isinstance(other, FloatInterval):
-            return self.hi < other.lo
-        return self.hi < Fraction(other)
+    def certainly_gt(self, value) -> bool:
+        return self.lo > value
 
-    def certainly_le(self, other) -> bool:
-        if isinstance(other, FloatInterval):
-            return self.hi <= other.lo
-        return self.hi <= Fraction(other)
-
-    def certainly_gt(self, other) -> bool:
-        if isinstance(other, FloatInterval):
-            return self.lo > other.hi
-        return self.lo > Fraction(other)
-
-    def certainly_ge(self, other) -> bool:
-        if isinstance(other, FloatInterval):
-            return self.lo >= other.hi
-        return self.lo >= Fraction(other)
+    def certainly_ge(self, value) -> bool:
+        return self.lo >= value
 
 
 # -- fixed point series kernels (positive domain, directed rounding) -------

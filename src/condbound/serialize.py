@@ -9,7 +9,6 @@ statistics (means, standard errors) are genuine floats and stay floats.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import asdict
 from fractions import Fraction
@@ -124,13 +123,14 @@ def gap_rows_dict(rows: list[GapRow]) -> dict:
     } for r in rows]}
 
 
-def minq_dict(k: int, loss, log2_inv_eps, q_minus: int | None,
+def minq_dict(k: int, loss, log2_inv_eps,
               verdict: CondenserVerdict | None) -> dict:
     return {
         "k": k,
         "target": {"loss": rational_dict(loss),
                    "log2_inv_eps": rational_dict(log2_inv_eps)},
-        "q_lower_bound": q_minus,
+        "q_lower_bound": None if verdict is None
+        else verdict.params.independence,
         "verdict_at_bound": None if verdict is None else verdict_dict(verdict),
     }
 
@@ -275,4 +275,6 @@ def flatten(value, prefix: str = "") -> list[tuple[str, str]]:
 
 
 def write_csv(rows, out) -> None:
-    csv.writer(out, lineterminator="\n").writerows(rows)
+    """Write rows as comma-separated lines.  No field the CLI writes holds
+    a comma, a quote or a line break, so no field needs quoting."""
+    out.writelines(",".join(map(str, row)) + "\n" for row in rows)

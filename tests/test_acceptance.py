@@ -190,9 +190,9 @@ def test_criterion_7_ratio_trend(bells1024):
     toward 1 as eps shrinks."""
     ratios = {}
     for L in [64, 128, 256, 512]:
-        q_minus = necessary_independence(L, 64, 1, bells1024)
-        assert q_minus is not None
-        ratios[L] = Fraction(q_minus, L)
+        verdict = necessary_independence(L, 64, 1, bells1024)
+        assert verdict is not None
+        ratios[L] = Fraction(verdict.params.independence, L)
     ordered_by_eps_ascending = [ratios[512], ratios[256], ratios[128],
                                 ratios[64]]
     for a, b in zip(ordered_by_eps_ascending, ordered_by_eps_ascending[1:]):

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import condbound
-from condbound import combinat, hashsim, serialize
+from condbound import anticonc, combinat, hashsim, serialize
 from condbound.anticonc import lemma2_certificate
 from condbound.cli import LOG2_SIZE_CAP, build_parser, dispatch
 from condbound.combinat import DEFAULT_QMAX_CAP, BellSequence
@@ -241,6 +241,38 @@ def test_condense_sweep_single(capsys):
     assert rows[0]["q_plus"] == 64
     assert rows[0]["q_minus"] == 90
     assert parse_rational(rows[0]["ratio"]) == Fraction(90, 64)
+
+
+@pytest.mark.parametrize("command", ["minq", "sweep"])
+@pytest.mark.parametrize("log2eps", ["64", "128"])
+def test_longer_bell_cache_keeps_the_search_window(capsys, tmp_path,
+                                                   command, log2eps):
+    # q = 174 rules out 2^-128 at loss 1, past --qmax 128: without a cache
+    # the window is exhausted, and a cached table up to q = 256 must not
+    # widen it
+    BellSequence.stream(256).save(tmp_path / "bell_tables.bin")
+    argv = ["condense", command, "--log2eps", log2eps, "--k", "64",
+            "--loss", "1", "--qmax", "128"]
+    plain = dispatch(argv), capsys.readouterr()
+    cached = dispatch([*argv, "--cache-dir", str(tmp_path)]), capsys.readouterr()
+    assert cached == plain
+    assert plain[0] == (0 if log2eps == "64" else 2)
+
+
+def test_minq_takes_one_root(monkeypatch, capsys):
+    # the verdict necessary_independence re-checks is the one minq prints
+    roots = []
+    nth_root = anticonc.nth_root
+
+    def counting(x, n, *args):
+        roots.append(n)
+        return nth_root(x, n, *args)
+
+    monkeypatch.setattr(anticonc, "nth_root", counting)
+    env = run_json(capsys, "condense", "minq", "--log2eps", "128", "--k", "64",
+                   "--loss", "1")
+    assert env["result"]["q_lower_bound"] == 174
+    assert roots == [174]
 
 
 def test_asymptotics_csv_json_equal_values(capsys):

@@ -41,7 +41,8 @@ def test_positive_params_loss_encloses_log2_q():
     enclosure = log2_interval(100)
     assert isinstance(loss, FloatInterval)
     assert enclosure.lo <= loss.lo and loss.hi <= enclosure.hi
-    assert not enclosure.contains(Fraction(math.log2(100)))
+    as_float = Fraction(math.log2(100))
+    assert not enclosure.lo <= as_float <= enclosure.hi
 
 
 def test_impossibility_small_q_small_k(bells16):
@@ -117,7 +118,7 @@ def test_monotonicity_over_window(bells1024):
         red = heavy_bin_reduction(lemma2_certificate(q, 1 << k, bells1024))
         if prev_ell is not None:
             assert prev_ell.lo <= red.ell_star.hi  # nondecreasing
-            assert red.log2_eps_star.certainly_lt(prev_eps)  # decreasing
+            assert red.log2_eps_star.hi < prev_eps.lo  # decreasing
         prev_ell, prev_eps = red.ell_star, red.log2_eps_star
 
 
@@ -132,10 +133,20 @@ def test_never_contradicts_positive_guarantee(bells1024):
         assert v.feasible == FEASIBLE_UNDETERMINED
 
 
+def _q_found(log2_inv_eps, k, loss, bells) -> int | None:
+    verdict = necessary_independence(log2_inv_eps, k, loss, bells)
+    return None if verdict is None else verdict.params.independence
+
+
 def test_necessary_independence_frozen_values(bells1024):
     # frozen from exact search at k=64, loss 1
-    assert necessary_independence(64, 64, 1, bells1024) == 90
-    assert necessary_independence(128, 64, 1, bells1024) == 174
+    assert _q_found(64, 64, 1, bells1024) == 90
+    v = necessary_independence(128, 64, 1, bells1024)
+    assert v.params.independence == 174
+    # the verdict returned is the targeted verdict at the q found
+    assert v == impossibility_certificate(174, 64, bells1024, loss=1,
+                                          log2_inv_eps=128)
+    assert v.feasible == FEASIBLE_IMPOSSIBLE and v.target_covered
 
 
 def test_necessary_independence_no_bound(bells1024):
@@ -166,7 +177,7 @@ def test_necessary_independence_matches_linear_scan(L, loss, expect):
                  == FEASIBLE_IMPOSSIBLE]
     scan = ruled_out[-1] if ruled_out else None
     assert scan == expect
-    assert necessary_independence(L, 64, loss, bells) == scan
+    assert _q_found(L, 64, loss, bells) == scan
 
 
 def _log2_q_factor(q: int, bells: BellSequence) -> FloatInterval:
@@ -201,7 +212,7 @@ def test_necessary_independence_takes_one_root(monkeypatch, bells1024):
         return nth_root(x, n, *args)
 
     monkeypatch.setattr(anticonc, "nth_root", counting)
-    assert necessary_independence(128, 64, 1, bells1024) == 174
+    assert _q_found(128, 64, 1, bells1024) == 174
     assert roots == [174]
 
 

@@ -42,9 +42,10 @@ def test_log2_containment_exact_dyadic_comparison():
 
 
 def test_ln2_against_frozen_digits():
-    # LN2_60 is a 60-digit truncation, so compare midpoints at 1e-58
+    # LN2_60 is a 60-digit truncation, so both endpoints lie within 1e-58
     iv = ln_interval(2)
-    assert abs(iv.midpoint() - LN2_60) <= Fraction(1, 10 ** 58)
+    tol = Fraction(1, 10 ** 58)
+    assert LN2_60 - tol <= iv.lo and iv.hi <= LN2_60 + tol
     assert iv.width <= Fraction(1, 2 ** 250)
 
 
@@ -74,7 +75,7 @@ def test_ln_of_interval_monotone_endpoints():
     assert iv.lo <= iv.hi
     # containment of ln of any point inside, checked via exp bracketing on
     # a rational sample: ln(r) in [iv.lo, iv.hi] for r = midpoint
-    mid = base.midpoint()
+    mid = (base.lo + base.hi) / 2
     direct = ln_interval(mid)
     assert iv.lo <= direct.lo and direct.hi <= iv.hi
 
@@ -135,20 +136,29 @@ def test_nth_root_exact_when_perfect():
     assert iv.lo == iv.hi == 2
 
 
+def _enclosure(fr: Fraction) -> FloatInterval:
+    """The outward-rounded enclosure of a rational: 0 shifted by it."""
+    return FloatInterval.from_int(0).shift(fr)
+
+
+def _contains(iv: FloatInterval, fr: Fraction) -> bool:
+    return iv.lo <= fr <= iv.hi
+
+
 def test_interval_arithmetic_containment():
     rng = random.Random(7)
     for _ in range(200):
         a = Fraction(rng.randint(-1000, 1000), rng.randint(1, 999))
         b = Fraction(rng.randint(-1000, 1000), rng.randint(1, 999))
-        ia = FloatInterval.from_fraction(a)
-        ib = FloatInterval.from_fraction(b)
-        assert (ia + ib).contains(a + b)
-        assert (ia - ib).contains(a - b)
-        assert (ia * ib).contains(a * b)
+        ia = _enclosure(a)
+        ib = _enclosure(b)
+        assert _contains(ia, a) and _contains(ib, b)
+        assert _contains(ia + ib, a + b)
+        assert _contains(ia - ib, a - b)
+        assert _contains(ia * ib, a * b)
         if b != 0 and (ib.lo > 0 or ib.hi < 0):
-            assert (ia / ib).contains(a / b)
-        assert ia.scale(b).contains(a * b)
-        assert ia.shift(b).contains(a + b)
+            assert _contains(ia / ib, a / b)
+        assert _contains(ia.shift(b), a + b)
 
 
 def test_log2_fraction_signs():
@@ -162,13 +172,21 @@ def test_log2_fraction_signs():
 
 
 def test_certified_comparisons():
-    a = FloatInterval.from_fraction(Fraction(1, 3))
-    b = FloatInterval.from_fraction(Fraction(1, 2))
-    assert a.certainly_lt(b)
-    assert b.certainly_gt(a)
-    assert not a.certainly_gt(b)
-    assert a.certainly_lt(Fraction(1, 2))
+    a = _enclosure(Fraction(1, 3))    # lo < 1/3 < hi
+    b = _enclosure(Fraction(1, 2))    # exactly 1/2
+    assert b.certainly_gt(Fraction(1, 3))
+    assert not a.certainly_gt(Fraction(1, 2))
+    assert not a.certainly_ge(Fraction(1, 3))
     assert b.certainly_ge(Fraction(1, 2))
+    assert not b.certainly_gt(Fraction(1, 2))
+    assert b.certainly_gt(0) and not b.certainly_ge(1)
+
+
+def test_enclosures_do_not_convert_to_float():
+    # a midpoint float would pose as the value the enclosure certifies
+    for iv in (log2_interval(3), FloatInterval.from_int(1), nth_root(2, 2)):
+        with pytest.raises(TypeError):
+            float(iv)
 
 
 def test_dyadic_roundtrip():

@@ -53,8 +53,23 @@ def _parse(option: str, parse, text: str | None):
 
 
 def _parse_list(option: str, parse, text: str) -> tuple:
+    """An empty text is no value; otherwise every entry must parse."""
     return tuple(_parse(option, parse, tok)
-                 for tok in filter(None, text.split(",")))
+                 for tok in (text.split(",") if text else ()))
+
+
+def _loss(text: str | None) -> Fraction | None:
+    loss = _parse("--loss", Fraction, text)
+    return None if loss is None else _at_least("--loss", loss, 0)
+
+
+def _log2eps(text: str | None) -> Fraction | None:
+    """--log2eps E names eps = 2^-E, a target only for eps < 1 (E > 0)."""
+    L = _parse("--log2eps", Fraction, text)
+    if L is not None and L <= 0:
+        raise PreconditionError(
+            f"--log2eps must be > 0 (eps = 2^-E below 1), got {L}")
+    return L
 
 
 def _at_least(option: str, value: int, floor: int) -> int:
@@ -81,23 +96,45 @@ def _threads(args) -> int:
     return _at_least(option, threads, 1)
 
 
-def _bells(q_max: int, cache_dir: Path | None) -> BellSequence:
-    if cache_dir is None:
-        return BellSequence.stream(q_max)
-    path = cache_dir / "bell_tables.bin"
-    try:
-        cache_dir.mkdir(parents=True, exist_ok=True)
-        if path.exists():
-            cached = BellSequence.load(path)
-            if cached.q_max >= q_max:
+class BellCache:
+    """--cache-dir: seeds the built prefix of a command's Bell sequence from
+    the cache file and, once the command has run, saves the prefix if it
+    grew."""
+
+    def __init__(self, directory: str):
+        self.directory = Path(directory)
+        self.path = self.directory / "bell_tables.bin"
+        self.bells = None
+        self.loaded = -1
+
+    def _oserror(self, exc: OSError) -> PreconditionError:
+        return PreconditionError(
+            f"--cache-dir {str(self.directory)!r}: {exc.strerror or exc}")
+
+    def open(self, q_max: int) -> BellSequence:
+        bells = BellSequence(q_max)
+        try:
+            self.directory.mkdir(parents=True, exist_ok=True)
+            if self.path.exists():
                 # cut to q_max: a longer table must not widen a search
-                return BellSequence(cached.values[:q_max + 1])
-        bells = BellSequence.stream(q_max)
-        bells.save(path)
-    except OSError as exc:
-        raise PreconditionError(
-            f"--cache-dir {str(cache_dir)!r}: {exc.strerror or exc}") from None
-    return bells
+                bells = BellSequence(q_max, BellSequence.load(self.path).values)
+                self.loaded = bells.built
+        except OSError as exc:
+            raise self._oserror(exc) from None
+        self.bells = bells
+        return bells
+
+    def save(self) -> None:
+        if self.bells.built > self.loaded:
+            try:
+                self.bells.save(self.path)
+            except OSError as exc:
+                raise self._oserror(exc) from None
+
+
+def _bells(q_max: int, cache: BellCache | None) -> BellSequence:
+    """The Bell sequence capped at q_max; it grows as the command reads it."""
+    return BellSequence(q_max) if cache is None else cache.open(q_max)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -110,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     strict.add_argument("--strict", action="store_true",
                         help="exit 3 on vacuous or undetermined verdicts")
     cache = argparse.ArgumentParser(add_help=False)
-    cache.add_argument("--cache-dir", type=Path, default=None,
+    cache.add_argument("--cache-dir", type=BellCache, default=None,
                        help="directory for cached Bell tables")
 
     def leaf(group, command, run, summary, parents=(), fmt="json"):
@@ -243,20 +280,18 @@ def _run_asymptotics(args) -> tuple[dict, list, bool]:
 
 def _run_check(args) -> tuple[dict, None, bool]:
     k = _at_most("--k", _at_least("--k", args.k, 1), LOG2_SIZE_CAP)
+    loss, L = _loss(args.loss), _log2eps(args.log2eps)
     verdict = impossibility_certificate(
-        args.q, k, _bells(args.q, args.cache_dir),
-        loss=_parse("--loss", Fraction, args.loss),
-        log2_inv_eps=_parse("--log2eps", Fraction, args.log2eps))
+        args.q, k, _bells(args.q, args.cache_dir), loss=loss, log2_inv_eps=L)
     return (serialize.verdict_dict(verdict), None,
             verdict.feasible == FEASIBLE_IMPOSSIBLE)
 
 
 def _run_minq(args) -> tuple[dict, None, bool]:
     k = _at_most("--k", _at_least("--k", args.k, 1), LOG2_SIZE_CAP)
-    bells = _bells(args.qmax, args.cache_dir)
-    L = _parse("--log2eps", Fraction, args.log2eps)
-    loss = _parse("--loss", Fraction, args.loss)
-    verdict = necessary_independence(L, k, loss, bells)
+    L, loss = _log2eps(args.log2eps), _loss(args.loss)
+    verdict = necessary_independence(L, k, loss,
+                                     _bells(args.qmax, args.cache_dir))
     return (serialize.minq_dict(k, loss, L, verdict), None,
             verdict is not None)
 
@@ -265,7 +300,7 @@ def _run_sweep(args) -> tuple[dict, None, bool]:
     eps_list = _parse_list("--log2eps", Fraction, args.log2eps)
     if not eps_list:
         raise PreconditionError(f"--log2eps: no value in {args.log2eps!r}")
-    loss = _parse("--loss", Fraction, args.loss)
+    loss = _loss(args.loss)
     k = _at_most("--k", _at_least("--k", args.k, 1), LOG2_SIZE_CAP)
     rows = asymptotic_gap_report(eps_list, k,
                                  _bells(args.qmax, args.cache_dir), loss=loss)
@@ -325,6 +360,8 @@ def dispatch(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         result, csv_rows, ok = args.run(args)
+        if getattr(args, "cache_dir", None) is not None:
+            args.cache_dir.save()
     except CondboundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -9,7 +9,8 @@ S(q, j) = j*S(q-1, j) + S(q-1, j-1), which keeps at most two rows alive.
 It is the only source of Stirling numbers: a moment reads its last row,
 a Bell sequence takes the per-row maxima from it when they are first
 read, and ``table`` writes each row as it is built, so no caller holds
-the triangle.  Bell numbers come only from ``BellSequence``.
+the triangle.  Bell numbers come only from ``BellSequence``, which builds
+them only as far as they are read.
 DEFAULT_QMAX_CAP bounds every row, stream and cache file.
 """
 
@@ -19,6 +20,7 @@ import os
 import struct
 import tempfile
 from collections import deque
+from collections.abc import Sequence
 from itertools import accumulate, repeat
 
 from .errors import CapacityError, PreconditionError
@@ -49,33 +51,51 @@ def _stirling_rows(q_max: int):
 
 
 class BellSequence:
-    """Bell numbers values[q] = B_q, with per-row Stirling maxima.
+    """Bell numbers B_0..B_q_max, built on demand.
 
-    ``row_maxima`` is computed from the Stirling rows on first access
-    unless it was passed in or loaded from a cache file.
+    ``values`` is the built prefix B_0..B_built.  ``bell(q)`` past it
+    grows the prefix row by row of the Bell triangle, holding the last row
+    until the cap q_max is reached; a read past q_max raises.  A prefix
+    passed in (from a cache file) carries no triangle row, so growing past
+    it rebuilds from row 0.  ``row_maxima`` covers 0..q_max and is computed
+    from the Stirling rows on first access unless it was passed in or
+    loaded from a cache file.
     """
 
     MAGIC = b"CBBL"
     VERSION = 1
     _SPOT_CHECKS = {0: 1, 1: 1, 2: 2, 3: 5, 7: 877, 10: 115975}
 
-    def __init__(self, values: list[int], row_maxima: list[int] | None = None):
-        self.values = values
+    def __init__(self, q_max: int, values: Sequence[int] = (1,),
+                 row_maxima: list[int] | None = None):
+        _check_q_max(q_max)
+        self.q_max = q_max
+        self.values = list(values[:q_max + 1])
+        self._row = deque([1]) if self.values == [1] else None
         self._row_maxima = row_maxima
-        self.q_max = len(values) - 1
 
     @classmethod
     def stream(cls, q_max: int) -> "BellSequence":
-        """Bell triangle construction; one row of big integers resident."""
-        _check_q_max(q_max)
-        values = [1]
-        row = deque([1])
-        for _ in range(q_max):
+        """The sequence grown to its cap; one row of big integers resident."""
+        bells = cls(q_max)
+        bells.bell(q_max)
+        return bells
+
+    @property
+    def built(self) -> int:
+        return len(self.values) - 1
+
+    def _grow(self, q: int) -> None:
+        values, row = self.values, self._row
+        if row is None:
+            values, row = [1], deque([1])
+        for _ in range(len(values), q + 1):
             # the new row pops the old one entry by entry as it grows
             row = deque(accumulate(map(deque.popleft, repeat(row, len(row))),
                                    initial=row[-1]))
             values.append(row[0])
-        return cls(values)
+        # at the cap the row can never be extended again
+        self.values, self._row = values, None if q == self.q_max else row
 
     @property
     def row_maxima(self) -> list[int]:
@@ -86,6 +106,8 @@ class BellSequence:
     def bell(self, q: int) -> int:
         if not 0 <= q <= self.q_max:
             raise PreconditionError(f"q={q} outside Bell range 0..{self.q_max}")
+        if q > self.built:
+            self._grow(q)
         return self.values[q]
 
     def row_max(self, q: int) -> int:
@@ -108,10 +130,11 @@ class BellSequence:
             raise
 
     def _write(self, fh) -> None:
+        """The built prefix; the header's q_max is its highest q."""
         fh.write(self.MAGIC)
-        fh.write(struct.pack("<II", self.VERSION, self.q_max))
+        fh.write(struct.pack("<II", self.VERSION, self.built))
         # row maxima are written only when already known
-        for seq in (self.values, self._row_maxima or []):
+        for seq in (self.values, (self._row_maxima or [])[:len(self.values)]):
             fh.write(struct.pack("<I", len(seq)))
             for v in seq:
                 blob = v.to_bytes((v.bit_length() + 7) // 8 or 1, "big")
@@ -150,4 +173,4 @@ class BellSequence:
         for q, expect in cls._SPOT_CHECKS.items():
             if q <= q_max and values[q] != expect:
                 raise PreconditionError(f"Bell cache spot check failed at q={q}")
-        return cls(values, maxima or None)
+        return cls(q_max, values, maxima or None)

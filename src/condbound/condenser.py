@@ -177,11 +177,14 @@ def necessary_independence(log2_inv_eps, k: int, loss,
     certifying band, rules the target out for every family whose
     independence is at least q.  Returns None when no q in the admissible
     window rules the target out; raises CapacityError when the band is
-    still open at the top of the table (q_max too small to locate it).
+    still open at the top of the window (q_max too small to locate it).
 
     Each probe asks whether log2(eps_star) = log2(p) + log2(tau^q)/q - 1
-    certainly exceeds -log2(1/eps), and a bisection over the even q of the
-    window finds the first probe that does not.  That is sound because the
+    certainly exceeds -log2(1/eps).  A gallop over the window's indices
+    0, 1, 2, 4, 8, ... brackets the first probe that does not, and a
+    bisection inside that bracket finds it; the window's top is probed only
+    when every gallop step passes.  So ``bells`` grows to about twice the
+    window index of the q found, not to q_max.  That is sound because the
     probe predicate is monotone in q:
 
     * eps_star(q) = (1 - q^2/(2M)) * g(q), where g depends on q only;
@@ -211,11 +214,19 @@ def necessary_independence(log2_inv_eps, k: int, loss,
         ).shift(-1)
         return log2_eps_star.certainly_gt(-L)
 
-    first_fail = bisect.bisect_left(qs, True, key=lambda q: not eps_ok(q))
-    if first_fail == len(qs):
-        raise CapacityError(
-            f"search window exhausted: eps_star at q={qs[-1]} still exceeds "
-            "the target; rebuild with a larger table")
+    # gallop over indices 0, 1, 2, 4, ...: qs[passed] passes (-1 before
+    # any probe) and the first index that fails lies in (passed, step]
+    passed, step, top = -1, 0, len(qs) - 1
+    while step < top and eps_ok(qs[step]):
+        passed, step = step, 2 * step or 1
+    if step >= top:
+        step = top
+        if eps_ok(qs[top]):
+            raise CapacityError(
+                f"search window exhausted: eps_star at q={qs[top]} still "
+                f"exceeds the target; the window's cap is q_max={bells.q_max}")
+    first_fail = bisect.bisect_left(qs, True, passed + 1, step,
+                                    key=lambda q: not eps_ok(q))
     if first_fail == 0:
         return None
     verdict = impossibility_certificate(qs[first_fail - 1], k, bells,

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import condbound
-from condbound import anticonc, combinat, hashsim, serialize
+from condbound import anticonc, cli, combinat, hashsim, serialize
 from condbound.anticonc import lemma2_certificate
 from condbound.cli import LOG2_SIZE_CAP, build_parser, dispatch
 from condbound.combinat import DEFAULT_QMAX_CAP, BellSequence
@@ -184,6 +184,118 @@ def test_unusable_cache_dir_exits_2(capsys, tmp_path, cache_dir):
                      "--cache-dir", str(tmp_path / cache_dir)])
     assert code == 2
     assert "--cache-dir" in capsys.readouterr().err
+
+
+def _record_bells(monkeypatch):
+    """The Bell sequences the CLI handlers open, in order."""
+    opened, cli_bells = [], cli._bells
+
+    def recording(q_max, cache):
+        opened.append(cli_bells(q_max, cache))
+        return opened[-1]
+
+    monkeypatch.setattr(cli, "_bells", recording)
+    return opened
+
+
+def test_minq_builds_bells_only_past_the_gallop(capsys, monkeypatch):
+    opened = _record_bells(monkeypatch)
+    env = run_json(capsys, "condense", "minq", "--log2eps", "128", "--k",
+                   "64", "--loss", "1")
+    assert env["result"]["q_lower_bound"] == 174
+    [bells] = opened
+    assert bells.q_max == 1024
+    assert bells.built <= 260
+
+
+_SWEEP_2048 = ["condense", "sweep", "--log2eps", "64,128,256,512", "--k",
+               "64", "--qmax", str(DEFAULT_QMAX_CAP)]
+
+
+def test_sweep_builds_bells_only_past_the_gallop(capsys, monkeypatch):
+    opened = _record_bells(monkeypatch)
+    env = run_json(capsys, *_SWEEP_2048)
+    assert [r["q_minus"] for r in env["result"]["rows"]] == [90, 174, 338,
+                                                              652]
+    [bells] = opened
+    assert bells.q_max == DEFAULT_QMAX_CAP
+    assert bells.built <= 1028
+
+
+def test_bell_cache_holds_the_built_prefix_and_grows(capsys, monkeypatch,
+                                                     tmp_path):
+    path = tmp_path / "bell_tables.bin"
+    opened = _record_bells(monkeypatch)
+    run_json(capsys, *_SWEEP_2048, "--cache-dir", str(tmp_path))
+    saved = BellSequence.load(path)
+    assert saved.built == opened[0].built <= 1028
+    # a command that reads past the cached prefix rebuilds it, prints what
+    # it prints without a cache, and saves what it built
+    lemma2 = ["lemma2", "--q", str(DEFAULT_QMAX_CAP), "--log2m", "40"]
+    plain = run_cli(capsys, *lemma2)
+    assert run_cli(capsys, *lemma2, "--cache-dir", str(tmp_path)) == plain
+    assert BellSequence.load(path).built == DEFAULT_QMAX_CAP
+    # a command that reads inside the cached prefix leaves the file alone
+    before = path.stat().st_mtime_ns, path.read_bytes()
+    run_json(capsys, "lemma2", "--q", "8", "--log2m", "11", "--cache-dir",
+             str(tmp_path))
+    assert (path.stat().st_mtime_ns, path.read_bytes()) == before
+    assert opened[-1].built == 8
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["condense", "check", "--q", "64", "--k", "43", "--log2eps", "-3"],
+     "--log2eps"),
+    (["condense", "check", "--q", "64", "--k", "43", "--log2eps", "0"],
+     "--log2eps"),
+    (["condense", "minq", "--log2eps", "0", "--k", "64", "--loss", "1"],
+     "--log2eps"),
+    (["condense", "minq", "--log2eps=-1/2", "--k", "64", "--loss", "1"],
+     "--log2eps"),
+    (["condense", "check", "--q", "64", "--k", "43", "--loss", "-1"],
+     "--loss"),
+    (["condense", "minq", "--log2eps", "64", "--k", "64", "--loss", "-5"],
+     "--loss"),
+    (["condense", "sweep", "--log2eps", "64", "--k", "64", "--loss",
+      "-0.5"], "--loss"),
+    (["condense", "sweep", "--log2eps", "64,,", "--k", "64"], "--log2eps"),
+    (["condense", "sweep", "--log2eps", "64,,128", "--k", "64"],
+     "--log2eps"),
+    (["condense", "sweep", "--log2eps", ",64", "--k", "64"], "--log2eps"),
+    # the window's cap is checked before any Bell number is built
+    (["condense", "minq", "--log2eps", "64", "--k", "64", "--loss", "1",
+      "--qmax", str(DEFAULT_QMAX_CAP + 1)], "q_max"),
+    (["condense", "sweep", "--log2eps", "64", "--k", "64", "--qmax",
+      str(DEFAULT_QMAX_CAP + 1)], "q_max"),
+], ids=["check-log2eps-negative", "check-log2eps-zero", "minq-log2eps-zero",
+        "minq-log2eps-negative", "check-loss-negative", "minq-loss-negative",
+        "sweep-loss-negative", "sweep-log2eps-trailing-empty",
+        "sweep-log2eps-inner-empty", "sweep-log2eps-leading-empty",
+        "minq-qmax-above-cap", "sweep-qmax-above-cap"])
+def test_meaningless_target_exits_2(capsys, argv, named):
+    assert dispatch(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert named in err
+
+
+def test_empty_thresholds_default_is_no_threshold(capsys):
+    env = run_json(capsys, "simulate", "--mode", "exact", "--w", "2", "--q",
+                   "2")
+    assert env["result"]["tails"] == []
+    assert dispatch(["simulate", "--mode", "exact", "--w", "2", "--q", "2",
+                     "--thresholds", "1,"]) == 2
+    assert "--thresholds" in capsys.readouterr().err
+
+
+def test_window_exhausted_names_the_cap_and_the_q_probed(capsys):
+    assert dispatch(["condense", "minq", "--log2eps", "1024", "--k", "64",
+                     "--loss", "1", "--qmax", "1024"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "window exhausted" in err
+    assert "q=1024" in err and "q_max=1024" in err
+    assert "rebuild" not in err
 
 
 def test_strict_undetermined_condense(capsys):

@@ -12,7 +12,7 @@ import pytest
 import condbound
 from condbound import BellSequence
 from condbound import combinat
-from condbound.combinat import _stirling_rows
+from condbound.combinat import DEFAULT_QMAX_CAP, _stirling_rows
 from condbound.errors import CapacityError, PreconditionError
 
 from oracles import (bell_by_binomial_recurrence, enumerate_partitions,
@@ -106,6 +106,36 @@ def test_bell_stream_keeps_one_triangle_row():
     assert peak < sum(map(sys.getsizeof, values)) + 1.5 * row_bytes
 
 
+def test_bell_sequence_grows_only_as_far_as_it_is_read():
+    bells = BellSequence(400)
+    assert bells.built == 0
+    assert bells.bell(10) == 115975
+    assert bells.built == 10
+    assert bells.bell(3) == 5 and bells.built == 10
+    assert bells.bell(400) == bell_by_binomial_recurrence(400)[400]
+    assert bells.values == BellSequence.stream(400).values
+    with pytest.raises(PreconditionError):
+        bells.bell(401)
+
+
+def test_bell_sequence_checks_its_cap_at_once():
+    with pytest.raises(CapacityError):
+        BellSequence(DEFAULT_QMAX_CAP + 1)
+    with pytest.raises(PreconditionError):
+        BellSequence(-1)
+
+
+def test_seeded_bell_prefix_is_cut_to_the_cap_and_regrown():
+    full = BellSequence.stream(64).values
+    assert BellSequence(20, full).values == full[:21]
+    # a seeded prefix holds no triangle row: growing past it starts over
+    # from row 0 and agrees with the seed
+    bells = BellSequence(64, full[:21])
+    assert bells.built == 20
+    assert bells.bell(64) == full[64]
+    assert bells.values == full
+
+
 def test_bell_cache_without_maxima_computes_them(tmp_path, table64):
     path = tmp_path / "bells.bin"
     BellSequence.stream(64).save(path)
@@ -119,7 +149,7 @@ def test_bell_cache_with_maxima_still_loads(tmp_path, table64, monkeypatch):
     values = [sum(r) for r in table64]
     maxima = [max(r) for r in table64]
     path = tmp_path / "bells.bin"
-    BellSequence(values, maxima).save(path)
+    BellSequence(64, values, maxima).save(path)
     monkeypatch.setattr(combinat, "_stirling_rows", None)  # read, not rebuilt
     loaded = BellSequence.load(path)
     assert loaded.values == values
@@ -139,7 +169,7 @@ _SAVE_UNDER_FSIZE_LIMIT = """
 import resource, sys
 from condbound import BellSequence
 resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096))
-BellSequence([10 ** 100] * 2000).save(sys.argv[1])
+BellSequence(1999, [10 ** 100] * 2000).save(sys.argv[1])
 """
 
 

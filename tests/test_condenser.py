@@ -1,3 +1,4 @@
+import bisect
 import math
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ from condbound import anticonc
 from condbound.anticonc import lemma2_probability
 from condbound.combinat import DEFAULT_QMAX_CAP
 from condbound.condenser import (FEASIBLE_IMPOSSIBLE, FEASIBLE_UNDETERMINED,
-                                 heavy_bin_reduction)
+                                 _search_window, heavy_bin_reduction)
 from condbound.errors import CapacityError, PreconditionError
 from condbound.gf2 import default_modulus
 from condbound.intervals import FloatInterval, log2_interval
@@ -230,6 +231,52 @@ def test_window_exhausted():
     bells = BellSequence.stream(64)
     with pytest.raises(CapacityError, match="window"):
         necessary_independence(2000, 64, 0, bells)
+
+
+def _bisect_outcome(L, k, loss, bells) -> int | str | None:
+    """The q found, None or "exhausted", by one bisection over the whole
+    window on the same eps_star probe (the search before the gallop)."""
+    qs = _search_window(k, bells)
+    M = 1 << k
+
+    def fails(q: int) -> bool:
+        cert = lemma2_certificate(q, M, bells)
+        log2_eps_star = (
+            log2_interval(cert.probability)
+            + log2_interval(cert.threshold_power).divide_by_int(q)
+        ).shift(-1)
+        return not log2_eps_star.certainly_gt(-L)
+
+    first_fail = bisect.bisect_left(qs, True, key=fails)
+    if first_fail == len(qs):
+        return "exhausted"
+    if first_fail == 0:
+        return None
+    q = qs[first_fail - 1]
+    verdict = impossibility_certificate(q, k, bells, loss=loss,
+                                        log2_inv_eps=L)
+    return q if verdict.target_covered else None
+
+
+@pytest.mark.parametrize("q_max", [64, 300, 1024])
+def test_gallop_matches_full_window_bisection(q_max):
+    # windows of 1 (k = 5: the top is the only probe) to 511 even q, with
+    # found, None and exhausted outcomes; ``grown`` is built only as far
+    # as the gallop reads it
+    reference = BellSequence.stream(q_max)
+    grown = BellSequence(q_max)
+    outcomes = set()
+    for k in (5, 12, 20, 43, 64, 200):
+        for L in (8, 16, 43, 64, 128, 256, 400, 512, 1000):
+            for loss in (0, Fraction(1, 2), 1, 2, 3):
+                try:
+                    got = _q_found(L, k, loss, grown)
+                except CapacityError:
+                    got = "exhausted"
+                want = _bisect_outcome(L, k, loss, reference)
+                assert got == want, (k, L, loss)
+                outcomes.add(type(got))
+    assert outcomes == {int, str, type(None)}
 
 
 def test_gap_report_shapes(bells1024):

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .combinat import BellSequence
+from .combinat import BellSequence, _check_q_max
 from .errors import CondboundError, PreconditionError
 from .intervals import FloatInterval, nth_root
 from .moments import BallsBinsInstance, _moment_values
@@ -70,6 +70,7 @@ def _check_q(q: int):
         raise PreconditionError(f"q={q} must be even")
     if q < 4:
         raise PreconditionError(f"q={q} must be at least 4")
+    _check_q_max(q)  # before any Bell number or Stirling row is built
 
 
 def pz_bound(inst: BallsBinsInstance, theta) -> AntiConcentrationCertificate:

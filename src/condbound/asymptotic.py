@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .combinat import _stirling_rows
 from .errors import PreconditionError
 from .intervals import FloatInterval, ln_interval
 
@@ -57,10 +58,11 @@ def estimate_residual(q: int, bells) -> AsymptoticEstimate:
     return AsymptoticEstimate(q, estimate, exact, residual, scaled)
 
 
-def sandwich_holds(q: int, bells) -> bool:
-    """Exact check of max_j S(q,j) <= B_q <= q * max_j S(q,j) for q >= 1."""
-    if q < 1:
-        raise PreconditionError("sandwich is stated for q >= 1")
-    mx = bells.row_max(q)
-    b = bells.bell(q)
-    return mx <= b <= q * mx
+def sandwich_holds(q_max: int, bells) -> bool:
+    """Exact check of max_j S(q,j) <= B_q <= q * max_j S(q,j) for every q
+    in 1..q_max, over one pass of the Stirling rows."""
+    if q_max < 1:
+        raise PreconditionError("sandwich is stated for q >= 1: q_max >= 1")
+    maxima = enumerate(map(max, _stirling_rows(q_max)))
+    next(maxima)  # q = 0, where the upper side fails
+    return all(m <= bells.bell(q) <= q * m for q, m in maxima)

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import serialize
 from .asymptotic import estimate_residual
-from .combinat import BellSequence
+from .combinat import DEFAULT_QMAX_CAP, BellSequence
 from .condenser import (FEASIBLE_IMPOSSIBLE, asymptotic_gap_report,
                         impossibility_certificate, necessary_independence)
 from .anticonc import lemma2_certificate, pz_bound
@@ -111,13 +111,12 @@ class BellCache:
         return PreconditionError(
             f"--cache-dir {str(self.directory)!r}: {exc.strerror or exc}")
 
-    def open(self, q_max: int) -> BellSequence:
-        bells = BellSequence(q_max)
+    def open(self) -> BellSequence:
+        bells = BellSequence()
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
             if self.path.exists():
-                # cut to q_max: a longer table must not widen a search
-                bells = BellSequence(q_max, BellSequence.load(self.path).values)
+                bells = BellSequence.load(self.path)
                 self.loaded = bells.built
         except OSError as exc:
             raise self._oserror(exc) from None
@@ -132,9 +131,9 @@ class BellCache:
                 raise self._oserror(exc) from None
 
 
-def _bells(q_max: int, cache: BellCache | None) -> BellSequence:
-    """The Bell sequence capped at q_max; it grows as the command reads it."""
-    return BellSequence(q_max) if cache is None else cache.open(q_max)
+def _bells(cache: BellCache | None) -> BellSequence:
+    """The command's Bell sequence; it grows as the command reads it."""
+    return BellSequence() if cache is None else cache.open()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -257,7 +256,7 @@ def _run_moment(args) -> tuple[dict, None, bool]:
 def _run_lemma2(args) -> tuple[dict, None, bool]:
     log2m = _at_least("--log2m", args.log2m, 0)
     M = 1 << _at_most("--log2m", log2m, LOG2_SIZE_CAP)
-    cert = lemma2_certificate(args.q, M, _bells(args.q, args.cache_dir))
+    cert = lemma2_certificate(args.q, M, _bells(args.cache_dir))
     return serialize.certificate_dict(cert), None, not cert.vacuous
 
 
@@ -271,10 +270,11 @@ def _run_pz(args) -> tuple[dict, None, bool]:
 
 def _run_asymptotics(args) -> tuple[dict, list, bool]:
     step = _at_least("--step", args.step, 1)
-    bells = _bells(args.qmax, args.cache_dir)
+    qmax = _at_most("--qmax", args.qmax, DEFAULT_QMAX_CAP)
+    qmin = _at_most("--qmin", _at_least("--qmin", args.qmin, 3), qmax)
+    bells = _bells(args.cache_dir)
     result = serialize.asymptotics_dict(
-        [estimate_residual(q, bells)
-         for q in range(max(3, args.qmin), args.qmax + 1, step)])
+        [estimate_residual(q, bells) for q in range(qmin, qmax + 1, step)])
     return result, serialize.asymptotics_rows(result), True
 
 
@@ -282,7 +282,7 @@ def _run_check(args) -> tuple[dict, None, bool]:
     k = _at_most("--k", _at_least("--k", args.k, 1), LOG2_SIZE_CAP)
     loss, L = _loss(args.loss), _log2eps(args.log2eps)
     verdict = impossibility_certificate(
-        args.q, k, _bells(args.q, args.cache_dir), loss=loss, log2_inv_eps=L)
+        args.q, k, _bells(args.cache_dir), loss=loss, log2_inv_eps=L)
     return (serialize.verdict_dict(verdict), None,
             verdict.feasible == FEASIBLE_IMPOSSIBLE)
 
@@ -290,8 +290,8 @@ def _run_check(args) -> tuple[dict, None, bool]:
 def _run_minq(args) -> tuple[dict, None, bool]:
     k = _at_most("--k", _at_least("--k", args.k, 1), LOG2_SIZE_CAP)
     L, loss = _log2eps(args.log2eps), _loss(args.loss)
-    verdict = necessary_independence(L, k, loss,
-                                     _bells(args.qmax, args.cache_dir))
+    verdict = necessary_independence(L, k, loss, _bells(args.cache_dir),
+                                     args.qmax)
     return (serialize.minq_dict(k, loss, L, verdict), None,
             verdict is not None)
 
@@ -302,8 +302,8 @@ def _run_sweep(args) -> tuple[dict, None, bool]:
         raise PreconditionError(f"--log2eps: no value in {args.log2eps!r}")
     loss = _loss(args.loss)
     k = _at_most("--k", _at_least("--k", args.k, 1), LOG2_SIZE_CAP)
-    rows = asymptotic_gap_report(eps_list, k,
-                                 _bells(args.qmax, args.cache_dir), loss=loss)
+    rows = asymptotic_gap_report(eps_list, k, _bells(args.cache_dir),
+                                 args.qmax, loss=loss)
     ok = all(r.q_minus is not None for r in rows)
     return serialize.gap_rows_dict(rows), None, ok
 

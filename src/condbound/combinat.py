@@ -7,11 +7,11 @@ the old one as it grows, so one row is resident.  Stirling numbers come
 from one row generator over the two-term recurrence
 S(q, j) = j*S(q-1, j) + S(q-1, j-1), which keeps at most two rows alive.
 It is the only source of Stirling numbers: a moment reads its last row,
-a Bell sequence takes the per-row maxima from it when they are first
-read, and ``table`` writes each row as it is built, so no caller holds
-the triangle.  Bell numbers come only from ``BellSequence``, which builds
-them only as far as they are read.
-DEFAULT_QMAX_CAP bounds every row, stream and cache file.
+the Bell sandwich check reads every row once, and ``table`` writes each
+row as it is built, so no caller holds the triangle.  Bell numbers come
+only from ``BellSequence``, which builds them only as far as they are
+read.  DEFAULT_QMAX_CAP bounds every row, Bell number and cache file; how
+far a search reads is its caller's choice, not the sequence's.
 """
 
 from __future__ import annotations
@@ -51,35 +51,22 @@ def _stirling_rows(q_max: int):
 
 
 class BellSequence:
-    """Bell numbers B_0..B_q_max, built on demand.
+    """Bell numbers B_0..B_DEFAULT_QMAX_CAP, built on demand.
 
     ``values`` is the built prefix B_0..B_built.  ``bell(q)`` past it
     grows the prefix row by row of the Bell triangle, holding the last row
-    until the cap q_max is reached; a read past q_max raises.  A prefix
-    passed in (from a cache file) carries no triangle row, so growing past
-    it rebuilds from row 0.  ``row_maxima`` covers 0..q_max and is computed
-    from the Stirling rows on first access unless it was passed in or
-    loaded from a cache file.
+    until the cap is reached; a read below 0 or past the cap raises.  A
+    prefix passed in (from a cache file) carries no triangle row, so
+    growing past it rebuilds from row 0.
     """
 
     MAGIC = b"CBBL"
     VERSION = 1
     _SPOT_CHECKS = {0: 1, 1: 1, 2: 2, 3: 5, 7: 877, 10: 115975}
 
-    def __init__(self, q_max: int, values: Sequence[int] = (1,),
-                 row_maxima: list[int] | None = None):
-        _check_q_max(q_max)
-        self.q_max = q_max
-        self.values = list(values[:q_max + 1])
+    def __init__(self, values: Sequence[int] = (1,)):
+        self.values = list(values)
         self._row = deque([1]) if self.values == [1] else None
-        self._row_maxima = row_maxima
-
-    @classmethod
-    def stream(cls, q_max: int) -> "BellSequence":
-        """The sequence grown to its cap; one row of big integers resident."""
-        bells = cls(q_max)
-        bells.bell(q_max)
-        return bells
 
     @property
     def built(self) -> int:
@@ -95,25 +82,15 @@ class BellSequence:
                                    initial=row[-1]))
             values.append(row[0])
         # at the cap the row can never be extended again
-        self.values, self._row = values, None if q == self.q_max else row
-
-    @property
-    def row_maxima(self) -> list[int]:
-        if self._row_maxima is None:
-            self._row_maxima = [max(r) for r in _stirling_rows(self.q_max)]
-        return self._row_maxima
+        self.values, self._row = values, None if q == DEFAULT_QMAX_CAP else row
 
     def bell(self, q: int) -> int:
-        if not 0 <= q <= self.q_max:
-            raise PreconditionError(f"q={q} outside Bell range 0..{self.q_max}")
+        if not 0 <= q <= DEFAULT_QMAX_CAP:
+            error = PreconditionError if q < 0 else CapacityError
+            raise error(f"q={q} outside Bell range 0..{DEFAULT_QMAX_CAP}")
         if q > self.built:
             self._grow(q)
         return self.values[q]
-
-    def row_max(self, q: int) -> int:
-        if not 0 <= q <= self.q_max:
-            raise PreconditionError(f"q={q} outside Bell range 0..{self.q_max}")
-        return self.row_maxima[q]
 
     # -- binary cache ------------------------------------------------------
 
@@ -130,11 +107,10 @@ class BellSequence:
             raise
 
     def _write(self, fh) -> None:
-        """The built prefix; the header's q_max is its highest q."""
+        """Header (q_max: the highest q built), values, no row maxima."""
         fh.write(self.MAGIC)
         fh.write(struct.pack("<II", self.VERSION, self.built))
-        # row maxima are written only when already known
-        for seq in (self.values, (self._row_maxima or [])[:len(self.values)]):
+        for seq in (self.values, ()):
             fh.write(struct.pack("<I", len(seq)))
             for v in seq:
                 blob = v.to_bytes((v.bit_length() + 7) // 8 or 1, "big")
@@ -167,10 +143,10 @@ class BellSequence:
                     (nbytes,) = struct.unpack("<I", read(4))
                     seq.append(int.from_bytes(read(nbytes), "big"))
                 seqs.append(seq)
-        values, maxima = seqs
+        values, _ = seqs  # older files hold row maxima, which go unused
         if len(values) != q_max + 1:
             raise PreconditionError("Bell cache length does not match header")
         for q, expect in cls._SPOT_CHECKS.items():
             if q <= q_max and values[q] != expect:
                 raise PreconditionError(f"Bell cache spot check failed at q={q}")
-        return cls(q_max, values, maxima or None)
+        return cls(values)

@@ -25,9 +25,10 @@ The side condition 2^k > q^2 keeps the certificate non-vacuous, so every
 verdict carries a region.
 
 This module does no Bell arithmetic of its own: it reads p and tau^q from
-the ``anticonc`` certificate, where each is defined once.  Asymptotic
-shorthands never produce numbers here; the closed-form trend is attached
-to reports for comparison only.
+the ``anticonc`` certificate, where each is defined once.  A search's
+window is capped by the q_max its caller passes.  Asymptotic shorthands
+never produce numbers here; the closed-form trend is attached to reports
+for comparison only.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .anticonc import AntiConcentrationCertificate, lemma2_certificate
-from .combinat import BellSequence
+from .combinat import BellSequence, _check_q_max
 from .errors import CapacityError, PreconditionError
 from .intervals import FloatInterval, log2_interval
 
@@ -156,8 +157,11 @@ def impossibility_certificate(q: int, k: int, bells: BellSequence,
                             covered if targeted else None, reference)
 
 
-def _search_window(k: int, bells: BellSequence) -> list[int]:
-    top = bells.q_max
+def _search_window(k: int, q_max: int) -> list[int]:
+    if q_max < 4:
+        raise PreconditionError(f"the search window's cap q_max={q_max} < 4")
+    _check_q_max(q_max)
+    top = q_max
     while top >= 4 and (1 << k) <= top * top:
         top -= 1
     qs = [q for q in range(4, top + 1) if q % 2 == 0]
@@ -167,16 +171,17 @@ def _search_window(k: int, bells: BellSequence) -> list[int]:
     return qs
 
 
-def necessary_independence(log2_inv_eps, k: int, loss,
-                           bells: BellSequence) -> CondenserVerdict | None:
+def necessary_independence(log2_inv_eps, k: int, loss, bells: BellSequence,
+                           q_max: int) -> CondenserVerdict | None:
     """Verdict at the largest even q whose certificate rules out the target
     (loss, eps); its ``params.independence`` is that q.
 
-    Certificates at lower independence transfer upward (a q'-universal
-    family is q-universal for q <= q'), so the q found, the top of the
-    certifying band, rules the target out for every family whose
-    independence is at least q.  Returns None when no q in the admissible
-    window rules the target out; raises CapacityError when the band is
+    The window is the even q in 4..q_max (at most DEFAULT_QMAX_CAP) that
+    meet the side condition.  Certificates at lower independence transfer
+    upward (a q'-universal family is q-universal for q <= q'), so the q
+    found, the top of the certifying band, rules the target out for every
+    family whose independence is at least q.  Returns None when no q in
+    the window rules the target out; raises CapacityError when the band is
     still open at the top of the window (q_max too small to locate it).
 
     Each probe asks whether log2(eps_star) = log2(p) + log2(tau^q)/q - 1
@@ -191,7 +196,7 @@ def necessary_independence(log2_inv_eps, k: int, loss,
     * on the window (q^2 < M) the first factor lies in (1/2, 1] and falls
       as q grows;
     * g falls by at least 0.84 bits per even step for 4 <= q <= 2048, and
-      DEFAULT_QMAX_CAP = 2048 bounds every table;
+      DEFAULT_QMAX_CAP = 2048 bounds every window;
     * the enclosures are about 2^-250 wide (DEFAULT_FRAC_BITS = 256), far
       below that drop, so their lower endpoints fall with q as well.
 
@@ -203,7 +208,7 @@ def necessary_independence(log2_inv_eps, k: int, loss,
     loss = _coerce_target(loss)
     if L is None or loss is None:
         raise PreconditionError("necessary_independence needs loss and eps targets")
-    qs = _search_window(k, bells)
+    qs = _search_window(k, q_max)
     M = 1 << k
 
     def eps_ok(q: int) -> bool:
@@ -224,7 +229,7 @@ def necessary_independence(log2_inv_eps, k: int, loss,
         if eps_ok(qs[top]):
             raise CapacityError(
                 f"search window exhausted: eps_star at q={qs[top]} still "
-                f"exceeds the target; the window's cap is q_max={bells.q_max}")
+                f"exceeds the target; the window's cap is q_max={q_max}")
     first_fail = bisect.bisect_left(qs, True, passed + 1, step,
                                     key=lambda q: not eps_ok(q))
     if first_fail == 0:
@@ -246,8 +251,8 @@ class GapRow:
 
 
 def asymptotic_gap_report(log2_inv_eps_list, k: int, bells: BellSequence,
-                          loss=Fraction(1)) -> list[GapRow]:
-    """Positive q+ versus certified q- per target quality.
+                          q_max: int, loss=Fraction(1)) -> list[GapRow]:
+    """Positive q+ versus certified q- (up to q_max) per target quality.
 
     The attached band is the closed-form trend 1 +/- logloglog(1/eps) /
     loglog(1/eps) with unit constant, reported for comparison only (the
@@ -257,7 +262,7 @@ def asymptotic_gap_report(log2_inv_eps_list, k: int, bells: BellSequence,
     for L in log2_inv_eps_list:
         L = Fraction(L)
         q_plus = positive_params(L).independence
-        verdict = necessary_independence(L, k, loss, bells)
+        verdict = necessary_independence(L, k, loss, bells, q_max)
         q_minus = None if verdict is None else verdict.params.independence
         ratio = None if q_minus is None else Fraction(q_minus) / L
         loglog = math.log2(math.log2(float(L)))

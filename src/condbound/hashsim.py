@@ -48,7 +48,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -364,6 +364,14 @@ class _SplitTables:
         return acc
 
 
+def _add_counts(total: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Two load histograms summed; each runs to its largest load, not M."""
+    if len(counts) > len(total):
+        total, counts = counts, total
+    total[:len(counts)] += counts
+    return total
+
+
 def _load_experiment(M: int, N: int, trials: int, orders, thresholds,
                      threads: int, assign):
     """Bin loads of M balls in N bins over ``trials`` rows.
@@ -371,7 +379,7 @@ def _load_experiment(M: int, N: int, trials: int, orders, thresholds,
     Returns (per_trial_moments, per_trial_tails, hist_counts): the mean
     over bins of S^order and of S >= threshold for every row, one column
     per order or threshold, and the number of (row, bin) pairs at each
-    load 0..M.
+    load from 0 to the largest load seen.
 
     ``assign(b0, b1, out)`` writes the bin in [0, N) of every ball in
     rows b0..b1-1 into ``out``, the (b1 - b0, M) int64 view of the
@@ -411,7 +419,8 @@ def _load_experiment(M: int, N: int, trials: int, orders, thresholds,
 
     def work(start):
         end = min(start + chunk, trials)
-        hist = np.zeros(M + 1, dtype=np.int64)
+        # sized by the loads seen: M + 1 entries are a row at the row cap
+        hist = np.zeros(0, dtype=np.int64)
         rows = min(batch, end - start)
         buf = np.empty((rows, M), dtype=np.int64)
         # loads are counted in place: a fresh bincount array per batch,
@@ -428,7 +437,7 @@ def _load_experiment(M: int, N: int, trials: int, orders, thresholds,
             loads.fill(0)
             np.add.at(loads, bins.ravel(), 1)
             loads = loads.reshape(nb, N)
-            hist += np.bincount(loads.ravel(), minlength=M + 1)
+            hist = _add_counts(hist, np.bincount(loads.ravel()))
             for idx, order in enumerate(orders):
                 per_trial_moments[b0:b1, idx] = _trial_moment(loads, M, order)
             for idx, thr in enumerate(int_thrs):
@@ -441,7 +450,7 @@ def _load_experiment(M: int, N: int, trials: int, orders, thresholds,
             hists = list(pool.map(work, starts))
     else:
         hists = map(work, starts)
-    return per_trial_moments, per_trial_tails, sum(hists)
+    return per_trial_moments, per_trial_tails, reduce(_add_counts, hists)
 
 
 def run_trials(config: SimulationConfig, threads: int = 1) -> SimulationReport:
@@ -566,7 +575,10 @@ def independent_oracle(M: int, N: int, orders, trials: int, master_seed: int,
 
     def assign(b0, b1, out):
         for row, rng in zip(out, _trial_rngs(master_seed, b0, b1)):
-            row[:] = rng.integers(0, N, size=M, dtype=np.int64)
+            # by blocks, no row-sized temporary; slices continue one stream
+            for s in range(0, M, BLOCK_ELEMS):
+                piece = row[s:s + BLOCK_ELEMS]
+                piece[:] = rng.integers(0, N, size=len(piece), dtype=np.int64)
 
     echo = {"mode": "independent-monte-carlo", "balls": M, "bins": N,
             "trials": trials, "master_seed": master_seed}

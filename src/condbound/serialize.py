@@ -141,7 +141,6 @@ class _StirlingRows(list):
     iterating it, so this streams the full list's bytes; C would write []."""
 
     def __init__(self, q_max: int):
-        _check_q_max(q_max)  # here, not at the first row: before any output
         self.q_max = q_max
 
     def __len__(self) -> int:
@@ -154,10 +153,12 @@ class _StirlingRows(list):
 
 def table_dict(q_max: int, what: str) -> dict:
     """The Stirling triangle, streamed, or the Bell numbers up to q_max."""
+    _check_q_max(q_max)  # here, not at the first row: before any output
     if what == "stirling":
         return {"q_max": q_max, "what": what, "rows": _StirlingRows(q_max)}
+    bells = BellSequence()
     return {"q_max": q_max, "what": what,
-            "bells": [decimal(v) for v in BellSequence.stream(q_max).values]}
+            "bells": [decimal(bells.bell(q)) for q in range(q_max + 1)]}
 
 
 def table_rows(result: dict) -> list:

@@ -9,16 +9,22 @@ def table64() -> list[list[int]]:
     return list(_stirling_rows(64))
 
 
+def _built_to(q: int) -> BellSequence:
+    bells = BellSequence()
+    bells.bell(q)
+    return bells
+
+
 @pytest.fixture(scope="session")
 def bells16() -> BellSequence:
-    return BellSequence.stream(16)
+    return _built_to(16)
 
 
 @pytest.fixture(scope="session")
 def bells64() -> BellSequence:
-    return BellSequence.stream(64)
+    return _built_to(64)
 
 
 @pytest.fixture(scope="session")
 def bells1024() -> BellSequence:
-    return BellSequence.stream(1024)
+    return _built_to(1024)

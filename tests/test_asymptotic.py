@@ -5,6 +5,7 @@ import pytest
 from condbound import (BellSequence, estimate_residual,
                        stirling_max_log_estimate)
 from condbound.asymptotic import sandwich_holds
+from condbound.combinat import _stirling_rows
 from condbound.errors import PreconditionError
 from condbound.intervals import ln_interval
 
@@ -72,14 +73,18 @@ def test_estimate_monotone_on_enclosures():
 
 
 def test_sandwich_small_range(bells1024):
-    for q in range(1, 257):
-        assert sandwich_holds(q, bells1024)
+    for q_max in (1, 2, 256):
+        assert sandwich_holds(q_max, bells1024)
     with pytest.raises(PreconditionError):
         sandwich_holds(0, bells1024)
 
 
 def test_sandwich_uses_exact_values():
-    bells = BellSequence.stream(12)
-    assert bells.row_max(4) == 7  # S(4,2) is the row maximum
+    bells = BellSequence()
+    assert max(list(_stirling_rows(4))[4]) == 7  # S(4,2) is the row maximum
     assert bells.bell(4) == 15
     assert 7 <= 15 <= 4 * 7
+    # a Bell number off by one breaks the exact check at its q alone
+    wrong = BellSequence(bells.values[:4] + [7 - 1])
+    assert sandwich_holds(3, wrong)
+    assert not sandwich_holds(4, wrong)

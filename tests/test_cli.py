@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import condbound
-from condbound import anticonc, cli, combinat, hashsim, serialize
+from condbound import anticonc, cli, combinat, condenser, hashsim, serialize
 from condbound.anticonc import lemma2_certificate
 from condbound.cli import LOG2_SIZE_CAP, build_parser, dispatch
 from condbound.combinat import DEFAULT_QMAX_CAP, BellSequence
@@ -190,21 +190,35 @@ def _record_bells(monkeypatch):
     """The Bell sequences the CLI handlers open, in order."""
     opened, cli_bells = [], cli._bells
 
-    def recording(q_max, cache):
-        opened.append(cli_bells(q_max, cache))
+    def recording(cache):
+        opened.append(cli_bells(cache))
         return opened[-1]
 
     monkeypatch.setattr(cli, "_bells", recording)
     return opened
 
 
+def _record_windows(monkeypatch):
+    """The window caps the CLI's minq searches run with, in order."""
+    caps, search = [], condenser.necessary_independence
+
+    def recording(*args):
+        caps.append(args[4])
+        return search(*args)
+
+    for module in (cli, condenser):
+        monkeypatch.setattr(module, "necessary_independence", recording)
+    return caps
+
+
 def test_minq_builds_bells_only_past_the_gallop(capsys, monkeypatch):
     opened = _record_bells(monkeypatch)
+    caps = _record_windows(monkeypatch)
     env = run_json(capsys, "condense", "minq", "--log2eps", "128", "--k",
                    "64", "--loss", "1")
     assert env["result"]["q_lower_bound"] == 174
     [bells] = opened
-    assert bells.q_max == 1024
+    assert caps == [1024]
     assert bells.built <= 260
 
 
@@ -214,11 +228,12 @@ _SWEEP_2048 = ["condense", "sweep", "--log2eps", "64,128,256,512", "--k",
 
 def test_sweep_builds_bells_only_past_the_gallop(capsys, monkeypatch):
     opened = _record_bells(monkeypatch)
+    caps = _record_windows(monkeypatch)
     env = run_json(capsys, *_SWEEP_2048)
     assert [r["q_minus"] for r in env["result"]["rows"]] == [90, 174, 338,
                                                               652]
     [bells] = opened
-    assert bells.q_max == DEFAULT_QMAX_CAP
+    assert caps == [DEFAULT_QMAX_CAP] * 4
     assert bells.built <= 1028
 
 
@@ -240,7 +255,8 @@ def test_bell_cache_holds_the_built_prefix_and_grows(capsys, monkeypatch,
     run_json(capsys, "lemma2", "--q", "8", "--log2m", "11", "--cache-dir",
              str(tmp_path))
     assert (path.stat().st_mtime_ns, path.read_bytes()) == before
-    assert opened[-1].built == 8
+    # the cached prefix is read whole, with no cut to the command's q
+    assert opened[-1].built == DEFAULT_QMAX_CAP
 
 
 @pytest.mark.parametrize("argv, named", [
@@ -267,11 +283,19 @@ def test_bell_cache_holds_the_built_prefix_and_grows(capsys, monkeypatch,
       "--qmax", str(DEFAULT_QMAX_CAP + 1)], "q_max"),
     (["condense", "sweep", "--log2eps", "64", "--k", "64", "--qmax",
       str(DEFAULT_QMAX_CAP + 1)], "q_max"),
+    # a window below q = 4 is named as such, not as a failed side condition
+    (["condense", "minq", "--log2eps", "128", "--k", "64", "--loss", "1",
+      "--qmax", "3"], "window's cap q_max=3"),
+    (["condense", "minq", "--log2eps", "128", "--k", "64", "--loss", "1",
+      "--qmax", "-4"], "window's cap q_max=-4"),
+    (["condense", "sweep", "--log2eps", "64", "--k", "64", "--qmax", "3"],
+     "window's cap q_max=3"),
 ], ids=["check-log2eps-negative", "check-log2eps-zero", "minq-log2eps-zero",
         "minq-log2eps-negative", "check-loss-negative", "minq-loss-negative",
         "sweep-loss-negative", "sweep-log2eps-trailing-empty",
         "sweep-log2eps-inner-empty", "sweep-log2eps-leading-empty",
-        "minq-qmax-above-cap", "sweep-qmax-above-cap"])
+        "minq-qmax-above-cap", "sweep-qmax-above-cap", "minq-qmax-3",
+        "minq-qmax-negative", "sweep-qmax-3"])
 def test_meaningless_target_exits_2(capsys, argv, named):
     assert dispatch(argv) == 2
     out, err = capsys.readouterr()
@@ -286,6 +310,25 @@ def test_empty_thresholds_default_is_no_threshold(capsys):
     assert dispatch(["simulate", "--mode", "exact", "--w", "2", "--q", "2",
                      "--thresholds", "1,"]) == 2
     assert "--thresholds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["lemma2", "--q", str(DEFAULT_QMAX_CAP + 2), "--log2m", "30"],
+    ["condense", "check", "--q", str(DEFAULT_QMAX_CAP + 2), "--k", "40"],
+    ["condense", "minq", "--log2eps", "64", "--k", "64", "--loss", "1",
+     "--qmax", str(DEFAULT_QMAX_CAP + 1)],
+    ["condense", "sweep", "--log2eps", "64", "--k", "64", "--qmax",
+     str(DEFAULT_QMAX_CAP + 1)],
+    ["condense", "minq", "--log2eps", "128", "--k", "64", "--loss", "1",
+     "--qmax", "3"],
+    ["asymptotics", "--qmax", str(DEFAULT_QMAX_CAP + 1)],
+], ids=["lemma2-q", "check-q", "minq-qmax", "sweep-qmax", "minq-qmax-3",
+        "asymptotics-qmax"])
+def test_cap_is_checked_before_any_bell_is_built(capsys, monkeypatch, argv):
+    opened = _record_bells(monkeypatch)
+    assert dispatch(argv) == 2
+    assert capsys.readouterr().out == ""
+    assert all(bells.built == 0 for bells in opened)
 
 
 def test_window_exhausted_names_the_cap_and_the_q_probed(capsys):
@@ -362,7 +405,9 @@ def test_longer_bell_cache_keeps_the_search_window(capsys, tmp_path,
     # q = 174 rules out 2^-128 at loss 1, past --qmax 128: without a cache
     # the window is exhausted, and a cached table up to q = 256 must not
     # widen it
-    BellSequence.stream(256).save(tmp_path / "bell_tables.bin")
+    bells = BellSequence()
+    bells.bell(256)
+    bells.save(tmp_path / "bell_tables.bin")
     argv = ["condense", command, "--log2eps", log2eps, "--k", "64",
             "--loss", "1", "--qmax", "128"]
     plain = dispatch(argv), capsys.readouterr()
@@ -756,6 +801,12 @@ _ABOVE_SIZE_CAP = str((1 << LOG2_SIZE_CAP) + 1)
     (["pz", "--q", "4", "--log2m", "-1", "--theta", "1/2"], "--log2m"),
     (["asymptotics", "--qmax", "10", "--step", "0"], "--step"),
     (["asymptotics", "--qmax", "10", "--step", "-1"], "--step"),
+    # the estimate needs ln ln q > 0, and the range must not be empty
+    (["asymptotics", "--qmin", "-5", "--qmax", "10"], "--qmin"),
+    (["asymptotics", "--qmin", "2", "--qmax", "10"], "--qmin"),
+    (["asymptotics", "--qmin", "9", "--qmax", "4"], "--qmin"),
+    (["asymptotics", "--qmax", "5"], "--qmin"),
+    (["asymptotics", "--qmax", str(DEFAULT_QMAX_CAP + 1)], "--qmax"),
     (["condense", "sweep", "--log2eps", ",", "--k", "64", "--qmax", "16"],
      "--log2eps"),
     # 2^log2m and 2^k are exact integers: the cap bounds their size
@@ -783,7 +834,10 @@ _ABOVE_SIZE_CAP = str((1 << LOG2_SIZE_CAP) + 1)
     (["moment", "--balls", "4", "--bins", _ABOVE_SIZE_CAP, "--q", "3"],
      "--bins"),
 ], ids=["lemma2-log2m-negative", "pz-log2m-negative", "asymptotics-step-zero",
-        "asymptotics-step-negative", "sweep-log2eps-empty",
+        "asymptotics-step-negative", "asymptotics-qmin-negative",
+        "asymptotics-qmin-2", "asymptotics-qmin-above-qmax",
+        "asymptotics-default-qmin-above-qmax", "asymptotics-qmax-above-cap",
+        "sweep-log2eps-empty",
         "lemma2-log2m-above-cap", "pz-log2m-above-cap", "check-k-above-cap",
         "minq-k-above-cap", "sweep-k-above-cap", "minq-k-negative",
         "sweep-k-negative", "table-qmax-negative-csv",

@@ -134,15 +134,15 @@ def test_never_contradicts_positive_guarantee(bells1024):
         assert v.feasible == FEASIBLE_UNDETERMINED
 
 
-def _q_found(log2_inv_eps, k, loss, bells) -> int | None:
-    verdict = necessary_independence(log2_inv_eps, k, loss, bells)
+def _q_found(log2_inv_eps, k, loss, bells, q_max=1024) -> int | None:
+    verdict = necessary_independence(log2_inv_eps, k, loss, bells, q_max)
     return None if verdict is None else verdict.params.independence
 
 
 def test_necessary_independence_frozen_values(bells1024):
     # frozen from exact search at k=64, loss 1
     assert _q_found(64, 64, 1, bells1024) == 90
-    v = necessary_independence(128, 64, 1, bells1024)
+    v = necessary_independence(128, 64, 1, bells1024, 1024)
     assert v.params.independence == 174
     # the verdict returned is the targeted verdict at the q found
     assert v == impossibility_certificate(174, 64, bells1024, loss=1,
@@ -152,15 +152,16 @@ def test_necessary_independence_frozen_values(bells1024):
 
 def test_necessary_independence_no_bound(bells1024):
     # trivially satisfiable region: eps = 1/2
-    assert necessary_independence(1, 64, 0, bells1024) is None
+    assert necessary_independence(1, 64, 0, bells1024, 1024) is None
     # loss target too aggressive for the eps window: no ruling q exists
-    assert necessary_independence(128, 64, 2, bells1024) is None
+    assert necessary_independence(128, 64, 2, bells1024, 1024) is None
 
 
 def test_necessary_independence_consistent_with_membership(bells1024):
     # the published pair is not ruled out at any q, matching the
     # undetermined membership verdict at (64, 43)
-    assert necessary_independence(43, 43, Fraction("2.6"), bells1024) is None
+    assert necessary_independence(43, 43, Fraction("2.6"), bells1024,
+                                  1024) is None
     v = impossibility_certificate(64, 43, bells1024, loss=Fraction("2.6"),
                                   log2_inv_eps=43)
     assert v.feasible == FEASIBLE_UNDETERMINED
@@ -171,14 +172,14 @@ def test_necessary_independence_consistent_with_membership(bells1024):
     (32, Fraction(1, 2), None)])
 def test_necessary_independence_matches_linear_scan(L, loss, expect):
     # the binary search against a verdict at every even q of the window
-    bells = BellSequence.stream(200)
+    bells = BellSequence()
     ruled_out = [q for q in range(4, 201, 2)
                  if impossibility_certificate(
                      q, 64, bells, loss=loss, log2_inv_eps=L).feasible
                  == FEASIBLE_IMPOSSIBLE]
     scan = ruled_out[-1] if ruled_out else None
     assert scan == expect
-    assert _q_found(L, 64, loss, bells) == scan
+    assert _q_found(L, 64, loss, bells, 200) == scan
 
 
 def _log2_q_factor(q: int, bells: BellSequence) -> FloatInterval:
@@ -194,7 +195,7 @@ def test_eps_star_q_factor_falls_per_even_step():
     # the monotonicity behind the binary search in necessary_independence,
     # certified for every even q the table cap admits (the least drop is
     # about 0.84 bits)
-    bells = BellSequence.stream(DEFAULT_QMAX_CAP)
+    bells = BellSequence()
     prev = _log2_q_factor(4, bells)
     for q in range(4, DEFAULT_QMAX_CAP - 1, 2):
         cur = _log2_q_factor(q + 2, bells)
@@ -228,15 +229,16 @@ def test_side_condition_keeps_the_certificate_non_vacuous(bells1024):
 
 
 def test_window_exhausted():
-    bells = BellSequence.stream(64)
+    bells = BellSequence()
     with pytest.raises(CapacityError, match="window"):
-        necessary_independence(2000, 64, 0, bells)
+        necessary_independence(2000, 64, 0, bells, 64)
+    assert bells.built <= 64
 
 
-def _bisect_outcome(L, k, loss, bells) -> int | str | None:
+def _bisect_outcome(L, k, loss, bells, q_max) -> int | str | None:
     """The q found, None or "exhausted", by one bisection over the whole
     window on the same eps_star probe (the search before the gallop)."""
-    qs = _search_window(k, bells)
+    qs = _search_window(k, q_max)
     M = 1 << k
 
     def fails(q: int) -> bool:
@@ -263,29 +265,30 @@ def test_gallop_matches_full_window_bisection(q_max):
     # windows of 1 (k = 5: the top is the only probe) to 511 even q, with
     # found, None and exhausted outcomes; ``grown`` is built only as far
     # as the gallop reads it
-    reference = BellSequence.stream(q_max)
-    grown = BellSequence(q_max)
+    reference = BellSequence()
+    reference.bell(q_max)
+    grown = BellSequence()
     outcomes = set()
     for k in (5, 12, 20, 43, 64, 200):
         for L in (8, 16, 43, 64, 128, 256, 400, 512, 1000):
             for loss in (0, Fraction(1, 2), 1, 2, 3):
                 try:
-                    got = _q_found(L, k, loss, grown)
+                    got = _q_found(L, k, loss, grown, q_max)
                 except CapacityError:
                     got = "exhausted"
-                want = _bisect_outcome(L, k, loss, reference)
+                want = _bisect_outcome(L, k, loss, reference, q_max)
                 assert got == want, (k, L, loss)
                 outcomes.add(type(got))
     assert outcomes == {int, str, type(None)}
 
 
 def test_gap_report_shapes(bells1024):
-    rows = asymptotic_gap_report([64], 64, bells1024)
+    rows = asymptotic_gap_report([64], 64, bells1024, 1024)
     assert len(rows) == 1
     assert rows[0].q_plus == 64
     assert rows[0].q_minus == 90
     assert rows[0].ratio == Fraction(90, 64)
-    assert asymptotic_gap_report([], 64, bells1024) == []
+    assert asymptotic_gap_report([], 64, bells1024, 1024) == []
 
 
 def _enumerate_family_loads(w: int, degree: int):

@@ -201,7 +201,7 @@ def test_run_trials_top_order_underestimates_by_rare_mass():
 
 
 def test_run_trials_tail_vs_certificate():
-    cert = lemma2_certificate(4, 2 ** 8, BellSequence.stream(4))
+    cert = lemma2_certificate(4, 2 ** 8, BellSequence())
     spec = HashFamilySpec.create(8, independence=4)
     config = SimulationConfig(spec, trials=2000, master_seed=11,
                               moment_orders=(1,),
@@ -414,8 +414,9 @@ def test_independent_row_cap_rejects_before_allocating(M, N):
 
 
 def test_independent_row_holds_three_row_arrays():
-    # a 2^20-ball row: the driver's buffer, the draws it copies in and the
-    # chunk histogram (M + 1 entries); no zeroed total waits beside them
+    # a 2^20-ball row: the row buffer of the load loop, the draws of one
+    # block and a chunk histogram as long as the largest load; no zeroed
+    # total waits beside them
     M = 1 << 20
     tracemalloc.start()
     try:
@@ -424,6 +425,36 @@ def test_independent_row_holds_three_row_arrays():
     finally:
         tracemalloc.stop()
     assert peak < 3.5 * 8 * M, peak
+
+
+def test_independent_row_cap_holds_one_row():
+    # at the row cap the draws go a block at a time straight into the
+    # load loop's row, and the histogram runs to the largest load (about M/3
+    # here), not to M: a row-sized draw or an (M + 1)-entry histogram
+    # beside the row would take the peak past two rows
+    M = hashsim.ROW_ELEMS_CAP
+    tracemalloc.start()
+    try:
+        report = independent_oracle(M, 3, (1,), 1, 0, threads=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(count for _, count in report.histogram) == 3
+    assert peak < 1.5 * 8 * M, peak
+
+
+@pytest.mark.parametrize("N", [2, 3, 4096, (1 << 24) - 3, 1 << 24])
+def test_sliced_draws_reproduce_the_one_shot_draw(N):
+    # the independent sampler draws a row in slices; each slice continues
+    # the stream where the last one stopped, buffered uint32 included
+    M = 20_000
+    [rng] = hashsim._trial_rngs(9, 5, 6)
+    whole = rng.integers(0, N, size=M, dtype=np.int64)
+    for size in (1, 7, 333, 12345):
+        [rng] = hashsim._trial_rngs(9, 5, 6)
+        parts = [rng.integers(0, N, size=min(size, M - s), dtype=np.int64)
+                 for s in range(0, M, size)]
+        assert np.array_equal(np.concatenate(parts), whole), size
 
 
 def test_exact_references_run_one_stirling_pass(monkeypatch):

@@ -32,17 +32,23 @@ __all__ = [
     "stirling_max_log_estimate",
 ]
 
-# The simulator needs numpy; the exact-arithmetic API above does not.
-_HASHSIM_NAMES = frozenset({
-    "HashFamilySpec", "SimulationConfig", "SimulationReport",
-    "evaluate_hash", "exact_small_oracle", "independent_oracle", "run_trials",
-})
+# The simulator's names, by the module that defines them.  The polynomial
+# family's simulator needs numpy; the API above does not, and neither
+# does the fully independent reference, which imports the simulator only
+# for a shape too large to enumerate.
+_SIMULATOR_NAMES = {
+    "HashFamilySpec": "hashsim", "SimulationConfig": "hashsim",
+    "evaluate_hash": "hashsim", "exact_small_oracle": "hashsim",
+    "run_trials": "hashsim", "SimulationReport": "independent",
+    "independent_oracle": "independent",
+}
 
 
 def __getattr__(name):
     """Resolve the simulator's names on first use (PEP 562), so importing
-    condbound does not import numpy."""
-    if name in _HASHSIM_NAMES:
-        from . import hashsim
-        return getattr(hashsim, name)
+    condbound imports neither numpy nor the simulator's modules."""
+    if name in _SIMULATOR_NAMES:
+        from importlib import import_module
+        return getattr(import_module(f".{_SIMULATOR_NAMES[name]}", __name__),
+                       name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

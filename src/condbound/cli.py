@@ -315,10 +315,10 @@ _SIMULATE_UNREAD = {"mc": ("bins",), "exact": ("balls", "bins"),
 
 
 def _run_simulate(args) -> tuple[dict, list | None, bool]:
-    # the only command that needs numpy, so the only one that imports it
-    from .hashsim import (HashFamilySpec, SimulationConfig,
-                          exact_small_oracle, independent_oracle, run_trials)
-
+    # the simulator calls no BLAS routine, yet numpy's OpenBLAS starts a
+    # thread per core as it loads: keep it at one unless the user set it
+    if "numpy" not in sys.modules:
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     for name in _SIMULATE_UNREAD[args.mode]:
         if getattr(args, name) is not None:
             option = "--" + name.replace("_", "-")
@@ -327,6 +327,8 @@ def _run_simulate(args) -> tuple[dict, list | None, bool]:
     orders = _parse_list("--orders", int, args.orders)
     thresholds = _parse_list("--thresholds", parse_dyadic, args.thresholds)
     if args.mode == "independent":
+        from .independent import independent_oracle
+
         if args.balls is None or args.bins is None:
             raise CondboundError(
                 "independent mode requires --balls and --bins")
@@ -334,6 +336,10 @@ def _run_simulate(args) -> tuple[dict, list | None, bool]:
             args.balls, args.bins, orders, args.trials, args.master_seed,
             thresholds=thresholds, threads=_threads(args))
     else:
+        # the polynomial family needs numpy, so only these modes import it
+        from .hashsim import (HashFamilySpec, SimulationConfig,
+                              exact_small_oracle, run_trials)
+
         if args.w is None or args.q is None:
             raise CondboundError("simulate requires --w and --q")
         spec = HashFamilySpec.create(args.w, args.q,

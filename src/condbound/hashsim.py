@@ -28,9 +28,15 @@ checks every cap, for every caller, before it allocates: a batch holds
 at least one trial, so ROW_ELEMS_CAP bounds the balls M and bins N of
 one row; DEFAULT_THROW_CAP bounds M and N times the trials; and
 _TRIAL_STATS_CAP bounds the trials times their statistics.  The
-exhaustive seed oracle meets its tighter seed cap first.  The exhaustive
-independent reference runs no loop: it reads the closed-form
-``ExactLoadDistribution`` of ``moments``.
+exhaustive seed oracle meets its tighter seed cap first.  The fully
+independent reference, ``independent.independent_oracle``, runs its
+Monte Carlo branch through ``independent_trials`` and needs this module
+for nothing else: at shapes it enumerates it reads the closed-form
+``ExactLoadDistribution`` and never imports numpy.
+
+Numpy use: gathers, XOR, ``add.at``, ``bincount`` and reductions, and no
+BLAS routine, so the CLI loads numpy with OpenBLAS at one thread (see
+``cli._run_simulate``).
 
 Determinism contract: every trial draws its seed from a counter-based
 Philox generator keyed by master_seed, with the trial index t as its
@@ -44,8 +50,6 @@ regardless of how trials are scheduled across threads.
 from __future__ import annotations
 
 import math
-import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -55,6 +59,8 @@ import numpy as np
 from .errors import CapacityError, PreconditionError
 from .gf2 import (default_modulus, gf_mul, is_irreducible,
                   primitive_element)
+from .independent import (MomentStat, SimulationReport, TailStat,
+                          _check_master_seed, _finite)
 from .moments import BallsBinsInstance, ExactLoadDistribution, _moment_values
 
 # widest field the simulator runs: its split-table rows are uint16
@@ -67,7 +73,6 @@ ROW_ELEMS_CAP = 1 << 24
 # trials times (1 + statistics): at most 32 MiB of per-trial float64
 # arrays, and about a minute of the ~15 us fixed cost of a trial
 _TRIAL_STATS_CAP = 1 << 22
-_EXHAUSTIVE_ASSIGNMENT_CAP = 1 << 20
 # bytes of split tables per evaluation grid; at w = 16 (8 MiB per
 # coefficient position) a q-position table would need q * 8 MiB
 TABLE_BYTES = 16 << 20
@@ -167,40 +172,9 @@ class SimulationConfig:
         return self.balls if self.balls is not None else 1 << self.family.field_bits
 
 
-@dataclass(frozen=True)
-class MomentStat:
-    order: int
-    mean: float
-    se: float | None
-    exact: Fraction | None
-
-
-@dataclass(frozen=True)
-class TailStat:
-    threshold: Fraction
-    frequency: float
-    se: float | None
-
-
-@dataclass(frozen=True)
-class SimulationReport:
-    config_echo: dict
-    trials: int
-    moments: tuple[MomentStat, ...]
-    tails: tuple[TailStat, ...]
-    histogram: tuple[tuple[int, int], ...]   # (load, count) over (trial, bin)
-    se_defined: bool
-
-
 def _int_threshold(threshold: Fraction) -> int:
     """Smallest integer load satisfying S >= threshold."""
     return max(0, -((-threshold.numerator) // threshold.denominator))
-
-
-def _check_master_seed(master_seed: int):
-    if not 0 <= master_seed < 1 << 128:
-        raise PreconditionError(
-            f"master seed must be in [0, 2^128), got {master_seed}")
 
 
 def _trial_rngs(master_seed: int, b0: int, b1: int):
@@ -246,13 +220,6 @@ def _trial_tail(loads: np.ndarray, threshold: int) -> np.ndarray:
     """Fraction of bins with load >= threshold for every trial (row),
     bit-identical to ``np.mean(loads >= threshold, axis=1)``."""
     return np.count_nonzero(loads >= threshold, axis=1) / loads.shape[1]
-
-
-def _finite(value, what: str) -> float:
-    """value as a float64, which must be finite (else ``what`` is named)."""
-    if not abs(value) <= sys.float_info.max:
-        raise CapacityError(f"{what} is not finite in float64")
-    return float(value)
 
 
 def _reduce_report(config_echo: dict, trials: int, orders, thresholds,
@@ -446,6 +413,8 @@ def _load_experiment(M: int, N: int, trials: int, orders, thresholds,
 
     starts = range(0, trials, chunk)
     if threads > 1:
+        # imported here, so one thread loads neither it nor logging
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
             hists = list(pool.map(work, starts))
     else:
@@ -534,44 +503,12 @@ def exact_small_oracle(spec: HashFamilySpec) -> ExactLoadDistribution:
     return ExactLoadDistribution(support)
 
 
-def independent_oracle(M: int, N: int, orders, trials: int, master_seed: int,
-                       thresholds=(), threads: int = 1) -> SimulationReport:
-    """Fully independent balls-into-bins reference experiment.
-
-    When N^M <= 2^20, sampling is replaced by the exact distribution: bin
-    0's load is Binomial(M, 1/N) (``ExactLoadDistribution._independent``).
-    The report then carries its tails and histogram, and zero-noise means
-    equal to the exact moments.  Otherwise ``trials`` seeded trials of M
-    balls run through the load driver.
-    """
-    _check_master_seed(master_seed)
-    if trials < 1:
-        raise PreconditionError("trials must be >= 1")
-    if M < 1:
-        raise PreconditionError("balls must be >= 1")
-    if N < 1:
-        raise PreconditionError("bins must be >= 1")
-    orders = tuple(orders)
-    if any(k < 1 for k in orders):
-        raise PreconditionError("moment order must be >= 1")
-    thresholds = tuple(Fraction(t) for t in thresholds)
-    exact_refs = _moment_values(
-        BallsBinsInstance(M, N, max(orders, default=1)), orders)
-    # N >= 2 puts N^M past the cap once M > 20, so N^M is never built large
-    if N == 1 or M <= 20 and N ** M <= _EXHAUSTIVE_ASSIGNMENT_CAP:
-        dist = ExactLoadDistribution._independent(M, N)
-        # one of the N^M assignments puts every ball in bin 0
-        total = dist.support[M].denominator
-        moments = tuple(MomentStat(
-            k, _finite(exact_refs[k], f"the mean of moment order {k}"), None,
-            exact_refs[k]) for k in orders)
-        tails = tuple(TailStat(t, float(dist.tail_ge(t)), None)
-                      for t in thresholds)
-        histogram = tuple((s, int(p * total))
-                          for s, p in dist.support.items())
-        echo = {"mode": "independent-exhaustive", "balls": M, "bins": N,
-                "assignments": total, "master_seed": master_seed}
-        return SimulationReport(echo, 1, moments, tails, histogram, False)
+def independent_trials(M: int, N: int, orders: tuple, thresholds: tuple,
+                       trials: int, master_seed: int, threads: int,
+                       exact_refs: dict[int, Fraction]) -> SimulationReport:
+    """The Monte Carlo branch of ``independent.independent_oracle``, which
+    has checked its arguments: ``trials`` seeded trials of M balls, each
+    ball in a uniform bin of N, through the load driver."""
 
     def assign(b0, b1, out):
         for row, rng in zip(out, _trial_rngs(master_seed, b0, b1)):

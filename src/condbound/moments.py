@@ -10,9 +10,10 @@ boundaries.  The M = N bracket in Bell numbers reads a ``BellSequence``.
 
 ``ExactLoadDistribution`` holds a whole load distribution as exact
 rationals: the exhaustive seed oracle of ``hashsim`` fills it, and under
-full independence it is Binomial(M, 1/N) in closed form.  Like the rest
-of this module it needs only the standard library, so exact references
-never import numpy.
+full independence it is Binomial(M, 1/N) in closed form, which the fully
+independent reference of ``independent`` reads.  Like the rest of this
+module it needs only the standard library, so exact references never
+import numpy.
 """
 
 from __future__ import annotations

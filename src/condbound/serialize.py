@@ -24,7 +24,8 @@ from .intervals import FloatInterval, any_length, dyadic_str
 from .moments import ExactLoadDistribution, MomentResult
 
 if TYPE_CHECKING:  # only annotations name them; hashsim imports numpy
-    from .hashsim import HashFamilySpec, SimulationReport
+    from .hashsim import HashFamilySpec
+    from .independent import SimulationReport
 
 
 def decimal(n: int) -> str:

@@ -976,6 +976,11 @@ GOLDEN_STDOUT = [
      "b71e2acf00830c5194983bf9b7ede2400e471f8bbbb15e6eb326b30e9e68bf10"),
     (["table", "--qmax", "200", "--format", "json"],
      "d9df6ff93636cb0c42af8167bce6471c2c7bbd65f04423452d697f56218c8da8"),
+    # one ball past the enumerated shapes (2^21 > 2^20 assignments):
+    # sampled, recorded before the reference moved out of hashsim
+    (["simulate", "--mode", "independent", "--balls", "21", "--bins", "2",
+      "--trials", "3"],
+     "0475f07371209c9ee68381f38e69a461cb7084314577b849be81d3726ed20fe6"),
 ]
 
 
@@ -986,7 +991,8 @@ GOLDEN_STDOUT = [
                               "moment-csv", "lemma2-vacuous-p-zero",
                               "lemma2-vacuous-p-negative", "moment-order-37",
                               "pz-q64", "stirling-200-csv",
-                              "stirling-200-json"])
+                              "stirling-200-json",
+                              "independent-past-enumeration"])
 def test_stdout_golden_digest(capsys, argv, sha256):
     code, out = run_cli(capsys, *argv)
     assert code == 0
@@ -1024,8 +1030,15 @@ def _fresh_dispatch(argv) -> tuple[int, bool]:
     ["condense", "minq", "--log2eps", "4", "--k", "64", "--loss", "1",
      "--qmax", "64"],
     ["condense", "sweep", "--log2eps", "4,8", "--k", "64", "--qmax", "64"],
+    # the fully independent reference at shapes it enumerates
+    ["simulate", "--mode", "independent", "--balls", "3", "--bins", "3"],
+    ["simulate", "--mode", "independent", "--balls", "5", "--bins", "16",
+     "--format", "csv"],
+    ["simulate", "--mode", "independent", "--balls", "1048576", "--bins",
+     "1"],
 ], ids=["table", "moment", "lemma2", "pz", "asymptotics", "check", "minq",
-        "sweep"])
+        "sweep", "independent-3x3", "independent-5x16-csv",
+        "independent-one-bin"])
 def test_exact_commands_leave_numpy_unloaded(argv):
     assert _fresh_dispatch(argv) == (0, False)
 
@@ -1060,6 +1073,17 @@ def test_exact_load_distribution_leaves_numpy_unloaded():
     assert proc.stdout == "False\n"
 
 
+def test_independent_oracle_leaves_numpy_unloaded():
+    src = str(Path(condbound.__file__).resolve().parent.parent)
+    probe = ("import sys, condbound; "
+             "condbound.independent_oracle(3, 3, (1, 2), 1, 0); "
+             "print('numpy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src},
+                          timeout=120, check=True)
+    assert proc.stdout == "False\n"
+
+
 def test_closed_stdout_exits_1_without_traceback():
     # `condbound table --qmax 200 | head -1`: the reader leaves after one
     # line of the 4 MiB triangle
@@ -1086,5 +1110,47 @@ def test_lazy_public_names_resolve():
     for name in condbound.__all__:
         assert namespace[name] is getattr(condbound, name), name
     assert condbound.run_trials is condbound.hashsim.run_trials
+    assert (condbound.independent_oracle
+            is condbound.independent.independent_oracle)
     with pytest.raises(AttributeError, match="'condbound'.*'no_such_name'"):
         condbound.no_such_name
+
+
+# Runs dispatch(ARG...) in a fresh interpreter, then prints the exit code,
+# the process's OS threads, OPENBLAS_NUM_THREADS and whether the thread
+# pool module got imported.
+_POOL_PROBE = """
+import contextlib, io, os, sys
+from condbound.cli import dispatch
+with contextlib.redirect_stdout(io.StringIO()):
+    code = dispatch(sys.argv[1:])
+print(code, len(os.listdir("/proc/self/task")),
+      os.environ.get("OPENBLAS_NUM_THREADS"),
+      "concurrent.futures" in sys.modules)
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="no /proc/self/task to count threads in")
+@pytest.mark.parametrize("openblas", [None, "2"], ids=["unset", "set-2"])
+def test_simulate_keeps_openblas_at_one_thread_unless_set(openblas):
+    # the simulator calls no BLAS routine: numpy loads without OpenBLAS's
+    # thread pool, unless the user sized it; one worker thread loads no
+    # executor either
+    src = str(Path(condbound.__file__).resolve().parent.parent)
+    env = {key: value for key, value in os.environ.items()
+           if key != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = src
+    if openblas is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas
+    argv = ["simulate", "--mode", "exact", "--w", "3", "--q", "4",
+            "--threads", "1"]
+    proc = subprocess.run([sys.executable, "-c", _POOL_PROBE, *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=120, check=True)
+    code, os_threads, value, pool_module = proc.stdout.split()
+    assert (code, pool_module) == ("0", "False")
+    if openblas is None:
+        assert (os_threads, value) == ("1", "1")
+    else:
+        assert value == openblas

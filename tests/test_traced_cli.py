@@ -3,7 +3,8 @@
 The runner replaces library functions by tracing wrappers before it
 dispatches a command, so an API change in ``condbound`` can break it
 without breaking the plain CLI.  These commands cover the Bell table, a
-Bell cache written and then read back, and the simulator.
+Bell cache written and then read back, the simulator, and the
+fully independent reference, which enumerates without the simulator.
 """
 
 import json
@@ -33,6 +34,9 @@ def test_traced_runner_prints_what_the_cli_prints(tmp_path):
          str(tmp_path / "traced")],
         ["simulate", "--mode", "exact", "--w", "3", "--q", "4",
          "--threads", "1"],
+        # a simulate that never loads hashsim
+        ["simulate", "--mode", "independent", "--balls", "3", "--bins", "3",
+         "--threads", "1"],
     ]
     spans = []
     for i, argv in enumerate(commands):
@@ -49,3 +53,4 @@ def test_traced_runner_prints_what_the_cli_prints(tmp_path):
     assert "combinat.bell_cache.load" not in spans[1]
     assert "combinat.bell_cache.load" in spans[2]
     assert "cli.dispatch" in spans[3]
+    assert "cli.dispatch" in spans[4]

@@ -6,8 +6,9 @@ named), 3 when --strict is set and the verdict is vacuous or
 undetermined.  Epsilon is always passed as --log2eps (the exponent of
 2^-E) so that nothing underflows at eps = 2^-512.
 
-Execution knobs (--threads, --format, --cache-dir) never appear in the
-parameter echo: reports are bit-identical across thread counts.
+Execution knobs (--threads, --format, --cache-dir) and --strict never
+appear in the parameter echo: reports are bit-identical across thread
+counts.
 """
 
 from __future__ import annotations
@@ -300,6 +301,11 @@ def _run_sweep(args) -> tuple[dict, None, bool]:
     eps_list = _parse_list("--log2eps", Fraction, args.log2eps)
     if not eps_list:
         raise PreconditionError(f"--log2eps: no value in {args.log2eps!r}")
+    # the positive construction each row compares against needs eps < 1/2
+    for L in eps_list:
+        if L <= 1:
+            raise PreconditionError(
+                f"--log2eps must be > 1 (eps = 2^-E below 1/2), got {L}")
     loss = _loss(args.loss)
     k = _at_most("--k", _at_least("--k", args.k, 1), LOG2_SIZE_CAP)
     rows = asymptotic_gap_report(eps_list, k, _bells(args.cache_dir),
@@ -337,8 +343,7 @@ def _run_simulate(args) -> tuple[dict, list | None, bool]:
             thresholds=thresholds, threads=_threads(args))
     else:
         # the polynomial family needs numpy, so only these modes import it
-        from .hashsim import (HashFamilySpec, SimulationConfig,
-                              exact_small_oracle, run_trials)
+        from .hashsim import HashFamilySpec, exact_small_oracle, run_trials
 
         if args.w is None or args.q is None:
             raise CondboundError("simulate requires --w and --q")
@@ -347,11 +352,9 @@ def _run_simulate(args) -> tuple[dict, list | None, bool]:
         if args.mode == "exact":
             return serialize.distribution_dict(
                 spec, exact_small_oracle(spec), orders, thresholds), None, True
-        config = SimulationConfig(spec, trials=args.trials,
-                                  master_seed=args.master_seed,
-                                  balls=args.balls, moment_orders=orders,
-                                  thresholds=thresholds)
-        report = run_trials(config, threads=_threads(args))
+        report = run_trials(spec, args.trials, args.master_seed, orders,
+                            thresholds, balls=args.balls,
+                            threads=_threads(args))
     result = serialize.report_dict(report)
     return result, serialize.histogram_rows(result), True
 

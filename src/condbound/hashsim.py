@@ -57,8 +57,7 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .errors import CapacityError, PreconditionError
-from .gf2 import (default_modulus, gf_mul, is_irreducible,
-                  primitive_element)
+from .gf2 import default_modulus, gf_mul, primitive_element
 from .independent import (MomentStat, SimulationReport, TailStat,
                           _check_master_seed, _finite)
 from .moments import BallsBinsInstance, ExactLoadDistribution, _moment_values
@@ -90,18 +89,17 @@ class HashFamilySpec:
     field_bits: int
     degree: int
     output_bits: int
-    modulus: int
 
     @classmethod
     def create(cls, field_bits: int, independence: int,
                output_bits: int | None = None) -> "HashFamilySpec":
         if output_bits is None:
             output_bits = field_bits
-        return cls(field_bits, independence - 1, output_bits,
-                   default_modulus(field_bits))
+        return cls(field_bits, independence - 1, output_bits)
 
     def __post_init__(self):
         w = self.field_bits
+        default_modulus(w)  # first: an unsupported width is named as such
         if self.degree < 0:
             raise PreconditionError("degree must be >= 0")
         if self.degree + 1 > (1 << w):
@@ -109,10 +107,11 @@ class HashFamilySpec:
                 "q-wise independence requires q <= field size 2^w")
         if not 1 <= self.output_bits <= w:
             raise PreconditionError("output_bits must be in [1, field_bits]")
-        if self.modulus.bit_length() - 1 != w:
-            raise PreconditionError("modulus degree must equal field_bits")
-        if not is_irreducible(self.modulus):
-            raise PreconditionError("modulus must be irreducible")
+
+    @property
+    def modulus(self) -> int:
+        """The field's modulus, ``gf2.default_modulus(field_bits)``."""
+        return default_modulus(self.field_bits)
 
     @property
     def independence(self) -> int:
@@ -142,34 +141,6 @@ def evaluate_hash(spec: HashFamilySpec, seed, x: int) -> int:
     for c in reversed(seed):
         acc = gf_mul(acc, x, spec.modulus) ^ c
     return acc >> (spec.field_bits - spec.output_bits)
-
-
-@dataclass(frozen=True)
-class SimulationConfig:
-    family: HashFamilySpec
-    trials: int
-    master_seed: int
-    balls: int | None = None          # default: all 2^w field elements
-    moment_orders: tuple[int, ...] = (1, 2)
-    thresholds: tuple[Fraction, ...] = ()
-
-    def __post_init__(self):
-        if self.trials < 1:
-            raise PreconditionError("trials must be >= 1")
-        if self.balls is not None and self.balls < 1:
-            raise PreconditionError("balls must be >= 1")
-        _check_master_seed(self.master_seed)
-        q = self.family.independence
-        for order in self.moment_orders:
-            if order < 1:
-                raise PreconditionError("moment order must be >= 1")
-            if order > q:
-                raise PreconditionError(
-                    f"moment order {order} exceeds independence {q}")
-
-    @property
-    def ball_count(self) -> int:
-        return self.balls if self.balls is not None else 1 << self.family.field_bits
 
 
 def _int_threshold(threshold: Fraction) -> int:
@@ -422,40 +393,52 @@ def _load_experiment(M: int, N: int, trials: int, orders, thresholds,
     return per_trial_moments, per_trial_tails, reduce(_add_counts, hists)
 
 
-def run_trials(config: SimulationConfig, threads: int = 1) -> SimulationReport:
+def run_trials(spec: HashFamilySpec, trials: int, master_seed: int,
+               orders=(1, 2), thresholds=(), balls: int | None = None,
+               threads: int = 1) -> SimulationReport:
     """Monte Carlo load experiment over random seeds of the family.
 
-    Per trial: draw a seed, hash all balls, histogram the bin loads.  The
-    per-trial statistic is the mean over bins (of S^order, or of the tail
-    indicator), and the reported standard error is taken across trials;
-    bins within one trial are correlated and are never treated as
-    independent samples.
+    Per trial: draw a seed, hash ``balls`` points (default: all 2^w field
+    elements), histogram the bin loads.  The per-trial statistic is the
+    mean over bins (of S^order, or of the tail indicator), and the
+    reported standard error is taken across trials; bins within one trial
+    are correlated and are never treated as independent samples.
     """
-    spec = config.family
-    M = config.ball_count
+    if trials < 1:
+        raise PreconditionError("trials must be >= 1")
+    if balls is not None and balls < 1:
+        raise PreconditionError("balls must be >= 1")
+    _check_master_seed(master_seed)
+    q = spec.independence
+    orders = tuple(orders)
+    for order in orders:
+        if order < 1:
+            raise PreconditionError("moment order must be >= 1")
+        if order > q:
+            raise PreconditionError(
+                f"moment order {order} exceeds independence {q}")
+    M = balls or 1 << spec.field_bits
     if M > (1 << spec.field_bits):
         raise PreconditionError("more balls than field elements")
     split = _SplitTables(spec, M)
     N = spec.bins
     shift = spec.field_bits - spec.output_bits
-    orders = tuple(config.moment_orders)
-    thresholds = tuple(Fraction(t) for t in config.thresholds)
+    thresholds = tuple(Fraction(t) for t in thresholds)
 
     def assign(b0, b1, out):
         coeffs = np.stack([
             rng.integers(0, 1 << spec.field_bits, size=spec.degree + 1,
                          dtype=np.int64)
-            for rng in _trial_rngs(config.master_seed, b0, b1)])
+            for rng in _trial_rngs(master_seed, b0, b1)])
         np.right_shift(split.evaluate(coeffs.T), shift, out=out)
 
     echo = {"mode": "monte-carlo", "field_bits": spec.field_bits,
             "degree": spec.degree, "output_bits": spec.output_bits,
             "modulus": spec.modulus, "balls": M, "bins": N,
-            "trials": config.trials, "master_seed": config.master_seed}
+            "trials": trials, "master_seed": master_seed}
     return _reduce_report(
-        echo, config.trials, orders, thresholds,
-        *_load_experiment(M, N, config.trials, orders, thresholds, threads,
-                          assign),
+        echo, trials, orders, thresholds,
+        *_load_experiment(M, N, trials, orders, thresholds, threads, assign),
         _moment_values(BallsBinsInstance(M, N, spec.independence), orders))
 
 

@@ -191,6 +191,7 @@ def distribution_dict(spec: HashFamilySpec, dist: ExactLoadDistribution,
     return {
         "mode": "exact",
         **asdict(spec),
+        "modulus": spec.modulus,
         "distribution": [{"load": s, "probability": rational_dict(p)}
                          for s, p in sorted(dist.support.items())],
         "moments": [{"order": k, "value": rational_dict(dist.moment(k))}

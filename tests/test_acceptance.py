@@ -13,9 +13,8 @@ from fractions import Fraction
 import pytest
 
 from condbound import (BallsBinsInstance, BellSequence, HashFamilySpec,
-                       SimulationConfig, exact_small_oracle,
-                       lemma2_certificate, positive_params, pz_bound,
-                       raw_moment, run_trials)
+                       exact_small_oracle, lemma2_certificate,
+                       positive_params, pz_bound, raw_moment, run_trials)
 from condbound.asymptotic import estimate_residual, sandwich_holds
 from condbound.cli import dispatch
 from condbound.combinat import _stirling_rows
@@ -117,11 +116,9 @@ def test_criterion_4_monte_carlo_certificate_soundness():
         cert = lemma2_certificate(q, 1 << log2m, BellSequence())
         assert not cert.vacuous
         spec = HashFamilySpec.create(log2m, independence=q)
-        config = SimulationConfig(spec, trials=100_000,
-                                  master_seed=2024_0000 + q,
-                                  moment_orders=(1,),
-                                  thresholds=(cert.threshold.lo,))
-        report = run_trials(config, threads=1)
+        report = run_trials(spec, trials=100_000, master_seed=2024_0000 + q,
+                            orders=(1,), thresholds=(cert.threshold.lo,),
+                            threads=1)
         tail = report.tails[0]
         p = float(cert.probability)
         assert tail.frequency >= p - 3 * tail.se, (q, log2m, tail, p)

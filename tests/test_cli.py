@@ -290,12 +290,17 @@ def test_bell_cache_holds_the_built_prefix_and_grows(capsys, monkeypatch,
       "--qmax", "-4"], "window's cap q_max=-4"),
     (["condense", "sweep", "--log2eps", "64", "--k", "64", "--qmax", "3"],
      "window's cap q_max=3"),
+    # eps = 1/2 and above has no positive construction to compare against
+    (["condense", "sweep", "--log2eps", "1", "--k", "64"], "--log2eps"),
+    (["condense", "sweep", "--log2eps", "64,1/2", "--k", "64"],
+     "--log2eps"),
 ], ids=["check-log2eps-negative", "check-log2eps-zero", "minq-log2eps-zero",
         "minq-log2eps-negative", "check-loss-negative", "minq-loss-negative",
         "sweep-loss-negative", "sweep-log2eps-trailing-empty",
         "sweep-log2eps-inner-empty", "sweep-log2eps-leading-empty",
         "minq-qmax-above-cap", "sweep-qmax-above-cap", "minq-qmax-3",
-        "minq-qmax-negative", "sweep-qmax-3"])
+        "minq-qmax-negative", "sweep-qmax-3", "sweep-log2eps-1",
+        "sweep-log2eps-half"])
 def test_meaningless_target_exits_2(capsys, argv, named):
     assert dispatch(argv) == 2
     out, err = capsys.readouterr()
@@ -1061,6 +1066,17 @@ def test_module_entry_point_matches_console_script():
                 if line.startswith(b"import time:")}
     assert b"condbound.cli" in imported
     assert b"numpy" not in imported
+
+
+def test_bare_import_loads_no_submodule():
+    src = str(Path(condbound.__file__).resolve().parent.parent)
+    probe = ("import sys, condbound; "
+             "print(sorted(m for m in sys.modules "
+             "if m.startswith('condbound.')))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src},
+                          timeout=120, check=True)
+    assert proc.stdout == "[]\n"
 
 
 def test_exact_load_distribution_leaves_numpy_unloaded():

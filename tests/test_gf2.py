@@ -47,6 +47,10 @@ def test_shipped_moduli_are_smallest():
         assert smallest_irreducible(w) == expected, w
         if w >= 2:
             assert default_modulus(w) == expected, w
+    # the simulator's family reads the same modulus, at every width it runs
+    from condbound.hashsim import HashFamilySpec
+    for w in range(2, 17):
+        assert HashFamilySpec.create(w, 2).modulus == smallest_irreducible(w)
 
 
 def test_classic_degree8_modulus():

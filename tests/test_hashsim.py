@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 
 from condbound import hashsim, moments
 from condbound import (BallsBinsInstance, BellSequence, HashFamilySpec,
-                       SimulationConfig, evaluate_hash, exact_small_oracle,
-                       independent_oracle, lemma2_certificate, raw_moment,
-                       run_trials)
+                       evaluate_hash, exact_small_oracle, independent_oracle,
+                       lemma2_certificate, raw_moment, run_trials)
 from condbound.errors import CapacityError, PreconditionError
 
 from oracles import (assignment_bin0_histogram, assignment_moment,
@@ -177,10 +176,8 @@ def test_run_trials_matches_exact_reference():
     # degenerate low-degree seeds of probability ~2^-(w*degree), which no
     # feasible trial count samples)
     spec = HashFamilySpec.create(8, independence=4)
-    config = SimulationConfig(spec, trials=2000, master_seed=42,
-                              moment_orders=(1, 2),
-                              thresholds=(Fraction(1),))
-    report = run_trials(config)
+    report = run_trials(spec, trials=2000, master_seed=42, orders=(1, 2),
+                        thresholds=(Fraction(1),))
     assert report.se_defined
     for stat in report.moments:
         assert stat.exact is not None
@@ -192,9 +189,7 @@ def test_run_trials_top_order_underestimates_by_rare_mass():
     # low; the constant-seed class alone carries mass 1.0 here, and the
     # exhaustive oracles (not sampling) own the exact identity
     spec = HashFamilySpec.create(8, independence=4)
-    config = SimulationConfig(spec, trials=2000, master_seed=42,
-                              moment_orders=(4,))
-    report = run_trials(config)
+    report = run_trials(spec, trials=2000, master_seed=42, orders=(4,))
     stat = report.moments[0]
     assert stat.mean <= float(stat.exact)
     assert stat.mean >= float(stat.exact) - 1.1
@@ -203,29 +198,25 @@ def test_run_trials_top_order_underestimates_by_rare_mass():
 def test_run_trials_tail_vs_certificate():
     cert = lemma2_certificate(4, 2 ** 8, BellSequence())
     spec = HashFamilySpec.create(8, independence=4)
-    config = SimulationConfig(spec, trials=2000, master_seed=11,
-                              moment_orders=(1,),
-                              thresholds=(cert.threshold.lo,))
-    report = run_trials(config)
+    report = run_trials(spec, trials=2000, master_seed=11, orders=(1,),
+                        thresholds=(cert.threshold.lo,))
     tail = report.tails[0]
     assert tail.frequency >= float(cert.probability) - 3 * tail.se
 
 
 def test_run_trials_single_trial_flags_se():
     spec = HashFamilySpec.create(4, independence=2)
-    config = SimulationConfig(spec, trials=1, master_seed=0)
-    report = run_trials(config)
+    report = run_trials(spec, trials=1, master_seed=0)
     assert not report.se_defined
     assert report.moments[0].se is None
 
 
 def test_run_trials_determinism_across_threads():
     spec = HashFamilySpec.create(6, independence=4)
-    config = SimulationConfig(spec, trials=4500, master_seed=99,
-                              moment_orders=(1, 2),
-                              thresholds=(Fraction(1), Fraction(3, 2)))
-    a = run_trials(config, threads=1)
-    b = run_trials(config, threads=4)
+    kwargs = dict(trials=4500, master_seed=99, orders=(1, 2),
+                  thresholds=(Fraction(1), Fraction(3, 2)))
+    a = run_trials(spec, threads=1, **kwargs)
+    b = run_trials(spec, threads=4, **kwargs)
     assert a == b
 
 
@@ -270,9 +261,9 @@ def test_run_trials_builds_one_philox_per_batch(monkeypatch):
 
     monkeypatch.setattr(np.random, "Philox", counting)
     spec = HashFamilySpec.create(11, independence=3)
-    config = SimulationConfig(spec, trials=1100, master_seed=3)
-    run_trials(config)
-    batches = -(-config.trials // max(1, hashsim.BLOCK_ELEMS // 2048))
+    trials = 1100
+    run_trials(spec, trials=trials, master_seed=3)
+    batches = -(-trials // max(1, hashsim.BLOCK_ELEMS // 2048))
     assert 1 <= len(built) <= batches
 
 
@@ -311,15 +302,15 @@ def test_trial_statistics_match_float_pass(case, order, threshold):
 def _block_sensitive_runs():
     """Every simulator loop at shapes whose blocks split differently under
     the default budget, one trial (seed) per block, and an odd budget."""
-    stats = dict(moment_orders=(1, 2, 3),
+    stats = dict(orders=(1, 2, 3),
                  thresholds=(Fraction(2), Fraction(9, 2)))
     truncated = HashFamilySpec.create(7, independence=3, output_bits=4)
     return {
-        "mc-output-bits": run_trials(SimulationConfig(
-            truncated, trials=300, master_seed=13, **stats)),
-        "mc-balls": run_trials(SimulationConfig(
+        "mc-output-bits": run_trials(truncated, trials=300, master_seed=13,
+                                     **stats),
+        "mc-balls": run_trials(
             HashFamilySpec.create(8, independence=4), trials=300,
-            master_seed=14, balls=100, **stats), threads=2),
+            master_seed=14, balls=100, threads=2, **stats),
         **{f"independent-threads-{threads}": independent_oracle(
             200, 50, (1, 2, 3), 400, 15, thresholds=stats["thresholds"],
             threads=threads) for threads in (1, 2)},
@@ -345,9 +336,8 @@ def test_reports_do_not_depend_on_block_size(monkeypatch, budget):
 # tracemalloc sees numpy's buffers; with BLOCK_ELEMS-element blocks each
 # call peaks at 1.5-7.6 MiB (23-32 MiB with 2^20-2^22-element blocks)
 @pytest.mark.parametrize("call", [
-    lambda: run_trials(SimulationConfig(
-        HashFamilySpec.create(12, independence=4), trials=512,
-        master_seed=7), threads=1),
+    lambda: run_trials(HashFamilySpec.create(12, independence=4), trials=512,
+                       master_seed=7, threads=1),
     lambda: independent_oracle(4096, 4096, (1, 2), 512, 7, thresholds=(1,)),
     lambda: exact_small_oracle(HashFamilySpec.create(5, independence=4)),
 ], ids=["run_trials", "independent_oracle", "exact_small_oracle"])
@@ -365,7 +355,7 @@ def test_simulator_peak_memory_bounded(call):
 def test_master_seed_outside_philox_key_range(seed):
     spec = HashFamilySpec.create(4, independence=2)
     with pytest.raises(PreconditionError, match="master seed"):
-        SimulationConfig(spec, trials=3, master_seed=seed)
+        run_trials(spec, trials=3, master_seed=seed)
     for M, N in [(40, 4), (3, 3)]:          # Monte Carlo and exhaustive
         with pytest.raises(PreconditionError, match="master seed"):
             independent_oracle(M, N, orders=(1,), trials=3, master_seed=seed)
@@ -374,28 +364,20 @@ def test_master_seed_outside_philox_key_range(seed):
 def test_moment_orders_capped_by_independence():
     spec = HashFamilySpec.create(6, independence=2)
     with pytest.raises(PreconditionError):
-        SimulationConfig(spec, trials=10, master_seed=0, moment_orders=(3,))
+        run_trials(spec, trials=10, master_seed=0, orders=(3,))
 
 
 def test_moment_order_below_one_rejected_by_config():
     # checked before any trial runs, like the order above q
     spec = HashFamilySpec.create(12, independence=4)
     with pytest.raises(PreconditionError, match="moment order"):
-        SimulationConfig(spec, trials=10, master_seed=0, moment_orders=(0,))
-
-
-def test_reducible_modulus_rejected():
-    # x^4 + 1 = (x + 1)^4: no field, so no q-wise independent family
-    with pytest.raises(PreconditionError, match="irreducible"):
-        spec = HashFamilySpec(4, 1, 4, 0b10001)
-        run_trials(SimulationConfig(spec, trials=2, master_seed=0))
+        run_trials(spec, trials=10, master_seed=0, orders=(0,))
 
 
 def test_throw_cap():
     spec = HashFamilySpec.create(12, independence=2)
-    config = SimulationConfig(spec, trials=10 ** 7, master_seed=0)
     with pytest.raises(CapacityError):
-        run_trials(config)
+        run_trials(spec, trials=10 ** 7, master_seed=0)
 
 
 # one trial's row holds M bins and N loads whatever the block size, so a

@@ -32,3 +32,5 @@ def test_readme_library_block():
     eps = eval("verdict.reduction.epsilon_star", namespace)
     log2_eps = math.log2(eps.numerator) - math.log2(eps.denominator)
     assert -43.55 < log2_eps < -43.54
+    assert commented["report.moments[0].mean"].startswith("1.0,")
+    assert eval("report.moments[0].mean", namespace) == 1.0

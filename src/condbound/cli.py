@@ -40,14 +40,17 @@ _EXPONENT = re.compile(r"[eE^][-+]?(\d[\d_]*)")
 
 
 def _parse(option: str, parse, text: str | None):
-    """parse(text), or None for an absent option; a malformed value, or an
-    exponent above LOG2_SIZE_CAP (checked first), raises naming the option."""
+    """parse(text), or None for an absent option; a malformed value, a
+    value that ``parse`` rejects, or an exponent above LOG2_SIZE_CAP
+    (checked first), raises naming the option."""
     if text is None:
         return None
     try:
         exponent = max(map(int, _EXPONENT.findall(text)), default=0)
         _at_most(option + " exponent", exponent, LOG2_SIZE_CAP)
         return parse(text)
+    except PreconditionError as exc:
+        raise PreconditionError(f"{option}: {exc}") from None
     except (ValueError, ZeroDivisionError):
         raise PreconditionError(
             f"{option}: malformed value {text!r}") from None

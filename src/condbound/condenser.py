@@ -245,8 +245,8 @@ class GapRow:
     q_plus: int
     q_minus: int | None
     ratio: Fraction | None
-    band_lo: float
-    band_hi: float
+    band_lo: float | None
+    band_hi: float | None
     within_band: bool | None
 
 
@@ -256,7 +256,8 @@ def asymptotic_gap_report(log2_inv_eps_list, k: int, bells: BellSequence,
 
     The attached band is the closed-form trend 1 +/- logloglog(1/eps) /
     loglog(1/eps) with unit constant, reported for comparison only (the
-    true implied constant is not instantiated anywhere).
+    true implied constant is not instantiated anywhere).  Below L = 2,
+    where log2 log2 L < 0, it has no meaning, and the row reports no band.
     """
     rows = []
     for L in log2_inv_eps_list:
@@ -265,9 +266,12 @@ def asymptotic_gap_report(log2_inv_eps_list, k: int, bells: BellSequence,
         verdict = necessary_independence(L, k, loss, bells, q_max)
         q_minus = None if verdict is None else verdict.params.independence
         ratio = None if q_minus is None else Fraction(q_minus) / L
-        loglog = math.log2(math.log2(float(L)))
-        half_width = loglog / math.log2(float(L))
-        band_lo, band_hi = 1 - half_width, 1 + half_width
-        within = None if ratio is None else band_lo <= float(ratio) <= band_hi
+        band_lo = band_hi = within = None
+        if L >= 2:  # exact, before float(L) can round L to 1
+            loglog = math.log2(math.log2(float(L)))
+            half_width = loglog / math.log2(float(L))
+            band_lo, band_hi = 1 - half_width, 1 + half_width
+            if ratio is not None:
+                within = band_lo <= float(ratio) <= band_hi
         rows.append(GapRow(L, q_plus, q_minus, ratio, band_lo, band_hi, within))
     return rows

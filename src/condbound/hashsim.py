@@ -18,12 +18,20 @@ also accumulates x^(i+1).  The uint16 rows bound w by TABLE_FIELD_BITS,
 and one run's tables take at most TABLE_BYTES (16 MiB).  Only when the
 q positions do not fit do those past the first ``span`` fold in by
 Horner in x^span, through exp/log tables built for that case alone.
+The constant coefficient c_0 is never gathered: it XORs every value of
+a seed with one constant, which permutes the seed's bins.  The load
+histogram, the tails and every moment summed in integers are functions
+of the multiset of loads and do not change; a moment that
+``_trial_moment`` sums in float64 (M^order >= 2^53) rounds in bin order,
+so its last bits can.
 
 Block budget: ``_load_experiment`` is the only block loop, for the Monte
 Carlo trials and the exhaustive seed oracle alike.  Its blocks hold at
 most BLOCK_ELEMS elements, so that one int64 working array fits in one
-core's L2 cache, and each caller's ``assign`` writes the bin of every
-ball straight into the driver's reused block buffer.  The driver also
+core's L2 cache, and each caller writes the bin of every ball straight
+into the driver's reused block buffer; what a caller draws for a whole
+chunk of rows up front, the Monte Carlo seeds, holds at most
+BLOCK_ELEMS elements too.  The driver also
 checks every cap, for every caller, before it allocates: a batch holds
 at least one trial, so ROW_ELEMS_CAP bounds the balls M and bins N of
 one row; DEFAULT_THROW_CAP bounds M and N times the trials; and
@@ -34,17 +42,22 @@ Monte Carlo branch through ``independent_trials`` and needs this module
 for nothing else: at shapes it enumerates it reads the closed-form
 ``ExactLoadDistribution`` and never imports numpy.
 
-Numpy use: gathers, XOR, ``add.at``, ``bincount`` and reductions, and no
-BLAS routine, so the CLI loads numpy with OpenBLAS at one thread (see
-``cli._run_simulate``).
+Numpy use: gathers, XOR, ``add.at``, ``bincount``, uint64 arithmetic and
+reductions, and no BLAS routine, so the CLI loads numpy with OpenBLAS at
+one thread (see ``cli._run_simulate``).  Only the independent sampler
+uses ``numpy.random``; the GF family's Monte Carlo and exhaustive modes
+never import it.
 
 Determinism contract: every trial draws its seed from a counter-based
 Philox generator keyed by master_seed, with the trial index t as its
-starting counter (t << 128).  Each batch of trials builds one generator
-and re-keys it to (master_seed, t) before trial t, so every trial draws
-exactly what a fresh generator at that key and counter would.  All
-reductions run in trial-index order, so reports are bit-identical
-regardless of how trials are scheduled across threads.
+starting counter (t << 128): trial t draws exactly what a fresh
+``Generator(Philox(key=master_seed, counter=t << 128))`` would.  The GF
+family's q coefficients per trial are computed for a whole chunk of
+trials in one vectorised Philox4x64-10 pass (``_seed_coefficients``);
+the independent sampler re-keys one numpy generator per batch before
+each trial (``_trial_rngs``).  All reductions run in trial-index order,
+so reports are bit-identical regardless of how trials are scheduled
+across threads.
 """
 
 from __future__ import annotations
@@ -146,6 +159,62 @@ def evaluate_hash(spec: HashFamilySpec, seed, x: int) -> int:
 def _int_threshold(threshold: Fraction) -> int:
     """Smallest integer load satisfying S >= threshold."""
     return max(0, -((-threshold.numerator) // threshold.denominator))
+
+
+# Philox4x64-10 (Salmon et al., SC 2011): the round multipliers and the
+# Weyl increments of the key
+_PHILOX_MUL = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_BUMP = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_U64 = (1 << 64) - 1
+_LO32 = np.uint64(0xFFFFFFFF)
+_32 = np.uint64(32)
+
+
+def _mulhilo(m: int, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(high, low) 64-bit halves of the 128-bit products m * a, through
+    32-bit halves; every operand is uint64, which wraps the low half."""
+    m0, m1 = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    a0, a1 = a & _LO32, a >> _32
+    p00, p01, p10 = a0 * m0, a1 * m0, a0 * m1
+    mid = (p00 >> _32) + (p01 & _LO32) + (p10 & _LO32)
+    hi = a1 * m1 + (p01 >> _32) + (p10 >> _32) + (mid >> _32)
+    return hi, a * np.uint64(m)
+
+
+def _seed_coefficients(master_seed: int, t0: int, t1: int, w: int,
+                       q: int) -> np.ndarray:
+    """(q, t1 - t0) int64 coefficients: column t - t0 holds what
+    ``Generator(Philox(key=master_seed, counter=t << 128)).integers(0,
+    2^w, size=q, dtype=int64)`` draws, for trials 0 <= t0 <= t < t1 <
+    2^64 and 1 <= w <= 16.
+
+    numpy's Philox increments the 256-bit counter before each block, so
+    block b of trial t is Philox4x64-10 of the counter words (b + 1, 0,
+    t, 0) under the key words (master_seed mod 2^64, master_seed >> 64);
+    every trial's blocks run in one vectorised pass.  Each 64-bit word
+    yields two uint32 draws, its low half first, and Lemire's method on a
+    bound of 2^w keeps the top w bits of a draw and never rejects.
+    Halves are split by shifts, independent of the host's byte order.
+    """
+    blocks = -(-q // 8)
+    c0 = np.arange(1, blocks + 1, dtype=np.uint64)[:, None]
+    c2 = np.arange(t0, t1, dtype=np.uint64)[None, :]
+    c1 = c3 = np.uint64(0)
+    k0, k1 = master_seed & _U64, master_seed >> 64
+    for _ in range(10):
+        hi0, lo0 = _mulhilo(_PHILOX_MUL[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_MUL[1], c2)
+        c0, c1 = hi1 ^ c1 ^ np.uint64(k0), lo1
+        c2, c3 = hi0 ^ c3 ^ np.uint64(k1), lo0
+        k0 = (k0 + _PHILOX_BUMP[0]) & _U64
+        k1 = (k1 + _PHILOX_BUMP[1]) & _U64
+    # (blocks, t1 - t0) arrays from the third round on: word 4b + i of
+    # trial t is ci[b, t - t0]
+    words = np.stack((c0, c1, c2, c3), axis=1).reshape(4 * blocks, -1)
+    coeffs = np.empty((q, t1 - t0), dtype=np.int64)
+    coeffs[0::2] = (words[:(q + 1) // 2] & _LO32) >> np.uint64(32 - w)
+    coeffs[1::2] = words[:q // 2] >> np.uint64(64 - w)
+    return coeffs
 
 
 def _trial_rngs(master_seed: int, b0: int, b1: int):
@@ -278,9 +347,14 @@ class _SplitTables:
             self.log_fold = self.log[power]              # log of x^span
 
     def evaluate(self, coeffs) -> np.ndarray:
-        """(seeds, points) uint16 values of the seed polynomials.
+        """(seeds, points) uint16 values of the seed polynomials with their
+        constant coefficient taken as 0.
 
-        coeffs[i] holds the coefficient of x^i for every seed.
+        coeffs[i] holds the coefficient of x^i for every seed; coeffs[0]
+        gives the seed count and is not read otherwise.  The constant c_0
+        would be the last term XORed in, after every fold; it XORs all of
+        a seed's values with one constant, which permutes the seed's bins
+        (see the module docstring).
         """
         acc = np.zeros((len(coeffs[0]), self.rows.shape[-1]),
                        dtype=np.uint16)
@@ -294,7 +368,8 @@ class _SplitTables:
                 np.take(self.log, acc, out=logs, mode="clip")
                 logs += self.log_fold
                 np.take(self.exp, logs, out=acc, mode="clip")
-            for i in range(base, min(base + self.span, len(coeffs))):
+            end = min(base + self.span, len(coeffs))
+            for i in range(max(base, 1), end):
                 for j in range(self.nibbles):
                     np.take(self.rows[i - base, j], (coeffs[i] >> 4 * j) & 15,
                             axis=0, out=buf, mode="clip")
@@ -311,7 +386,7 @@ def _add_counts(total: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 
 def _load_experiment(M: int, N: int, trials: int, orders, thresholds,
-                     threads: int, assign):
+                     threads: int, assign, draw: int = 0):
     """Bin loads of M balls in N bins over ``trials`` rows.
 
     Returns (per_trial_moments, per_trial_tails, hist_counts): the mean
@@ -319,15 +394,19 @@ def _load_experiment(M: int, N: int, trials: int, orders, thresholds,
     per order or threshold, and the number of (row, bin) pairs at each
     load from 0 to the largest load seen.
 
-    ``assign(b0, b1, out)`` writes the bin in [0, N) of every ball in
-    rows b0..b1-1 into ``out``, the (b1 - b0, M) int64 view of the
-    chunk's reused block buffer, row i for row b0 + i; the driver then
-    offsets the bins in place and counts the loads into a second reused
-    buffer.  Rows run in batches of at most BLOCK_ELEMS balls or bins,
-    batches in chunks, chunks on the thread pool; every per-trial row is
-    written at its row index and the chunk histograms are summed in chunk
-    order, so the result depends neither on the thread count nor on where
-    a block boundary falls.
+    ``assign(start, end)`` runs once per chunk of rows start..end-1, on
+    the thread that runs the chunk, and returns ``fill(b0, b1, out)``,
+    which writes the bin in [0, N) of every ball in rows b0..b1-1 of the
+    chunk into ``out``, the (b1 - b0, M) int64 view of the chunk's reused
+    block buffer, row i for row b0 + i; the driver then offsets the bins
+    in place and counts the loads into a second reused buffer.  Rows run
+    in batches of at most BLOCK_ELEMS balls or bins, batches in chunks of
+    eight, chunks on the thread pool.  ``draw`` is the number of elements
+    that ``assign`` computes per row up front; a chunk holds at most
+    BLOCK_ELEMS of them.  Every per-trial row is written at its row index
+    and the chunk histograms are summed in chunk order, so the result
+    depends neither on the thread count nor on where a block boundary
+    falls.
 
     Every cap is checked here, for every caller, before anything is
     allocated: a row holds M bins and N loads whatever the block, the
@@ -350,8 +429,10 @@ def _load_experiment(M: int, N: int, trials: int, orders, thresholds,
     int_thrs = [_int_threshold(t) for t in thresholds]
     per_trial_moments = np.empty((trials, len(orders)), dtype=np.float64)
     per_trial_tails = np.empty((trials, len(thresholds)), dtype=np.float64)
-    batch = max(1, BLOCK_ELEMS // max(M, N))
-    chunk = 8 * batch
+    batch = max(1, BLOCK_ELEMS // max(M, N, 8 * draw))
+    # eight batches, or fewer rows where one row's draw takes more than
+    # an eighth of a block
+    chunk = max(1, min(8 * batch, BLOCK_ELEMS // max(draw, 1)))
     # row i of a batch counts its balls in bins i*N .. i*N + N-1
     offsets = np.arange(0, batch * N, N)[:, None]
 
@@ -365,11 +446,12 @@ def _load_experiment(M: int, N: int, trials: int, orders, thresholds,
         # freed with the moment temporaries, lets the allocator trim and
         # regrow the heap on every batch
         counts = np.empty(rows * N, dtype=np.int64)
+        fill = assign(start, end)
         for b0 in range(start, end, batch):
             b1 = min(b0 + batch, end)
             nb = b1 - b0
             bins = buf[:nb]
-            assign(b0, b1, bins)
+            fill(b0, b1, bins)
             bins += offsets[:nb]
             loads = counts[:nb * N]
             loads.fill(0)
@@ -425,12 +507,14 @@ def run_trials(spec: HashFamilySpec, trials: int, master_seed: int,
     shift = spec.field_bits - spec.output_bits
     thresholds = tuple(Fraction(t) for t in thresholds)
 
-    def assign(b0, b1, out):
-        coeffs = np.stack([
-            rng.integers(0, 1 << spec.field_bits, size=spec.degree + 1,
-                         dtype=np.int64)
-            for rng in _trial_rngs(master_seed, b0, b1)])
-        np.right_shift(split.evaluate(coeffs.T), shift, out=out)
+    def assign(start, end):
+        coeffs = _seed_coefficients(master_seed, start, end, spec.field_bits,
+                                    q)
+
+        def fill(b0, b1, out):
+            seeds = coeffs[:, b0 - start:b1 - start]
+            np.right_shift(split.evaluate(seeds), shift, out=out)
+        return fill
 
     echo = {"mode": "monte-carlo", "field_bits": spec.field_bits,
             "degree": spec.degree, "output_bits": spec.output_bits,
@@ -438,8 +522,11 @@ def run_trials(spec: HashFamilySpec, trials: int, master_seed: int,
             "trials": trials, "master_seed": master_seed}
     return _reduce_report(
         echo, trials, orders, thresholds,
-        *_load_experiment(M, N, trials, orders, thresholds, threads, assign),
-        _moment_values(BallsBinsInstance(M, N, spec.independence), orders))
+        # one trial's draw holds q coefficients and the 4 * ceil(q / 8)
+        # <= max(q, 4) words of its Philox blocks
+        *_load_experiment(M, N, trials, orders, thresholds, threads, assign,
+                          draw=max(q, 4)),
+        _moment_values(BallsBinsInstance(M, N, q), orders))
 
 
 def exact_small_oracle(spec: HashFamilySpec) -> ExactLoadDistribution:
@@ -471,7 +558,7 @@ def exact_small_oracle(spec: HashFamilySpec) -> ExactLoadDistribution:
     shift = w - spec.output_bits
     mask = M - 1
 
-    def assign(b0, b1, out):
+    def fill(b0, b1, out):
         parts = np.arange(b0, b1, dtype=np.int64)
         # g(x), the seed polynomial with c_0 = 0
         coeffs = [np.zeros_like(parts),
@@ -479,7 +566,7 @@ def exact_small_oracle(spec: HashFamilySpec) -> ExactLoadDistribution:
         np.right_shift(split.evaluate(coeffs), shift, out=out)
 
     *_, counts = _load_experiment(M, spec.bins, n_seeds >> w, (), (), 1,
-                                  assign)
+                                  lambda start, end: fill)
     counts <<= shift
     support = {int(s): Fraction(int(c), n_seeds)
                for s, c in enumerate(counts) if c}
@@ -493,7 +580,7 @@ def independent_trials(M: int, N: int, orders: tuple, thresholds: tuple,
     has checked its arguments: ``trials`` seeded trials of M balls, each
     ball in a uniform bin of N, through the load driver."""
 
-    def assign(b0, b1, out):
+    def fill(b0, b1, out):
         for row, rng in zip(out, _trial_rngs(master_seed, b0, b1)):
             # by blocks, no row-sized temporary; slices continue one stream
             for s in range(0, M, BLOCK_ELEMS):
@@ -504,5 +591,6 @@ def independent_trials(M: int, N: int, orders: tuple, thresholds: tuple,
             "trials": trials, "master_seed": master_seed}
     return _reduce_report(
         echo, trials, orders, thresholds,
-        *_load_experiment(M, N, trials, orders, thresholds, threads, assign),
+        *_load_experiment(M, N, trials, orders, thresholds, threads,
+                          lambda start, end: fill),
         exact_refs)

@@ -3,10 +3,12 @@
 Nothing in this module touches the production code paths it is used to
 check: set partitions are enumerated one by one, assignment averages come
 from explicit enumeration over all N^M assignments, Bell numbers are
-rebuilt through the binomial recurrence, hash seeds are evaluated one by
-one with a carry-less multiply of their own, the smallest irreducible
-polynomial of a degree is found by trial division, and the atanh series
-runs through one named rounding helper per operation.
+rebuilt through the binomial recurrence, hash seeds are evaluated with a
+carry-less multiply of their own (one by one, or one seed over all points
+at once), Monte Carlo seeds come from one fresh numpy generator per
+trial, the smallest irreducible polynomial of a degree is found by trial
+division, and the atanh series runs through one named rounding helper
+per operation.
 """
 
 from fractions import Fraction
@@ -121,6 +123,42 @@ def seed_bin0_histogram(w: int, q: int, output_bits: int,
             load += acc >> shift == 0
         counts[load] = counts.get(load, 0) + 1
     return counts
+
+
+def _clmul_mod_arrays(a: np.ndarray, b: np.ndarray, w: int,
+                      modulus: int) -> np.ndarray:
+    """a * b in GF(2)[x] / modulus elementwise, for int64 arrays of
+    w-bit elements: shift-and-XOR, then reduction bit by bit from the
+    top."""
+    prod = np.zeros_like(a)
+    for bit in range(w):
+        prod ^= (a << bit) & -((b >> bit) & 1)
+    for bit in range(2 * w - 2, w - 1, -1):
+        prod ^= ((prod >> bit) & 1) * (modulus << (bit - w))
+    return prod
+
+
+def polynomial_trial_loads(w: int, q: int, output_bits: int, modulus: int,
+                           master_seed: int, trials: int,
+                           balls: int) -> np.ndarray:
+    """(trials, 2^output_bits) bin loads of the Monte Carlo experiment.
+
+    Trial t draws all q coefficients, the constant c_0 included, from a
+    fresh ``Generator(Philox(key=master_seed, counter=t << 128))`` and
+    hashes the points 0..balls-1 to the top output_bits bits of the
+    polynomial's value, evaluated by Horner over all points at once."""
+    xs = np.arange(balls, dtype=np.int64)
+    loads = np.zeros((trials, 1 << output_bits), dtype=np.int64)
+    for t in range(trials):
+        rng = np.random.Generator(
+            np.random.Philox(key=master_seed, counter=t << 128))
+        coeffs = rng.integers(0, 1 << w, size=q, dtype=np.int64)
+        acc = np.zeros(balls, dtype=np.int64)
+        for c in coeffs[::-1]:
+            acc = _clmul_mod_arrays(acc, xs, w, modulus) ^ c
+        loads[t] = np.bincount(acc >> (w - output_bits),
+                               minlength=1 << output_bits)
+    return loads
 
 
 def smallest_irreducible_by_trial_division(w: int) -> int:

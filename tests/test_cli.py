@@ -403,6 +403,16 @@ def test_condense_sweep_single(capsys):
     assert parse_rational(rows[0]["ratio"]) == Fraction(90, 64)
 
 
+def test_condense_sweep_reports_no_band_below_log2eps_2(capsys):
+    # log2 log2 L < 0 below L = 2: 1.0001 inverted the band, and the first
+    # value, which float() rounds to 1.0, raised a math domain error
+    env = run_json(capsys, "condense", "sweep", "--log2eps",
+                   "1.0000000000000000000001,1.0001,2", "--k", "64")
+    bands = [(r["band_lo"], r["band_hi"], r["within_band"])
+             for r in env["result"]["rows"]]
+    assert bands == [(None, None, None), (None, None, None), (1.0, 1.0, None)]
+
+
 @pytest.mark.parametrize("command", ["minq", "sweep"])
 @pytest.mark.parametrize("log2eps", ["64", "128"])
 def test_longer_bell_cache_keeps_the_search_window(capsys, tmp_path,
@@ -691,6 +701,17 @@ def test_simulate_wide_field_large_q_bounded(capsys, monkeypatch):
 def test_malformed_option_value_exits_2(capsys, argv, option):
     assert dispatch(argv) == 2
     assert option in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["mc", "exact"])
+def test_non_dyadic_threshold_names_the_failed_precondition(capsys, mode):
+    # 1/3 parses; it is rejected for not being dyadic, not as malformed
+    argv = ["simulate", "--mode", mode, "--w", "3", "--q", "2",
+            "--thresholds", "1,1/3"]
+    assert dispatch(argv) == 2
+    err = capsys.readouterr().err
+    assert "--thresholds: value '1/3' is not a dyadic rational" in err
+    assert "malformed" not in err
 
 
 _MC = ["simulate", "--w", "12", "--q", "4", "--trials", "3"]

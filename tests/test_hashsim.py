@@ -1,6 +1,11 @@
 import dataclasses
+import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +19,7 @@ from condbound import (BallsBinsInstance, BellSequence, HashFamilySpec,
 from condbound.errors import CapacityError, PreconditionError
 
 from oracles import (assignment_bin0_histogram, assignment_moment,
-                     seed_bin0_histogram)
+                     polynomial_trial_loads, seed_bin0_histogram)
 
 
 def test_constant_polynomial_family():
@@ -251,20 +256,82 @@ def test_trial_rngs_match_fresh_generators(master_seed):
                 assert np.array_equal(got, want), (bound, t, b0)
 
 
-def test_run_trials_builds_one_philox_per_batch(monkeypatch):
-    built = []
-    philox = np.random.Philox
+_DRAW_KEYS = [0, 7, (1 << 64) - 1, 1 << 64, (1 << 128) - 1]
+# each t, alone and inside chunks that start before it
+_DRAW_CHUNKS = [(t0, t + 1 + extra)
+                for t in [0, 1, 2047, 2048, (1 << 22) - 1]
+                for t0 in {t, max(t - 1, 0), max(t - 5, 0)}
+                for extra in (0, 2)]
 
-    def counting(*args, **kwargs):
-        built.append(kwargs)
-        return philox(*args, **kwargs)
 
-    monkeypatch.setattr(np.random, "Philox", counting)
-    spec = HashFamilySpec.create(11, independence=3)
-    trials = 1100
-    run_trials(spec, trials=trials, master_seed=3)
-    batches = -(-trials // max(1, hashsim.BLOCK_ELEMS // 2048))
-    assert 1 <= len(built) <= batches
+@pytest.mark.parametrize("key", _DRAW_KEYS,
+                         ids=["0", "7", "2^64-1", "2^64", "2^128-1"])
+def test_seed_coefficients_match_fresh_generators(key):
+    # q crosses the half-word (odd q) and the 8-draw block boundaries
+    for w in range(1, 17):
+        qs = [1, 2, 3, 7, 8, 9, 16, 17] + ([1 << w] if w <= 8 else [])
+        for q in qs:
+            for t0, t1 in _DRAW_CHUNKS:
+                got = hashsim._seed_coefficients(key, t0, t1, w, q)
+                assert got.dtype == np.int64 and got.shape == (q, t1 - t0)
+                for t in range(t0, t1):
+                    fresh = np.random.Generator(
+                        np.random.Philox(key=key, counter=t << 128))
+                    want = fresh.integers(0, 1 << w, size=q, dtype=np.int64)
+                    assert np.array_equal(got[:, t - t0], want), (w, q, t0, t)
+
+
+@pytest.mark.parametrize("budget, w, q, trials", [
+    (hashsim.BLOCK_ELEMS, 3, 8, 40_000),  # 8-ball rows: the draw sizes them
+    (1 << 6, 5, 17, 20),                  # one row's draw > budget / 8
+], ids=["small-rows", "large-draw"])
+def test_chunk_seed_draw_fits_a_block(monkeypatch, budget, w, q, trials):
+    # the draw of a chunk, q coefficients and at least four Philox words
+    # per trial, holds at most BLOCK_ELEMS elements
+    monkeypatch.setattr(hashsim, "BLOCK_ELEMS", budget)
+    chunks = []
+    draw = hashsim._seed_coefficients
+
+    def recording(master_seed, t0, t1, w, q):
+        chunks.append(t1 - t0)
+        return draw(master_seed, t0, t1, w, q)
+
+    monkeypatch.setattr(hashsim, "_seed_coefficients", recording)
+    run_trials(HashFamilySpec.create(w, independence=q), trials=trials,
+               master_seed=1, orders=(1,))
+    assert sum(chunks) == trials
+    assert max(chunks) * max(q, 4) <= budget
+
+
+# Runs the GF(2^w) simulator in a fresh interpreter: the library calls and
+# the CLI's mc and exact modes, then prints whether numpy alone loads
+# numpy.random and whether it is loaded at the end.
+_RANDOM_PROBE = """
+import contextlib, io, sys
+import numpy
+alone = "numpy.random" in sys.modules
+from condbound import HashFamilySpec, exact_small_oracle, run_trials
+from condbound.cli import dispatch
+run_trials(HashFamilySpec.create(11, 3), trials=1100, master_seed=3)
+exact_small_oracle(HashFamilySpec.create(3, 4, output_bits=2))
+with contextlib.redirect_stdout(io.StringIO()):
+    for mode in ("mc", "exact"):
+        assert dispatch(["simulate", "--mode", mode, "--w", "4", "--q", "3",
+                         "--trials", "20", "--threads", "2"]) == 0
+print(alone, "numpy.random" in sys.modules)
+"""
+
+
+def test_gf_simulator_leaves_numpy_random_unloaded():
+    src = str(Path(hashsim.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", _RANDOM_PROBE],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src},
+                          timeout=120, check=True)
+    alone, loaded = proc.stdout.split()
+    if alone == "True":
+        pytest.skip("this numpy loads numpy.random on import")
+    assert loaded == "False"
 
 
 @st.composite
@@ -509,7 +576,8 @@ def _kernel_values_checked(spec, split, rng):
         points = [0, 1, (1 << w) - 1,
                   *(int(x) for x in rng.integers(0, 1 << w, size=40))]
     for s in range(coeffs.shape[1]):
-        seed = [int(c) for c in coeffs[:, s]]
+        # evaluate takes the constant coefficient as 0
+        seed = [0, *(int(c) for c in coeffs[1:, s])]
         for x in points:
             assert values[s, x] == evaluate_hash(spec, seed, x), (s, x)
     return values
@@ -540,6 +608,38 @@ def test_split_table_fold_matches_full_tables(monkeypatch, span):
     assert split.span == span
     folded = _kernel_values_checked(spec, split, np.random.default_rng(5))
     assert np.array_equal(folded, full)
+
+
+@pytest.mark.parametrize("w, q, output_bits, balls, trials", [
+    (6, 1, 6, None, 30),       # q = 1: every ball in the bin of c_0
+    (9, 4, 3, None, 200),      # output bits below w
+    (10, 3, 10, 300, 200),     # balls below 2^w
+    (16, 5, 16, None, 6),      # the x^span fold runs
+], ids=["q1", "output-bits", "balls", "fold"])
+def test_run_trials_matches_reference_with_constant(w, q, output_bits, balls,
+                                                    trials):
+    # the simulator drops c_0, which only permutes each trial's bins; the
+    # reference hashes with c_0 and every statistic agrees bit for bit
+    # (each trial's sums of S^order are exact integers here)
+    spec = HashFamilySpec.create(w, independence=q, output_bits=output_bits)
+    orders = tuple(range(1, q + 1))
+    thresholds = (Fraction(1), Fraction(5, 2))
+    report = run_trials(spec, trials, master_seed=21, orders=orders,
+                        thresholds=thresholds, balls=balls, threads=2)
+    loads = polynomial_trial_loads(w, q, output_bits, spec.modulus, 21,
+                                   trials, balls or 1 << w)
+
+    def mean_se(col):
+        return np.mean(col), np.std(col, ddof=1) / math.sqrt(trials)
+
+    assert [(m.mean, m.se) for m in report.moments] == [
+        mean_se(np.mean(loads.astype(np.float64) ** order, axis=1))
+        for order in orders]
+    assert [(t.frequency, t.se) for t in report.tails] == [
+        mean_se(np.mean(loads >= thr, axis=1)) for thr in (1, 3)]
+    hist = np.bincount(loads.ravel())
+    assert report.histogram == tuple((s, int(c)) for s, c in enumerate(hist)
+                                     if c)
 
 
 # bin-0 load counts over every seed, recorded with the exp/log Horner

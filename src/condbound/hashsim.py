@@ -399,14 +399,14 @@ def _load_experiment(M: int, N: int, trials: int, orders, thresholds,
     which writes the bin in [0, N) of every ball in rows b0..b1-1 of the
     chunk into ``out``, the (b1 - b0, M) int64 view of the chunk's reused
     block buffer, row i for row b0 + i; the driver then offsets the bins
-    in place and counts the loads into a second reused buffer.  Rows run
-    in batches of at most BLOCK_ELEMS balls or bins, batches in chunks of
-    eight, chunks on the thread pool.  ``draw`` is the number of elements
-    that ``assign`` computes per row up front; a chunk holds at most
-    BLOCK_ELEMS of them.  Every per-trial row is written at its row index
-    and the chunk histograms are summed in chunk order, so the result
-    depends neither on the thread count nor on where a block boundary
-    falls.
+    in place and counts the loads into a second reused buffer.  ``draw``
+    is the number of elements that ``assign`` computes per row up front.
+    Rows run in batches of at most BLOCK_ELEMS balls, bins or drawn
+    elements, batches in chunks of eight, or fewer where the chunk's draw
+    would pass BLOCK_ELEMS elements, and chunks on the thread pool.  Every
+    per-trial row is written at its row index and the chunk histograms
+    are summed in chunk order, so the result depends neither on the
+    thread count nor on where a block boundary falls.
 
     Every cap is checked here, for every caller, before anything is
     allocated: a row holds M bins and N loads whatever the block, the
@@ -429,9 +429,7 @@ def _load_experiment(M: int, N: int, trials: int, orders, thresholds,
     int_thrs = [_int_threshold(t) for t in thresholds]
     per_trial_moments = np.empty((trials, len(orders)), dtype=np.float64)
     per_trial_tails = np.empty((trials, len(thresholds)), dtype=np.float64)
-    batch = max(1, BLOCK_ELEMS // max(M, N, 8 * draw))
-    # eight batches, or fewer rows where one row's draw takes more than
-    # an eighth of a block
+    batch = max(1, BLOCK_ELEMS // max(M, N, draw))
     chunk = max(1, min(8 * batch, BLOCK_ELEMS // max(draw, 1)))
     # row i of a batch counts its balls in bins i*N .. i*N + N-1
     offsets = np.arange(0, batch * N, N)[:, None]

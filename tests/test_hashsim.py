@@ -282,7 +282,7 @@ def test_seed_coefficients_match_fresh_generators(key):
 
 
 @pytest.mark.parametrize("budget, w, q, trials", [
-    (hashsim.BLOCK_ELEMS, 3, 8, 40_000),  # 8-ball rows: the draw sizes them
+    (hashsim.BLOCK_ELEMS, 3, 8, 40_000),  # 8-ball rows: the draw caps chunks
     (1 << 6, 5, 17, 20),                  # one row's draw > budget / 8
 ], ids=["small-rows", "large-draw"])
 def test_chunk_seed_draw_fits_a_block(monkeypatch, budget, w, q, trials):

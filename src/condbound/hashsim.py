@@ -13,13 +13,14 @@ field).  Multiplying a coefficient by a fixed x^i is GF(2)-linear, so
 uint16 tables of (v << 4j) * x^i over the grid, one row per coefficient
 position i, nibble j and nibble value v, turn each batch into contiguous
 row gathers XORed into one accumulator (the split-table method of Plank,
-Greenan and Miller, FAST 2013); the pass that fills the rows of x^i
-also accumulates x^(i+1).  The uint16 rows bound w by TABLE_FIELD_BITS,
-and one run's tables take at most TABLE_BYTES (16 MiB).  Only when the
-q positions do not fit do those past the first ``span`` fold in by
+Greenan and Miller, FAST 2013); x^(i+1) is read from the rows of x^i at
+the nibbles of x.  The uint16 rows bound w by TABLE_FIELD_BITS.  The
+constant coefficient c_0 is never gathered, so only positions 1..q-1
+have rows, (q-1) * ceil(w/4) * 16 * M * 2 bytes over M points, capped at
+TABLE_BYTES (16 MiB): positions past the first ``span`` fold in by
 Horner in x^span, through exp/log tables built for that case alone.
-The constant coefficient c_0 is never gathered: it XORs every value of
-a seed with one constant, which permutes the seed's bins.  The load
+c_0 XORs every value of a seed with one constant, which permutes the
+seed's bins.  The load
 histogram, the tails and every moment summed in integers are functions
 of the multiset of loads and do not change; a moment that
 ``_trial_moment`` sums in float64 (M^order >= 2^53) rounds in bin order,
@@ -31,12 +32,17 @@ most BLOCK_ELEMS elements, so that one int64 working array fits in one
 core's L2 cache, and each caller writes the bin of every ball straight
 into the driver's reused block buffer; what a caller draws for a whole
 chunk of rows up front, the Monte Carlo seeds, holds at most
-BLOCK_ELEMS elements too.  The driver also
-checks every cap, for every caller, before it allocates: a batch holds
-at least one trial, so ROW_ELEMS_CAP bounds the balls M and bins N of
-one row; DEFAULT_THROW_CAP bounds M and N times the trials; and
+BLOCK_ELEMS elements too.  ``_plan`` sizes the driver's batches and
+chunks and checks every cap, for every caller, before any work: a batch
+holds at least one trial, so ROW_ELEMS_CAP bounds the balls M and bins N
+of one row; DEFAULT_THROW_CAP bounds M and N times the trials; and
 _TRIAL_STATS_CAP bounds the trials times their statistics.  The
-exhaustive seed oracle meets its tighter seed cap first.  The fully
+exhaustive seed oracle meets its tighter seed cap first.  A Monte Carlo
+batch gathers (q-1) * ceil(w/4) rows whatever M, so KERNEL_PASS_CAP
+bounds those gathers plus the span * w passes of the table build.
+``run_trials`` checks its arguments, the instance, ``_plan``,
+KERNEL_PASS_CAP and the orders (in ``_moment_values``), in that order,
+before its tables or any trial.  The fully
 independent reference, ``independent.independent_oracle``, runs its
 Monte Carlo branch through ``independent_trials`` and needs this module
 for nothing else: at shapes it enumerates it reads the closed-form
@@ -86,8 +92,12 @@ ROW_ELEMS_CAP = 1 << 24
 # arrays, and about a minute of the ~15 us fixed cost of a trial
 _TRIAL_STATS_CAP = 1 << 22
 # bytes of split tables per evaluation grid; at w = 16 (8 MiB per
-# coefficient position) a q-position table would need q * 8 MiB
+# coefficient position) the q - 1 positions would need (q-1) * 8 MiB
 TABLE_BYTES = 16 << 20
+# passes of run_trials' kernel, span * w to build its tables and (q - 1) *
+# ceil(w/4) gathers per batch: w = 16, q = 8192, 32 trials takes 2^18 passes
+# and 70 s on a 2-vCPU host, the worst run admitted
+KERNEL_PASS_CAP = 1 << 18
 # elements per block of every simulator loop: an int64 array of one block
 # is 2 MiB, about one core's L2 cache, so a batch's bins, loads and
 # temporaries stay in cache between the passes over them
@@ -154,11 +164,6 @@ def evaluate_hash(spec: HashFamilySpec, seed, x: int) -> int:
     for c in reversed(seed):
         acc = gf_mul(acc, x, spec.modulus) ^ c
     return acc >> (spec.field_bits - spec.output_bits)
-
-
-def _int_threshold(threshold: Fraction) -> int:
-    """Smallest integer load satisfying S >= threshold."""
-    return max(0, -((-threshold.numerator) // threshold.denominator))
 
 
 # Philox4x64-10 (Salmon et al., SC 2011): the round multipliers and the
@@ -308,71 +313,71 @@ def _fold_tables(w: int, modulus: int) -> tuple[np.ndarray, np.ndarray]:
     return exp, log
 
 
+def _table_span(w: int, q: int, points: int) -> int:
+    """Positions 1..span of split tables: q - 1, or what TABLE_BYTES holds."""
+    if w > TABLE_FIELD_BITS:
+        raise CapacityError(
+            f"the simulator supports field_bits <= {TABLE_FIELD_BITS}")
+    return min(q - 1, TABLE_BYTES // (-(-w // 4) * 16 * points * 2))
+
+
 class _SplitTables:
     """Split tables of the seed polynomials of a family over the grid of
     points 0..points-1.
 
-    rows[i, j, v] holds (v << 4j) * x^i at every point x of the grid, so a
-    seed polynomial's values are the XOR over coefficient positions i and
-    nibbles j of rows[i, j, nibble j of c_i].  The rows cover the first
-    ``span`` positions, as many as TABLE_BYTES holds; higher positions
-    fold in by Horner in x^span.
+    rows[r, j, v] holds (v << 4j) * x^(r+1) at every point x of the grid,
+    so a seed polynomial's values, less its constant c_0, are the XOR over
+    coefficient positions r + 1 and nibbles j of rows[r, j, nibble j of
+    c_(r+1)].  The rows cover positions 1..span, as many as TABLE_BYTES
+    holds; higher positions fold in by Horner in x^span.
     """
 
     def __init__(self, spec: HashFamilySpec, points: int):
-        w = spec.field_bits
-        if w > TABLE_FIELD_BITS:
-            raise CapacityError(
-                f"the simulator supports field_bits <= {TABLE_FIELD_BITS}")
+        w, q = spec.field_bits, spec.independence
+        self.span = _table_span(w, q, points)
         self.nibbles = -(-w // 4)
-        position_bytes = self.nibbles * 16 * points * 2
-        self.span = max(1, min(spec.independence,
-                               TABLE_BYTES // position_bytes))
         self.rows = np.zeros((self.span, self.nibbles, 16, points),
                              dtype=np.uint16)
-        xs = np.arange(points, dtype=np.int64)
-        power = np.ones(points, dtype=np.int64)          # x^i
-        for i in range(self.span):
-            basis = power                                # 2^b * x^i
-            power = np.zeros(points, dtype=np.int64)     # x^(i+1)
-            for b in range(w):
+        xs = basis = np.arange(points, dtype=np.int64)
+        js = np.arange(self.nibbles)[:, None]
+        for r in range(self.span):
+            if r:   # x^(r+1) = x^r * x: row r - 1 at the nibbles of x
+                basis = np.bitwise_xor.reduce(self.rows[
+                    r - 1, js, xs >> 4 * js & 15, xs]).astype(np.int64)
+            for b in range(w):                           # 2^b * x^(r+1)
                 j, k = divmod(b, 4)
-                self.rows[i, j, (np.arange(16) >> k) & 1 == 1] ^= \
+                self.rows[r, j, (np.arange(16) >> k) & 1 == 1] ^= \
                     basis.astype(np.uint16)
-                power ^= basis & -(xs >> b & 1)          # bit b of x
-                basis = basis << 1                       # times x, reduced
+                basis = basis << 1                       # times 2, reduced
                 basis ^= (basis >> w) * spec.modulus
-        if self.span < spec.independence:
+        if self.span < q - 1:
             self.exp, self.log = _fold_tables(w, spec.modulus)
-            self.log_fold = self.log[power]              # log of x^span
+            self.log_fold = self.log[self.rows[self.span - 1, 0, 1]]
 
-    def evaluate(self, coeffs) -> np.ndarray:
+    def evaluate(self, coeffs, seeds: int) -> np.ndarray:
         """(seeds, points) uint16 values of the seed polynomials with their
         constant coefficient taken as 0.
 
-        coeffs[i] holds the coefficient of x^i for every seed; coeffs[0]
-        gives the seed count and is not read otherwise.  The constant c_0
-        would be the last term XORed in, after every fold; it XORs all of
-        a seed's values with one constant, which permutes the seed's bins
-        (see the module docstring).
+        coeffs[i] holds the coefficient of x^(i+1) for each of the seeds.
+        The constant c_0 would be the last term XORed in, after every fold;
+        it XORs all of a seed's values with one constant, which permutes
+        the seed's bins (see the module docstring).
         """
-        acc = np.zeros((len(coeffs[0]), self.rows.shape[-1]),
-                       dtype=np.uint16)
+        acc = np.zeros((seeds, self.rows.shape[-1]), dtype=np.uint16)
         buf = np.empty_like(acc)
-        top = (len(coeffs) - 1) // self.span * self.span
-        if top:
+        if self.span < len(coeffs):
             logs = np.empty(acc.shape, dtype=np.int64)
-        for base in range(top, -1, -self.span):
-            if base < top:
+        # blocks of span positions, top first, Horner in x^span
+        for base in reversed(range(0, len(coeffs), self.span or 1)):
+            if base + self.span < len(coeffs):
                 # acc * x^span through the exp/log tables, in place
                 np.take(self.log, acc, out=logs, mode="clip")
                 logs += self.log_fold
                 np.take(self.exp, logs, out=acc, mode="clip")
-            end = min(base + self.span, len(coeffs))
-            for i in range(max(base, 1), end):
+            for r, c in enumerate(coeffs[base:base + self.span]):
                 for j in range(self.nibbles):
-                    np.take(self.rows[i - base, j], (coeffs[i] >> 4 * j) & 15,
-                            axis=0, out=buf, mode="clip")
+                    np.take(self.rows[r, j], (c >> 4 * j) & 15, axis=0,
+                            out=buf, mode="clip")
                     acc ^= buf
         return acc
 
@@ -385,8 +390,29 @@ def _add_counts(total: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return total
 
 
+def _plan(M: int, N: int, trials: int, stats: int,
+          draw: int = 0) -> tuple[int, int]:
+    """(batch, chunk) for ``trials`` rows of M balls, N bins, ``stats``
+    floats and ``draw`` draws, once every cap holds; a batch has at most
+    BLOCK_ELEMS of each, a chunk 8 batches and BLOCK_ELEMS draws."""
+    for name, size in (("balls", M), ("bins", N)):
+        if size > ROW_ELEMS_CAP:
+            raise CapacityError(
+                f"{name} = {size} exceeds the row cap {ROW_ELEMS_CAP}")
+        if size * trials > DEFAULT_THROW_CAP:
+            raise CapacityError(
+                f"{name}*trials = {size * trials} exceeds the throw cap "
+                f"{DEFAULT_THROW_CAP}")
+    if trials * stats > _TRIAL_STATS_CAP:
+        raise CapacityError(
+            f"trials*(1 + orders + thresholds) = {trials * stats} exceeds "
+            f"the trial cap {_TRIAL_STATS_CAP}")
+    batch = max(1, BLOCK_ELEMS // max(M, N, draw))
+    return batch, max(1, min(8 * batch, BLOCK_ELEMS // max(draw, 1)))
+
+
 def _load_experiment(M: int, N: int, trials: int, orders, thresholds,
-                     threads: int, assign, draw: int = 0):
+                     threads: int, assign, plan: tuple[int, int]):
     """Bin loads of M balls in N bins over ``trials`` rows.
 
     Returns (per_trial_moments, per_trial_tails, hist_counts): the mean
@@ -399,38 +425,16 @@ def _load_experiment(M: int, N: int, trials: int, orders, thresholds,
     which writes the bin in [0, N) of every ball in rows b0..b1-1 of the
     chunk into ``out``, the (b1 - b0, M) int64 view of the chunk's reused
     block buffer, row i for row b0 + i; the driver then offsets the bins
-    in place and counts the loads into a second reused buffer.  ``draw``
-    is the number of elements that ``assign`` computes per row up front.
-    Rows run in batches of at most BLOCK_ELEMS balls, bins or drawn
-    elements, batches in chunks of eight, or fewer where the chunk's draw
-    would pass BLOCK_ELEMS elements, and chunks on the thread pool.  Every
-    per-trial row is written at its row index and the chunk histograms
-    are summed in chunk order, so the result depends neither on the
-    thread count nor on where a block boundary falls.
-
-    Every cap is checked here, for every caller, before anything is
-    allocated: a row holds M bins and N loads whatever the block, the
-    rows throw M balls and count N loads each, and every row costs a
-    fixed overhead plus one float per statistic.
+    in place and counts the loads into a second reused buffer.  ``plan``
+    is the (batch, chunk) from ``_plan``; chunks run on the thread pool.
+    Every per-trial row is written at its row index and the chunk
+    histograms are summed in chunk order, so the result depends neither
+    on the thread count nor on where a block boundary falls.
     """
-    for name, size in (("balls", M), ("bins", N)):
-        if size > ROW_ELEMS_CAP:
-            raise CapacityError(
-                f"{name} = {size} exceeds the row cap {ROW_ELEMS_CAP}")
-        if size * trials > DEFAULT_THROW_CAP:
-            raise CapacityError(
-                f"{name}*trials = {size * trials} exceeds the throw cap "
-                f"{DEFAULT_THROW_CAP}")
-    stats = 1 + len(orders) + len(thresholds)
-    if trials * stats > _TRIAL_STATS_CAP:
-        raise CapacityError(
-            f"trials*(1 + orders + thresholds) = {trials * stats} exceeds "
-            f"the trial cap {_TRIAL_STATS_CAP}")
-    int_thrs = [_int_threshold(t) for t in thresholds]
+    int_thrs = [max(0, math.ceil(t)) for t in thresholds]
     per_trial_moments = np.empty((trials, len(orders)), dtype=np.float64)
     per_trial_tails = np.empty((trials, len(thresholds)), dtype=np.float64)
-    batch = max(1, BLOCK_ELEMS // max(M, N, draw))
-    chunk = max(1, min(8 * batch, BLOCK_ELEMS // max(draw, 1)))
+    batch, chunk = plan
     # row i of a batch counts its balls in bins i*N .. i*N + N-1
     offsets = np.arange(0, batch * N, N)[:, None]
 
@@ -486,32 +490,34 @@ def run_trials(spec: HashFamilySpec, trials: int, master_seed: int,
     """
     if trials < 1:
         raise PreconditionError("trials must be >= 1")
-    if balls is not None and balls < 1:
-        raise PreconditionError("balls must be >= 1")
     _check_master_seed(master_seed)
-    q = spec.independence
-    orders = tuple(orders)
-    for order in orders:
-        if order < 1:
-            raise PreconditionError("moment order must be >= 1")
-        if order > q:
-            raise PreconditionError(
-                f"moment order {order} exceeds independence {q}")
-    M = balls or 1 << spec.field_bits
-    if M > (1 << spec.field_bits):
+    w, q = spec.field_bits, spec.independence
+    M, N = (1 << w if balls is None else balls), spec.bins
+    if M > (1 << w):
         raise PreconditionError("more balls than field elements")
-    split = _SplitTables(spec, M)
-    N = spec.bins
-    shift = spec.field_bits - spec.output_bits
+    inst = BallsBinsInstance(M, N, q)
+    orders = tuple(orders)
     thresholds = tuple(Fraction(t) for t in thresholds)
+    stats = 1 + len(orders) + len(thresholds)
+    # one trial's draw holds q coefficients and the 4 * ceil(q / 8)
+    # <= max(q, 4) words of its Philox blocks
+    plan = batch, chunk = _plan(M, N, trials, stats, draw=max(q, 4))
+    full, rest = divmod(trials, chunk)
+    batches = full * -(-chunk // batch) + -(-rest // batch)
+    passes = _table_span(w, q, M) * w + batches * (q - 1) * -(-w // 4)
+    if passes > KERNEL_PASS_CAP:
+        raise CapacityError(f"table and gather passes = {passes} exceed "
+                            f"the kernel pass cap {KERNEL_PASS_CAP}")
+    exact_refs = _moment_values(inst, orders)
+    split = _SplitTables(spec, M)
+    shift = w - spec.output_bits
 
     def assign(start, end):
-        coeffs = _seed_coefficients(master_seed, start, end, spec.field_bits,
-                                    q)
+        coeffs = _seed_coefficients(master_seed, start, end, w, q)
 
         def fill(b0, b1, out):
-            seeds = coeffs[:, b0 - start:b1 - start]
-            np.right_shift(split.evaluate(seeds), shift, out=out)
+            parts = coeffs[1:, b0 - start:b1 - start]
+            np.right_shift(split.evaluate(parts, b1 - b0), shift, out=out)
         return fill
 
     echo = {"mode": "monte-carlo", "field_bits": spec.field_bits,
@@ -520,11 +526,9 @@ def run_trials(spec: HashFamilySpec, trials: int, master_seed: int,
             "trials": trials, "master_seed": master_seed}
     return _reduce_report(
         echo, trials, orders, thresholds,
-        # one trial's draw holds q coefficients and the 4 * ceil(q / 8)
-        # <= max(q, 4) words of its Philox blocks
         *_load_experiment(M, N, trials, orders, thresholds, threads, assign,
-                          draw=max(q, 4)),
-        _moment_values(BallsBinsInstance(M, N, q), orders))
+                          plan),
+        exact_refs)
 
 
 def exact_small_oracle(spec: HashFamilySpec) -> ExactLoadDistribution:
@@ -552,19 +556,18 @@ def exact_small_oracle(spec: HashFamilySpec) -> ExactLoadDistribution:
             f"{DEFAULT_SEED_ENUM_CAP}")
     w = spec.field_bits
     M = 1 << w
+    plan = _plan(M, spec.bins, n_seeds >> w, 1)
     split = _SplitTables(spec, M)
     shift = w - spec.output_bits
-    mask = M - 1
 
     def fill(b0, b1, out):
         parts = np.arange(b0, b1, dtype=np.int64)
         # g(x), the seed polynomial with c_0 = 0
-        coeffs = [np.zeros_like(parts),
-                  *((parts >> (w * i)) & mask for i in range(spec.degree))]
-        np.right_shift(split.evaluate(coeffs), shift, out=out)
+        coeffs = [(parts >> (w * i)) & (M - 1) for i in range(spec.degree)]
+        np.right_shift(split.evaluate(coeffs, b1 - b0), shift, out=out)
 
     *_, counts = _load_experiment(M, spec.bins, n_seeds >> w, (), (), 1,
-                                  lambda start, end: fill)
+                                  lambda start, end: fill, plan)
     counts <<= shift
     support = {int(s): Fraction(int(c), n_seeds)
                for s, c in enumerate(counts) if c}
@@ -573,10 +576,10 @@ def exact_small_oracle(spec: HashFamilySpec) -> ExactLoadDistribution:
 
 def independent_trials(M: int, N: int, orders: tuple, thresholds: tuple,
                        trials: int, master_seed: int, threads: int,
-                       exact_refs: dict[int, Fraction]) -> SimulationReport:
+                       inst: BallsBinsInstance) -> SimulationReport:
     """The Monte Carlo branch of ``independent.independent_oracle``, which
-    has checked its arguments: ``trials`` seeded trials of M balls, each
-    ball in a uniform bin of N, through the load driver."""
+    has checked its arguments into ``inst``: ``trials`` seeded trials of M
+    balls, each in a uniform bin of N, once the caps and orders hold."""
 
     def fill(b0, b1, out):
         for row, rng in zip(out, _trial_rngs(master_seed, b0, b1)):
@@ -585,10 +588,12 @@ def independent_trials(M: int, N: int, orders: tuple, thresholds: tuple,
                 piece = row[s:s + BLOCK_ELEMS]
                 piece[:] = rng.integers(0, N, size=len(piece), dtype=np.int64)
 
+    plan = _plan(M, N, trials, 1 + len(orders) + len(thresholds))
+    exact_refs = _moment_values(inst, orders)
     echo = {"mode": "independent-monte-carlo", "balls": M, "bins": N,
             "trials": trials, "master_seed": master_seed}
     return _reduce_report(
         echo, trials, orders, thresholds,
         *_load_experiment(M, N, trials, orders, thresholds, threads,
-                          lambda start, end: fill),
+                          lambda start, end: fill, plan),
         exact_refs)

@@ -77,18 +77,12 @@ def independent_oracle(M: int, N: int, orders, trials: int, master_seed: int,
     _check_master_seed(master_seed)
     if trials < 1:
         raise PreconditionError("trials must be >= 1")
-    if M < 1:
-        raise PreconditionError("balls must be >= 1")
-    if N < 1:
-        raise PreconditionError("bins must be >= 1")
     orders = tuple(orders)
-    if any(k < 1 for k in orders):
-        raise PreconditionError("moment order must be >= 1")
     thresholds = tuple(Fraction(t) for t in thresholds)
-    exact_refs = _moment_values(
-        BallsBinsInstance(M, N, max(orders, default=1)), orders)
+    inst = BallsBinsInstance(M, N, max((1, *orders)))
     # N >= 2 puts N^M past the cap once M > 20, so N^M is never built large
     if N == 1 or M <= 20 and N ** M <= _EXHAUSTIVE_ASSIGNMENT_CAP:
+        exact_refs = _moment_values(inst, orders)
         dist = ExactLoadDistribution._independent(M, N)
         # one of the N^M assignments puts every ball in bin 0
         total = dist.support[M].denominator
@@ -105,4 +99,4 @@ def independent_oracle(M: int, N: int, orders, trials: int, master_seed: int,
 
     from .hashsim import independent_trials
     return independent_trials(M, N, orders, thresholds, trials, master_seed,
-                              threads, exact_refs)
+                              threads, inst)

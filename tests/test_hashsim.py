@@ -137,9 +137,9 @@ def test_exact_oracle_work_is_seed_count(monkeypatch, w, q, output_bits):
     evaluated = []
     evaluate = hashsim._SplitTables.evaluate
 
-    def counted(self, coeffs):
-        evaluated.append(len(coeffs[0]) * self.rows.shape[-1])
-        return evaluate(self, coeffs)
+    def counted(self, coeffs, seeds):
+        evaluated.append(seeds * self.rows.shape[-1])
+        return evaluate(self, coeffs, seeds)
 
     monkeypatch.setattr(hashsim._SplitTables, "evaluate", counted)
     spec = HashFamilySpec.create(w, independence=q, output_bits=output_bits)
@@ -568,7 +568,7 @@ def _kernel_values_checked(spec, split, rng):
     coeffs = rng.integers(0, 1 << w, size=(q, 6), dtype=np.int64)
     coeffs[:, 0] = 0                     # zero polynomial
     coeffs[:, 1] = (1 << w) - 1          # every coefficient all ones
-    values = split.evaluate(coeffs)
+    values = split.evaluate(coeffs[1:], 6)
     assert values.dtype == np.uint16 and values.shape == (6, 1 << w)
     if w <= 8:
         points = range(1 << w)
@@ -588,10 +588,10 @@ def _kernel_values_checked(spec, split, rng):
 def test_split_table_kernel_matches_scalar_horner(w, q):
     spec = HashFamilySpec.create(w, independence=q)
     split = hashsim._SplitTables(spec, 1 << w)
-    # w = 16 has room for two positions only: the x^span fold runs twice
-    assert (split.span < q) == (w == 16)
+    # w = 16 has room for two positions only: the x^span fold runs once
+    assert (split.span < q - 1) == (w == 16)
     # exp/log tables are built for the fold only
-    assert hasattr(split, "log") == (split.span < q)
+    assert hasattr(split, "log") == (split.span < q - 1)
     assert split.rows.nbytes <= hashsim.TABLE_BYTES
     _kernel_values_checked(spec, split, np.random.default_rng(1000 + w))
 
@@ -599,7 +599,7 @@ def test_split_table_kernel_matches_scalar_horner(w, q):
 @pytest.mark.parametrize("span", [1, 2, 3])
 def test_split_table_fold_matches_full_tables(monkeypatch, span):
     # w = 5 (two nibbles, the top one partial), q = 7: the budget of `span`
-    # positions makes the x^span fold run over 7 // span blocks
+    # positions makes the x^span fold run over 6 / span blocks
     spec = HashFamilySpec.create(5, independence=7)
     full = _kernel_values_checked(spec, hashsim._SplitTables(spec, 32),
                                   np.random.default_rng(5))
@@ -608,6 +608,68 @@ def test_split_table_fold_matches_full_tables(monkeypatch, span):
     assert split.span == span
     folded = _kernel_values_checked(spec, split, np.random.default_rng(5))
     assert np.array_equal(folded, full)
+
+
+class _RowReads(np.ndarray):
+    """Split-table rows that record the position index of every read."""
+
+    def __getitem__(self, key):
+        self.reads.add(key[0] if isinstance(key, tuple) else key)
+        return self.view(np.ndarray)[key]
+
+
+# (w, q) of a Monte Carlo and an exhaustive run, at full tables and at a
+# TABLE_BYTES of two positions at w = 5, where the x^span fold runs
+@pytest.mark.parametrize("table_bytes, shapes", [
+    (None, [(8, 4), (4, 3)]),
+    (2 * 2 * 16 * 32 * 2, [(5, 7), (5, 4)]),
+], ids=["span>=q-1", "fold"])
+def test_every_table_row_is_read(monkeypatch, table_bytes, shapes):
+    # the tables hold c_1..c_(q-1) only, so evaluate gathers from every
+    # row that they build
+    tables = []
+
+    class Recorded(hashsim._SplitTables):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.rows = self.rows.view(_RowReads)
+            self.rows.reads = set()
+            tables.append(self)
+
+    monkeypatch.setattr(hashsim, "_SplitTables", Recorded)
+    if table_bytes:
+        monkeypatch.setattr(hashsim, "TABLE_BYTES", table_bytes)
+    run_trials(HashFamilySpec.create(*shapes[0]), trials=50, master_seed=3)
+    exact_small_oracle(HashFamilySpec.create(*shapes[1]))
+    assert len(tables) == 2
+    for table, (_, q) in zip(tables, shapes):
+        assert (table.span < q - 1) == bool(table_bytes)
+        assert table.rows.reads == set(range(table.span)), table.span
+
+
+# (w, q, trials) of the largest tier-1 and benchmark runs, and the run
+# that takes exactly KERNEL_PASS_CAP passes (about 70 s on a shared 2-vCPU
+# host), one trial short of its next batch
+_ADMITTED = [(13, 8, 100_000), (12, 4, 5000), (13, 8, 2000), (16, 8192, 32)]
+
+
+@pytest.mark.parametrize("w, q, trials, admitted", [
+    *((w, q, t, True) for w, q, t in _ADMITTED),
+    (16, 8192, 33, False),
+], ids=["criterion-4", "bench-w12", "bench-w13", "at-cap", "past-cap"])
+def test_kernel_pass_cap_checked_before_any_table(monkeypatch, w, q, trials,
+                                                  admitted):
+    class Built(Exception):
+        pass
+
+    def built(*args):
+        raise Built
+
+    monkeypatch.setattr(hashsim, "_SplitTables", built)
+    spec = HashFamilySpec.create(w, independence=q)
+    with pytest.raises(Built if admitted else CapacityError,
+                       match=None if admitted else "kernel pass cap"):
+        run_trials(spec, trials, master_seed=0, orders=(1,))
 
 
 @pytest.mark.parametrize("w, q, output_bits, balls, trials", [

@@ -2,13 +2,14 @@
 
 Payloads go to standard output, diagnostics to standard error.  Exit
 codes: 0 success, 2 usage or range error (with the violated precondition
-named), 3 when --strict is set and the verdict is vacuous or
-undetermined.  Epsilon is always passed as --log2eps (the exponent of
-2^-E) so that nothing underflows at eps = 2^-512.
+named: ``error: argument --x: ...`` when an option's type refuses its
+value, before any work), 3 when --strict is set and the verdict is
+vacuous or undetermined.  Epsilon is always passed as --log2eps (the
+exponent of 2^-E) so that nothing underflows at eps = 2^-512.
 
 Execution knobs (--threads, --format, --cache-dir) and --strict never
 appear in the parameter echo: reports are bit-identical across thread
-counts.
+counts, and --threads is at most the available parallelism.
 """
 
 from __future__ import annotations
@@ -39,65 +40,58 @@ LOG2_SIZE_CAP = 1024
 _EXPONENT = re.compile(r"[eE^][-+]?(\d[\d_]*)")
 
 
-def _parse(option: str, parse, text: str | None):
-    """parse(text), or None for an absent option; a malformed value, a
-    value that ``parse`` rejects, or an exponent above LOG2_SIZE_CAP
-    (checked first), raises naming the option."""
-    if text is None:
-        return None
-    try:
-        exponent = max(map(int, _EXPONENT.findall(text)), default=0)
-        _at_most(option + " exponent", exponent, LOG2_SIZE_CAP)
-        return parse(text)
-    except PreconditionError as exc:
-        raise PreconditionError(f"{option}: {exc}") from None
-    except (ValueError, ZeroDivisionError):
-        raise PreconditionError(
-            f"{option}: malformed value {text!r}") from None
+def _value(parse, domain: str = "", ok=None, echo: bool = False):
+    """An option's argparse type: ``parse`` the text once, refusing first
+    an exponent above LOG2_SIZE_CAP, and require ``ok(value)``, else name
+    ``domain``; ``echo`` returns the text, carrying the parsed ``value``."""
+    def typed(text: str):
+        try:
+            exponent = max(map(int, _EXPONENT.findall(text)), default=0)
+            if exponent > LOG2_SIZE_CAP:
+                raise argparse.ArgumentTypeError(
+                    f"exponent must be <= {LOG2_SIZE_CAP}, got {exponent}")
+            value = parse(text)
+        except PreconditionError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        except (ValueError, ZeroDivisionError):
+            raise argparse.ArgumentTypeError(
+                f"malformed value {text!r}") from None
+        if ok is not None and not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {domain}, got {text}")
+        if not echo:
+            return value
+        kept = _Text(text)
+        kept.value = value
+        return kept
+    return typed
 
 
-def _parse_list(option: str, parse, text: str) -> tuple:
-    """An empty text is no value; otherwise every entry must parse."""
-    return tuple(_parse(option, parse, tok)
-                 for tok in (text.split(",") if text else ()))
+class _Text(str):
+    """An option's text, which the parameter echo prints as typed."""
 
 
-def _loss(text: str | None) -> Fraction | None:
-    loss = _parse("--loss", Fraction, text)
-    return None if loss is None else _at_least("--loss", loss, 0)
+def _ints(lo: int, hi: int | None = None, shown: str | None = None):
+    """An integer type over [lo, hi], unbounded above without ``hi``."""
+    domain = f">= {lo}" if hi is None else f"in [{lo}, {shown or hi}]"
+    return _value(int, domain, lambda v: lo <= v and (hi is None or v <= hi))
 
 
-def _log2eps(text: str | None) -> Fraction | None:
-    """--log2eps E names eps = 2^-E, a target only for eps < 1 (E > 0)."""
-    L = _parse("--log2eps", Fraction, text)
-    if L is not None and L <= 0:
-        raise PreconditionError(
-            f"--log2eps must be > 0 (eps = 2^-E below 1), got {L}")
-    return L
-
-
-def _at_least(option: str, value: int, floor: int) -> int:
-    if value < floor:
-        raise PreconditionError(f"{option} must be >= {floor}, got {value}")
-    return value
-
-
-def _at_most(option: str, value: int, cap: int) -> int:
-    if value > cap:
-        raise CapacityError(f"{option} must be <= {cap}, got {value}")
-    return value
+def _listed(parse):
+    """Comma separated entries; an empty text holds none."""
+    return lambda text: tuple(map(parse, text.split(",") if text else ()))
 
 
 def _threads(args) -> int:
-    """--threads, else CONDBOUND_THREADS, else available parallelism."""
-    if args.threads is not None:
-        option, threads = "--threads", args.threads
-    elif os.environ.get("CONDBOUND_THREADS"):
-        option = "CONDBOUND_THREADS"
-        threads = _parse(option, int, os.environ[option])
-    else:
-        return os.cpu_count() or 1
-    return _at_least(option, threads, 1)
+    """--threads, else CONDBOUND_THREADS, else the available parallelism,
+    which also caps the other two."""
+    cpus = os.cpu_count() or 1
+    threads = args.threads
+    if threads is None and os.environ.get("CONDBOUND_THREADS"):
+        try:
+            threads = _ints(1)(os.environ["CONDBOUND_THREADS"])
+        except argparse.ArgumentTypeError as exc:
+            raise PreconditionError(f"CONDBOUND_THREADS: {exc}") from None
+    return min(threads or cpus, cpus)
 
 
 class BellCache:
@@ -106,6 +100,8 @@ class BellCache:
     grew."""
 
     def __init__(self, directory: str):
+        if not directory:    # Path('') is the working directory
+            raise argparse.ArgumentTypeError("must name a directory, got ''")
         self.directory = Path(directory)
         self.path = self.directory / "bell_tables.bin"
         self.bells = None
@@ -142,7 +138,7 @@ def _bells(cache: BellCache | None) -> BellSequence:
 
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
-        prog="condbound",
+        prog="condbound", exit_on_error=False,
         description="Exact balls-into-bins load moments, anti-concentration "
                     "certificates, and condenser impossibility bounds.")
     sub = top.add_subparsers(dest="subcommand", required=True)
@@ -153,71 +149,86 @@ def build_parser() -> argparse.ArgumentParser:
     cache.add_argument("--cache-dir", type=BellCache, default=None,
                        help="directory for cached Bell tables")
 
+    even_q = _value(int, f"an even integer in [4, {DEFAULT_QMAX_CAP}]",
+                    lambda q: q % 2 == 0 and 4 <= q <= DEFAULT_QMAX_CAP)
+    log2m = _ints(0, LOG2_SIZE_CAP)
+    k = _ints(1, LOG2_SIZE_CAP)
+    window = _ints(4, DEFAULT_QMAX_CAP)     # a search window starts at q = 4
+    loss = _value(Fraction, ">= 0", lambda v: v >= 0, echo=True)
+    log2eps = _value(Fraction, "> 0 (eps = 2^-E below 1)", lambda v: v > 0,
+                     echo=True)
+
     def leaf(group, command, run, summary, parents=(), fmt="json"):
         p = group.add_parser(command.rpartition(" ")[2], help=summary,
-                             parents=parents)
+                             parents=parents, exit_on_error=False)
         p.add_argument("--format", choices=("json", "csv"), default=fmt)
         p.set_defaults(subcommand=command, run=run)
         return p
 
     p = leaf(sub, "table", _run_table,
              "dump the Stirling triangle or Bell numbers", fmt="csv")
-    p.add_argument("--qmax", type=int, required=True)
+    p.add_argument("--qmax", type=_ints(0, DEFAULT_QMAX_CAP), required=True)
     p.add_argument("--what", choices=("stirling", "bell"), default="stirling")
 
+    size = _ints(1, 1 << LOG2_SIZE_CAP, f"2^{LOG2_SIZE_CAP}")
     p = leaf(sub, "moment", _run_moment, "exact E S^order for M balls, N bins")
-    p.add_argument("--balls", type=int, required=True)
-    p.add_argument("--bins", type=int, required=True)
-    p.add_argument("--q", type=int, required=True,
+    p.add_argument("--balls", type=size, required=True)
+    p.add_argument("--bins", type=size, required=True)
+    p.add_argument("--q", type=_ints(1), required=True,
                    help="independence level (and default moment order)")
-    p.add_argument("--order", type=int, default=None)
+    p.add_argument("--order", type=_ints(1, DEFAULT_QMAX_CAP), default=None)
 
     p = leaf(sub, "lemma2", _run_lemma2,
              "Bell-number anti-concentration certificate", (strict, cache))
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--log2m", type=int, required=True,
+    p.add_argument("--q", type=even_q, required=True)
+    p.add_argument("--log2m", type=log2m, required=True,
                    help="balls = bins = 2^log2m")
 
     p = leaf(sub, "pz", _run_pz,
              "Paley-Zygmund certificate from exact moments")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--log2m", type=int, required=True)
-    p.add_argument("--theta", type=str, required=True,
-                   help="rational in (0,1), e.g. 1/2")
+    p.add_argument("--q", type=even_q, required=True)
+    p.add_argument("--log2m", type=log2m, required=True)
+    p.add_argument("--theta", required=True,
+                   type=_value(Fraction, "in (0, 1)", lambda v: 0 < v < 1,
+                               echo=True), help="rational in (0,1), e.g. 1/2")
 
     p = leaf(sub, "asymptotics", _run_asymptotics,
              "closed-form Bell growth estimate vs exact values", (cache,),
              fmt="csv")
-    p.add_argument("--qmin", type=int, default=8)
-    p.add_argument("--qmax", type=int, required=True)
-    p.add_argument("--step", type=int, default=1)
+    p.add_argument("--qmin", type=_ints(3), default=8)
+    p.add_argument("--qmax", type=_ints(3, DEFAULT_QMAX_CAP), required=True)
+    p.add_argument("--step", type=_ints(1), default=1)
 
-    p = sub.add_parser("condense", help="condenser feasibility analysis")
+    p = sub.add_parser("condense", help="condenser feasibility analysis",
+                       exit_on_error=False)
     csub = p.add_subparsers(dest="subcommand", required=True)
 
     c = leaf(csub, "condense check", _run_check,
              "impossibility region at given q, k", (strict, cache))
-    c.add_argument("--q", type=int, required=True)
-    c.add_argument("--k", type=int, required=True)
-    c.add_argument("--loss", type=str, default=None)
-    c.add_argument("--log2eps", type=str, default=None)
+    c.add_argument("--q", type=even_q, required=True)
+    c.add_argument("--k", type=k, required=True)
+    c.add_argument("--loss", type=loss, default=None)
+    c.add_argument("--log2eps", type=log2eps, default=None)
 
     c = leaf(csub, "condense minq", _run_minq,
              "largest q whose certificate rules out the target (loss, eps)",
              (strict, cache))
-    c.add_argument("--log2eps", type=str, required=True)
-    c.add_argument("--k", type=int, required=True)
-    c.add_argument("--loss", type=str, required=True)
-    c.add_argument("--qmax", type=int, default=1024)
+    c.add_argument("--log2eps", type=log2eps, required=True)
+    c.add_argument("--k", type=k, required=True)
+    c.add_argument("--loss", type=loss, required=True)
+    c.add_argument("--qmax", type=window, default=1024)
 
     c = leaf(csub, "condense sweep", _run_sweep,
              "positive vs certified independence across a list of eps "
              "targets", (strict, cache))
-    c.add_argument("--log2eps", type=str, required=True,
+    # the positive construction each row compares against needs eps < 1/2
+    eps_list = _value(_listed(Fraction), "a list of values > 1",
+                      lambda Ls: Ls and min(Ls) > 1, echo=True)
+    c.add_argument("--log2eps", type=eps_list, required=True,
                    help="comma separated exponents, e.g. 64,128,256,512")
-    c.add_argument("--k", type=int, required=True)
-    c.add_argument("--loss", type=str, default="1")
-    c.add_argument("--qmax", type=int, default=1024)
+    c.add_argument("--k", type=k, required=True)
+    c.add_argument("--loss", type=loss, default="1")
+    c.add_argument("--qmax", type=window, default=1024)
 
     p = leaf(sub, "simulate", _run_simulate,
              "load experiments over a q-wise independent polynomial family")
@@ -226,17 +237,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w", type=int, help="field bits (mc and exact modes)")
     p.add_argument("--q", type=int, help="independence level (degree+1)")
     p.add_argument("--output-bits", type=int, default=None)
-    p.add_argument("--balls", type=int, default=None)
-    p.add_argument("--bins", type=int, default=None,
+    p.add_argument("--balls", type=_ints(1), default=None)
+    p.add_argument("--bins", type=_ints(1), default=None,
                    help="independent mode only")
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--master-seed", type=int, default=0)
-    p.add_argument("--orders", type=str, default="1,2")
-    p.add_argument("--thresholds", type=str, default="",
+    p.add_argument("--orders", type=_value(_listed(int), echo=True),
+                   default="1,2")
+    p.add_argument("--thresholds", type=_value(_listed(parse_dyadic),
+                                               echo=True), default="",
                    help="comma separated dyadic thresholds, e.g. 1,3/2^1")
-    p.add_argument("--threads", type=int, default=None,
+    p.add_argument("--threads", type=_ints(1), default=None,
                    help="worker threads (default: CONDBOUND_THREADS "
-                        "or available parallelism)")
+                        "or available parallelism, which caps both)")
 
     return top
 
@@ -248,71 +261,57 @@ def _run_table(args) -> tuple[dict, list, bool]:
 
 
 def _run_moment(args) -> tuple[dict, None, bool]:
-    order = args.order if args.order is not None else args.q
-    for option, size in (("--balls", args.balls), ("--bins", args.bins)):
-        if size > 1 << LOG2_SIZE_CAP:
-            raise CapacityError(f"{option} must be <= 2^{LOG2_SIZE_CAP}")
+    if args.order is None and args.q > DEFAULT_QMAX_CAP:
+        raise CapacityError(f"--q must be <= {DEFAULT_QMAX_CAP} when it is "
+                            f"the moment order (no --order), got {args.q}")
     inst = BallsBinsInstance(args.balls, args.bins, args.q)
-    res = raw_moment(inst, order)
+    res = raw_moment(inst, args.q if args.order is None else args.order)
     return serialize.moment_dict(res), None, True
 
 
 def _run_lemma2(args) -> tuple[dict, None, bool]:
-    log2m = _at_least("--log2m", args.log2m, 0)
-    M = 1 << _at_most("--log2m", log2m, LOG2_SIZE_CAP)
-    cert = lemma2_certificate(args.q, M, _bells(args.cache_dir))
+    cert = lemma2_certificate(args.q, 1 << args.log2m, _bells(args.cache_dir))
     return serialize.certificate_dict(cert), None, not cert.vacuous
 
 
 def _run_pz(args) -> tuple[dict, None, bool]:
-    log2m = _at_least("--log2m", args.log2m, 0)
-    M = 1 << _at_most("--log2m", log2m, LOG2_SIZE_CAP)
-    inst = BallsBinsInstance(M, M, args.q)
-    cert = pz_bound(inst, _parse("--theta", Fraction, args.theta))
+    M = 1 << args.log2m
+    cert = pz_bound(BallsBinsInstance(M, M, args.q), args.theta.value)
     return serialize.certificate_dict(cert), None, True
 
 
 def _run_asymptotics(args) -> tuple[dict, list, bool]:
-    step = _at_least("--step", args.step, 1)
-    qmax = _at_most("--qmax", args.qmax, DEFAULT_QMAX_CAP)
-    qmin = _at_most("--qmin", _at_least("--qmin", args.qmin, 3), qmax)
+    if args.qmin > args.qmax:
+        raise PreconditionError(
+            f"--qmin must be <= --qmax {args.qmax}, got {args.qmin}")
     bells = _bells(args.cache_dir)
     result = serialize.asymptotics_dict(
-        [estimate_residual(q, bells) for q in range(qmin, qmax + 1, step)])
+        [estimate_residual(q, bells)
+         for q in range(args.qmin, args.qmax + 1, args.step)])
     return result, serialize.asymptotics_rows(result), True
 
 
 def _run_check(args) -> tuple[dict, None, bool]:
-    k = _at_most("--k", _at_least("--k", args.k, 1), LOG2_SIZE_CAP)
-    loss, L = _loss(args.loss), _log2eps(args.log2eps)
     verdict = impossibility_certificate(
-        args.q, k, _bells(args.cache_dir), loss=loss, log2_inv_eps=L)
+        args.q, args.k, _bells(args.cache_dir),
+        loss=getattr(args.loss, "value", None),
+        log2_inv_eps=getattr(args.log2eps, "value", None))
     return (serialize.verdict_dict(verdict), None,
             verdict.feasible == FEASIBLE_IMPOSSIBLE)
 
 
 def _run_minq(args) -> tuple[dict, None, bool]:
-    k = _at_most("--k", _at_least("--k", args.k, 1), LOG2_SIZE_CAP)
-    L, loss = _log2eps(args.log2eps), _loss(args.loss)
-    verdict = necessary_independence(L, k, loss, _bells(args.cache_dir),
+    L, loss = args.log2eps.value, args.loss.value
+    verdict = necessary_independence(L, args.k, loss, _bells(args.cache_dir),
                                      args.qmax)
-    return (serialize.minq_dict(k, loss, L, verdict), None,
+    return (serialize.minq_dict(args.k, loss, L, verdict), None,
             verdict is not None)
 
 
 def _run_sweep(args) -> tuple[dict, None, bool]:
-    eps_list = _parse_list("--log2eps", Fraction, args.log2eps)
-    if not eps_list:
-        raise PreconditionError(f"--log2eps: no value in {args.log2eps!r}")
-    # the positive construction each row compares against needs eps < 1/2
-    for L in eps_list:
-        if L <= 1:
-            raise PreconditionError(
-                f"--log2eps must be > 1 (eps = 2^-E below 1/2), got {L}")
-    loss = _loss(args.loss)
-    k = _at_most("--k", _at_least("--k", args.k, 1), LOG2_SIZE_CAP)
-    rows = asymptotic_gap_report(eps_list, k, _bells(args.cache_dir),
-                                 args.qmax, loss=loss)
+    rows = asymptotic_gap_report(args.log2eps.value, args.k,
+                                 _bells(args.cache_dir), args.qmax,
+                                 loss=args.loss.value)
     ok = all(r.q_minus is not None for r in rows)
     return serialize.gap_rows_dict(rows), None, ok
 
@@ -333,8 +332,7 @@ def _run_simulate(args) -> tuple[dict, list | None, bool]:
             option = "--" + name.replace("_", "-")
             raise PreconditionError(
                 f"simulate --mode {args.mode} does not read {option}")
-    orders = _parse_list("--orders", int, args.orders)
-    thresholds = _parse_list("--thresholds", parse_dyadic, args.thresholds)
+    orders, thresholds = args.orders.value, args.thresholds.value
     if args.mode == "independent":
         from .independent import independent_oracle
 
@@ -369,12 +367,12 @@ def _parameter_echo(args) -> dict:
 
 
 def dispatch(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         result, csv_rows, ok = args.run(args)
         if getattr(args, "cache_dir", None) is not None:
             args.cache_dir.save()
-    except CondboundError as exc:
+    except (argparse.ArgumentError, CondboundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.format == "json":

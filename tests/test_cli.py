@@ -186,6 +186,18 @@ def test_unusable_cache_dir_exits_2(capsys, tmp_path, cache_dir):
     assert "--cache-dir" in capsys.readouterr().err
 
 
+def test_empty_cache_dir_exits_2_and_writes_nothing(capsys, monkeypatch,
+                                                   tmp_path):
+    # Path('') is the working directory, where the cache file would land
+    monkeypatch.chdir(tmp_path)
+    assert dispatch(["lemma2", "--q", "8", "--log2m", "10",
+                     "--cache-dir", ""]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "argument --cache-dir" in err.splitlines()[-1]
+    assert list(tmp_path.iterdir()) == []
+
+
 def _record_bells(monkeypatch):
     """The Bell sequences the CLI handlers open, in order."""
     opened, cli_bells = [], cli._bells
@@ -280,16 +292,16 @@ def test_bell_cache_holds_the_built_prefix_and_grows(capsys, monkeypatch,
     (["condense", "sweep", "--log2eps", ",64", "--k", "64"], "--log2eps"),
     # the window's cap is checked before any Bell number is built
     (["condense", "minq", "--log2eps", "64", "--k", "64", "--loss", "1",
-      "--qmax", str(DEFAULT_QMAX_CAP + 1)], "q_max"),
+      "--qmax", str(DEFAULT_QMAX_CAP + 1)], "argument --qmax"),
     (["condense", "sweep", "--log2eps", "64", "--k", "64", "--qmax",
-      str(DEFAULT_QMAX_CAP + 1)], "q_max"),
+      str(DEFAULT_QMAX_CAP + 1)], "argument --qmax"),
     # a window below q = 4 is named as such, not as a failed side condition
     (["condense", "minq", "--log2eps", "128", "--k", "64", "--loss", "1",
-      "--qmax", "3"], "window's cap q_max=3"),
+      "--qmax", "3"], "argument --qmax: must be in [4, 2048], got 3"),
     (["condense", "minq", "--log2eps", "128", "--k", "64", "--loss", "1",
-      "--qmax", "-4"], "window's cap q_max=-4"),
+      "--qmax", "-4"], "argument --qmax: must be in [4, 2048], got -4"),
     (["condense", "sweep", "--log2eps", "64", "--k", "64", "--qmax", "3"],
-     "window's cap q_max=3"),
+     "argument --qmax: must be in [4, 2048], got 3"),
     # eps = 1/2 and above has no positive construction to compare against
     (["condense", "sweep", "--log2eps", "1", "--k", "64"], "--log2eps"),
     (["condense", "sweep", "--log2eps", "64,1/2", "--k", "64"],
@@ -483,6 +495,40 @@ def test_simulate_determinism_across_threads(capsys):
     _, out1 = run_cli(capsys, *argv, "--threads", "1")
     _, out2 = run_cli(capsys, *argv, "--threads", "4")
     assert out1 == out2
+
+
+@pytest.mark.parametrize("source", ["option", "variable"])
+def test_threads_capped_at_available_parallelism(capsys, monkeypatch,
+                                                 source):
+    # each worker past the cores costs 6-8 MiB of peak RSS and no speed
+    argv = ["simulate", "--w", "12", "--q", "3", "--trials", "1200",
+            "--master-seed", "5"]
+    seen, driver = [], hashsim._load_experiment
+
+    def recording(M, N, trials, orders, thresholds, threads, *rest):
+        seen.append(threads)
+        return driver(M, N, trials, orders, thresholds, threads, *rest)
+
+    monkeypatch.setattr(hashsim, "_load_experiment", recording)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.delenv("CONDBOUND_THREADS", raising=False)
+    _, one = run_cli(capsys, *argv, "--threads", "1")
+    if source == "variable":
+        monkeypatch.setenv("CONDBOUND_THREADS", "16")
+    else:
+        argv += ["--threads", "16"]
+    code, many = run_cli(capsys, *argv)
+    assert code == 0
+    assert seen == [1, 2]
+    assert many == one
+
+
+def test_moment_q_above_row_cap_admitted_with_lower_order(capsys):
+    # the 2048 cap bounds the Stirling rows, so the order, not q; without
+    # --order the order is q, and q past the cap is refused naming --q
+    env = run_json(capsys, "moment", "--balls", "4", "--bins", "4", "--q",
+                   str(DEFAULT_QMAX_CAP + 1), "--order", "3")
+    assert env["result"]["value"] == {"num": "29", "den": "8"}
 
 
 def test_simulate_exact_mode(capsys):
@@ -881,11 +927,11 @@ _ABOVE_SIZE_CAP = str((1 << LOG2_SIZE_CAP) + 1)
      "--k"),
     (["condense", "sweep", "--log2eps", "64", "--k", "-1"], "--k"),
     # the cap is checked before the first row is written
-    (["table", "--qmax", "-1"], "q_max"),
-    (["table", "--qmax", "-1", "--format", "json"], "q_max"),
-    (["table", "--qmax", str(DEFAULT_QMAX_CAP + 1)], "q_max"),
+    (["table", "--qmax", "-1"], "argument --qmax"),
+    (["table", "--qmax", "-1", "--format", "json"], "argument --qmax"),
+    (["table", "--qmax", str(DEFAULT_QMAX_CAP + 1)], "argument --qmax"),
     (["table", "--qmax", str(DEFAULT_QMAX_CAP + 1), "--format", "json"],
-     "q_max"),
+     "argument --qmax"),
     # a moment's exact sum grows with the digits of M and N
     (["moment", "--balls", _ABOVE_SIZE_CAP, "--bins", "4", "--q", "3"],
      "--balls"),
@@ -944,7 +990,7 @@ def test_exponent_above_cap_exits_2_at_once(capsys, argv, option):
     assert code == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert f"{option} exponent must be <= {LOG2_SIZE_CAP}" in err
+    assert f"argument {option}: exponent must be <= {LOG2_SIZE_CAP}" in err
 
 
 def test_moment_size_at_cap_is_admitted(capsys):

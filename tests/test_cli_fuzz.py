@@ -2,7 +2,9 @@
 ``build_parser()`` and every action of each leaf, with values drawn from
 bounded pools of tricky inputs.  Every command must end in exit 0 or 2
 (3 only under --strict), and no exception but SystemExit may escape
-``dispatch``.
+``dispatch``.  A command with exactly one option outside the domain its
+type declares, and every other option inside its own, must exit 2 with
+that option named in the last line of stderr.
 
 The sizes that set the work (q, --qmax, k, --log2m, --trials) come from
 small pools, and so does every value that the slow caps admit, so each
@@ -12,10 +14,11 @@ command runs in milliseconds; the caps themselves are timed elsewhere.
 import argparse
 import contextlib
 import io
+import re
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from condbound.cli import build_parser, dispatch
@@ -109,8 +112,7 @@ def test_parser_driven_fuzz_exits_0_or_2():
     with tempfile.TemporaryDirectory() as tmp:
         existing_file = Path(tmp) / "file"
         existing_file.write_text("")
-        # an empty --cache-dir is the working directory, so it is left out
-        cache_pool = ([str(Path(tmp) / "cache")], [str(existing_file)])
+        cache_pool = ([str(Path(tmp) / "cache")], [str(existing_file), ""])
 
         @settings(max_examples=300, deadline=None, derandomize=True,
                   database=None)
@@ -125,4 +127,106 @@ def test_parser_driven_fuzz_exits_0_or_2():
             allowed = {0, 2, 3} if "--strict" in argv else {0, 2}
             assert code in allowed, (argv, code)
 
+        run()
+
+
+_INT_BAD = ["", "x", "1.5", "1e3", "1/2"]
+_RATIONAL_BAD = ["", "x", "1/0", "1.2.3", "1e1025"]
+# (values inside, values outside) the domain of each option's type, by its
+# dest or by "leaf dest"; an option with no value inside is left out
+# unless it is the one drawn outside
+_DOMAINS = {
+    "q": (["4", "8"], ["5", "3", "2", "0", "-4", "2050", *_INT_BAD]),
+    "moment q": (["2", "3", "4"], ["0", "-1", *_INT_BAD]),
+    "simulate q": (["2", "3"], _INT_BAD),
+    "order": (["1", "2"], ["0", "2049", *_INT_BAD]),
+    "log2m": (["4", "10"], ["-1", "1025", *_INT_BAD]),
+    "theta": (["1/2", "0.25"], ["0", "1", "2.6", "-1/2", *_RATIONAL_BAD]),
+    "table qmax": (["0", "5"], ["-1", "2049", *_INT_BAD]),
+    "asymptotics qmax": (["8", "16"], ["2", "2049", *_INT_BAD]),
+    "qmax": (["16", "2048"], ["3", "-4", "2049", *_INT_BAD]),
+    "qmin": (["3", "8"], ["2", "-5", *_INT_BAD]),
+    "step": (["1", "2"], ["0", "-1", *_INT_BAD]),
+    "k": (["16", "64"], ["0", "-1", "1025", *_INT_BAD]),
+    "loss": (["0", "3/2", "2.6"], ["-1", "-1/2", *_RATIONAL_BAD]),
+    "log2eps": (["64", "1/2"], ["0", "-3", *_RATIONAL_BAD]),
+    "sweep log2eps": (["64", "64,128"],
+                      ["1", "1/2", "64,1", ",", "64,,128", *_RATIONAL_BAD]),
+    "moment balls": (["4", "7"], ["0", "-3", str((1 << 1024) + 1),
+                                  *_INT_BAD]),
+    "balls": (["1", "8"], ["0", "-1", *_INT_BAD]),
+    "bins": ([], ["0", "-2", *_INT_BAD]),
+    "threads": (["1", "2"], ["0", "-3", *_INT_BAD]),
+    "orders": (["1", "1,2", ""], ["1,x", ",", "1,,2", "x"]),
+    "thresholds": (["1", "3/2^1"], ["1/3", "1,,2", "abc", "1/2^1025"]),
+    "format": (["json", "csv"], ["xml", ""]),
+    "what": (["stirling", "bell"], ["x"]),
+    "mode": (["mc"], ["x"]),
+    "w": (["3"], _INT_BAD),
+    "output_bits": (["1", "3"], _INT_BAD),
+    "trials": (["3"], _INT_BAD),
+    "master_seed": (["0", "7"], _INT_BAD),
+}
+_DOMAINS["moment bins"] = _DOMAINS["moment balls"]
+
+
+@st.composite
+def _argv_one_option_outside(draw, cache_pool):
+    """(argv, the option drawn outside its domain)."""
+    words, parser = draw(st.sampled_from(list(_leaves(build_parser()))))
+    actions = [a for a in parser._actions if a.option_strings
+               and not isinstance(a, argparse._HelpAction)]
+    bad = draw(st.sampled_from([a for a in actions if a.nargs != 0]))
+    args = []
+    for action in actions:
+        option = action.option_strings[-1]
+        if action.nargs == 0:            # --strict
+            args += draw(st.sampled_from([[], [option]]))
+            continue
+        inside, outside = (cache_pool if action.dest == "cache_dir" else
+                           _DOMAINS.get(f"{words[-1]} {action.dest}",
+                                        _DOMAINS[action.dest]))
+        if action is bad:
+            args.append(f"{option}={draw(st.sampled_from(outside))}")
+        elif inside and (action.required or draw(st.booleans())):
+            args.append(f"{option}={draw(st.sampled_from(inside))}")
+    return [*words, *draw(st.permutations(args))], bad.option_strings[-1]
+
+
+# messages that named a library parameter, not the option typed; moment's
+# --q is its default --order, which the 2048 row cap bounds
+_NAMED_BY_THE_LIBRARY = [
+    (["lemma2", "--q=5", "--log2m=10"], "--q"),
+    (["pz", "--q=0", "--log2m=10", "--theta=1/2"], "--q"),
+    (["pz", "--q=4", "--log2m=10", "--theta=2.6"], "--theta"),
+    (["moment", "--balls=4", "--bins=0", "--q=2"], "--bins"),
+    (["moment", "--balls=4", "--bins=4", "--q=2049"], "--q"),
+    (["table", "--qmax=-1"], "--qmax"),
+]
+
+
+def test_single_option_outside_its_domain_is_named():
+    with tempfile.TemporaryDirectory() as tmp:
+        cache_pool = ([str(Path(tmp) / "cache")], [""])
+
+        @settings(max_examples=300, deadline=None, derandomize=True,
+                  database=None)
+        @given(_argv_one_option_outside(cache_pool))
+        def run(drawn):
+            argv, option = drawn
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                try:
+                    code = dispatch(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            assert code == 2, argv
+            last = err.getvalue().splitlines()[-1]
+            # --q is named, not --qmax
+            assert re.search(re.escape(option) + r"(?![\w-])", last), \
+                (argv, last)
+
+        for drawn in _NAMED_BY_THE_LIBRARY:
+            run = example(drawn)(run)
         run()

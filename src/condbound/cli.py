@@ -222,7 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
              "positive vs certified independence across a list of eps "
              "targets", (strict, cache))
     # the positive construction each row compares against needs eps < 1/2
-    eps_list = _value(_listed(Fraction), "a list of values > 1",
+    eps_list = _value(_listed(Fraction),
+                      "a list of values > 1 (eps = 2^-E below 1/2)",
                       lambda Ls: Ls and min(Ls) > 1, echo=True)
     c.add_argument("--log2eps", type=eps_list, required=True,
                    help="comma separated exponents, e.g. 64,128,256,512")

@@ -1085,6 +1085,18 @@ GOLDEN_STDOUT = [
     (["simulate", "--mode", "independent", "--balls", "21", "--bins", "2",
       "--trials", "3"],
      "0475f07371209c9ee68381f38e69a461cb7084314577b849be81d3726ed20fe6"),
+    # shapes past the benchmark, recorded before the search stopped near
+    # the q it finds and before the ln series was table-reduced: every q
+    # from 3 to 1024, a sweep whose rows find no q, q = 772 and q = 1242,
+    # and a loss-0 search at k = 20
+    (["asymptotics", "--qmin", "3", "--qmax", "1024", "--format", "csv"],
+     "c4e7652eae63b16f7abd0c3bc605e5a0f168d47d67d739805decab3addd8c739"),
+    (["condense", "sweep", "--log2eps", "2,3,5,610,1000", "--k", "64",
+      "--qmax", "2048"],
+     "e5159a15d92f4c325b36650f9a37725a27505529656d5c860695fceedb137ca8"),
+    (["condense", "minq", "--log2eps", "377", "--k", "20", "--loss", "0",
+      "--qmax", "2048"],
+     "ff523e09803bd9f65a4b5e0f5848d493eded23a9d08cc8c33002e0a8c10f6226"),
 ]
 
 
@@ -1096,7 +1108,9 @@ GOLDEN_STDOUT = [
                               "lemma2-vacuous-p-negative", "moment-order-37",
                               "pz-q64", "stirling-200-csv",
                               "stirling-200-json",
-                              "independent-past-enumeration"])
+                              "independent-past-enumeration",
+                              "asymptotics-3-1024-csv", "sweep-past-benchmark",
+                              "minq-k20-loss0"])
 def test_stdout_golden_digest(capsys, argv, sha256):
     code, out = run_cli(capsys, *argv)
     assert code == 0

@@ -22,11 +22,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import serialize
-from .asymptotic import estimate_residual
 from .combinat import DEFAULT_QMAX_CAP, BellSequence
-from .condenser import (FEASIBLE_IMPOSSIBLE, asymptotic_gap_report,
-                        impossibility_certificate, necessary_independence)
-from .anticonc import lemma2_certificate, pz_bound
 from .errors import CapacityError, CondboundError, PreconditionError
 from .intervals import parse_dyadic
 from .moments import BallsBinsInstance, raw_moment
@@ -271,17 +267,23 @@ def _run_moment(args) -> tuple[dict, None, bool]:
 
 
 def _run_lemma2(args) -> tuple[dict, None, bool]:
+    from .anticonc import lemma2_certificate
+
     cert = lemma2_certificate(args.q, 1 << args.log2m, _bells(args.cache_dir))
     return serialize.certificate_dict(cert), None, not cert.vacuous
 
 
 def _run_pz(args) -> tuple[dict, None, bool]:
+    from .anticonc import pz_bound
+
     M = 1 << args.log2m
     cert = pz_bound(BallsBinsInstance(M, M, args.q), args.theta.value)
     return serialize.certificate_dict(cert), None, True
 
 
 def _run_asymptotics(args) -> tuple[dict, list, bool]:
+    from .asymptotic import estimate_residual
+
     if args.qmin > args.qmax:
         raise PreconditionError(
             f"--qmin must be <= --qmax {args.qmax}, got {args.qmin}")
@@ -293,6 +295,8 @@ def _run_asymptotics(args) -> tuple[dict, list, bool]:
 
 
 def _run_check(args) -> tuple[dict, None, bool]:
+    from .condenser import FEASIBLE_IMPOSSIBLE, impossibility_certificate
+
     verdict = impossibility_certificate(
         args.q, args.k, _bells(args.cache_dir),
         loss=getattr(args.loss, "value", None),
@@ -302,6 +306,8 @@ def _run_check(args) -> tuple[dict, None, bool]:
 
 
 def _run_minq(args) -> tuple[dict, None, bool]:
+    from .condenser import necessary_independence
+
     L, loss = args.log2eps.value, args.loss.value
     verdict = necessary_independence(L, args.k, loss, _bells(args.cache_dir),
                                      args.qmax)
@@ -310,6 +316,8 @@ def _run_minq(args) -> tuple[dict, None, bool]:
 
 
 def _run_sweep(args) -> tuple[dict, None, bool]:
+    from .condenser import asymptotic_gap_report
+
     rows = asymptotic_gap_report(args.log2eps.value, args.k,
                                  _bells(args.cache_dir), args.qmax,
                                  loss=args.loss.value)

@@ -33,7 +33,6 @@ for comparison only.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,7 +40,7 @@ from fractions import Fraction
 from .anticonc import AntiConcentrationCertificate, lemma2_certificate
 from .combinat import BellSequence, _check_q_max
 from .errors import CapacityError, PreconditionError
-from .intervals import FloatInterval, log2_interval
+from .intervals import DEFAULT_FRAC_BITS, FloatInterval, log2_interval
 
 FEASIBLE_IMPOSSIBLE = "impossible"
 FEASIBLE_UNDETERMINED = "undetermined"
@@ -186,11 +185,16 @@ def necessary_independence(log2_inv_eps, k: int, loss, bells: BellSequence,
 
     Each probe asks whether log2(eps_star) = log2(p) + log2(tau^q)/q - 1
     certainly exceeds -log2(1/eps).  A gallop over the window's indices
-    0, 1, 2, 4, 8, ... brackets the first probe that does not, and a
-    bisection inside that bracket finds it; the window's top is probed only
-    when every gallop step passes.  So ``bells`` grows to about twice the
-    window index of the q found, not to q_max.  That is sound because the
-    probe predicate is monotone in q:
+    brackets the first probe that does not: each step goes to where the
+    secant through the last two probes' lower ends of log2(eps_star)
+    crosses -log2(1/eps), but at most to twice the index passed (so 0, 1,
+    2, 4, 8, ... while the secant aims further).  Inside the bracket the
+    secant picks each probe the same way until the bracket closes; the
+    window's top is probed only when every gallop step passes.  log2
+    eps_star is nearly linear in q, so the first failing probe lands a few
+    indices past the q found: ``bells`` grows to at most 16 past it over
+    k = 12..64, loss 0 and log2(1/eps) = 2..987, not to q_max.  Any probe
+    order finds the same q, because the probe predicate is monotone in q:
 
     * eps_star(q) = (1 - q^2/(2M)) * g(q), where g depends on q only;
     * on the window (q^2 < M) the first factor lies in (1/2, 1] and falls
@@ -210,31 +214,51 @@ def necessary_independence(log2_inv_eps, k: int, loss, bells: BellSequence,
         raise PreconditionError("necessary_independence needs loss and eps targets")
     qs = _search_window(k, q_max)
     M = 1 << k
+    target = -L * (1 << DEFAULT_FRAC_BITS)   # -L at the enclosures' scale
+    probes = []     # (index, lower end of log2 eps_star) of each probe
 
-    def eps_ok(q: int) -> bool:
-        cert = lemma2_certificate(q, M, bells)
+    def passes(i: int) -> bool:
+        cert = lemma2_certificate(qs[i], M, bells)
         log2_eps_star = (
             log2_interval(cert.probability)
-            + log2_interval(cert.threshold_power).divide_by_int(q)
+            + log2_interval(cert.threshold_power).divide_by_int(qs[i])
         ).shift(-1)
+        probes.append((i, log2_eps_star.lo_scaled))
         return log2_eps_star.certainly_gt(-L)
 
-    # gallop over indices 0, 1, 2, 4, ...: qs[passed] passes (-1 before
-    # any probe) and the first index that fails lies in (passed, step]
-    passed, step, top = -1, 0, len(qs) - 1
-    while step < top and eps_ok(qs[step]):
-        passed, step = step, 2 * step or 1
-    if step >= top:
-        step = top
-        if eps_ok(qs[top]):
+    def aim(lo: int, hi: int) -> int:
+        """The index in [lo, hi] at or below where the secant through the
+        last two probes crosses -L (hi before there are two)."""
+        if len(probes) < 2:
+            return hi
+        (a, f_a), (b, f_b) = probes[-2:]   # f falls strictly with q
+        return min(max(b + math.floor((target - f_b) * (b - a) / (f_b - f_a)),
+                       lo), hi)
+
+    # the first index that fails lies in (passed, failed]: gallop with the
+    # secant, each step at most doubling the passed index, until a probe
+    # fails or the window's top passes
+    passed, top = -1, len(qs) - 1
+    while True:
+        i = aim(passed + 1, min(2 * passed or 1, top)) if passed >= 0 else 0
+        if not passes(i):
+            break
+        if i == top:
             raise CapacityError(
                 f"search window exhausted: eps_star at q={qs[top]} still "
                 f"exceeds the target; the window's cap is q_max={q_max}")
-    first_fail = bisect.bisect_left(qs, True, passed + 1, step,
-                                    key=lambda q: not eps_ok(q))
-    if first_fail == 0:
+        passed = i
+    failed = i
+    # then narrow the bracket at the secant's crossing inside it
+    while failed - passed > 1:
+        i = aim(passed + 1, failed - 1)
+        if passes(i):
+            passed = i
+        else:
+            failed = i
+    if failed == 0:
         return None
-    verdict = impossibility_certificate(qs[first_fail - 1], k, bells,
+    verdict = impossibility_certificate(qs[failed - 1], k, bells,
                                         loss=loss, log2_inv_eps=L)
     return verdict if verdict.target_covered else None
 

@@ -15,15 +15,15 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .anticonc import AntiConcentrationCertificate
-from .asymptotic import AsymptoticEstimate
 from .combinat import BellSequence, _check_q_max, _stirling_rows
-from .condenser import CondenserVerdict, GapRow
 from .errors import PreconditionError
-from .intervals import FloatInterval, any_length, dyadic_str
+from .intervals import FloatInterval, any_length, dyadic_str, scaled_str
 from .moments import ExactLoadDistribution, MomentResult
 
-if TYPE_CHECKING:  # only annotations name them; hashsim imports numpy
+if TYPE_CHECKING:  # only annotations name them, so simulate loads none
+    from .anticonc import AntiConcentrationCertificate
+    from .asymptotic import AsymptoticEstimate
+    from .condenser import CondenserVerdict, GapRow
     from .hashsim import HashFamilySpec
     from .independent import SimulationReport
 
@@ -42,7 +42,8 @@ def parse_rational(d: dict) -> Fraction:
 
 
 def interval_dict(iv: FloatInterval) -> dict:
-    return {"lo": dyadic_str(iv.lo), "hi": dyadic_str(iv.hi)}
+    return {"lo": scaled_str(iv.lo_scaled, iv.frac_bits),
+            "hi": scaled_str(iv.hi_scaled, iv.frac_bits)}
 
 
 def _log2_exact(n: int) -> int:
@@ -53,11 +54,12 @@ def _log2_exact(n: int) -> int:
 
 
 def certificate_dict(cert: AntiConcentrationCertificate) -> dict:
+    tau = interval_dict(cert.threshold)
     out = {
         "q": cert.q,
         "log2M": _log2_exact(cert.M),
-        "tau_lo": dyadic_str(cert.threshold.lo),
-        "tau_hi": dyadic_str(cert.threshold.hi),
+        "tau_lo": tau["lo"],
+        "tau_hi": tau["hi"],
         "p_num": decimal(cert.probability.numerator),
         "p_den": decimal(cert.probability.denominator),
         "vacuous": cert.vacuous,
@@ -83,18 +85,20 @@ def verdict_dict(v: CondenserVerdict) -> dict:
     red, params, claim = v.reduction, v.params, v.reference_claim
     targeted = (params.loss_bits is not None
                 or params.log2_inv_eps is not None)
+    ell_star = interval_dict(red.ell_star)
+    log2_eps_star = interval_dict(red.log2_eps_star)
     return {
         "q": params.independence,
         "k": params.entropy_k,
         "feasible": v.feasible,
         "certificate": certificate_dict(v.certificate),
-        "ell_star": dyadic_str(red.ell_star.lo),
-        "log2_eps_star_lo": dyadic_str(red.log2_eps_star.lo),
+        "ell_star": ell_star["lo"],
+        "log2_eps_star_lo": log2_eps_star["lo"],
         "reduction": {
             "tau_lo": dyadic_str(red.tau_lo),
-            "ell_star": interval_dict(red.ell_star),
+            "ell_star": ell_star,
             "epsilon_star": rational_dict(red.epsilon_star),
-            "log2_eps_star": interval_dict(red.log2_eps_star),
+            "log2_eps_star": log2_eps_star,
         },
         "target": None if not targeted else {
             "loss": None if params.loss_bits is None

@@ -7,8 +7,9 @@ rebuilt through the binomial recurrence, hash seeds are evaluated with a
 carry-less multiply of their own (one by one, or one seed over all points
 at once), Monte Carlo seeds come from one fresh numpy generator per
 trial, the smallest irreducible polynomial of a degree is found by trial
-division, and the atanh series runs through one named rounding helper
-per operation.
+division, the atanh series runs through one named rounding helper
+per operation, and interval quotients, shifts and dyadic strings go
+through exact ``Fraction`` values.
 """
 
 from fractions import Fraction
@@ -218,3 +219,33 @@ def atanh_series_by_helpers(u_lo: int, u_hi: int,
     tail_hi = _ceil_div(tail_hi, 2 * k + 3)
     tail_hi = _ceil_div(4 * tail_hi, 3) + 1
     return 2 * lo_sum, 2 * (hi_sum + tail_hi)
+
+
+def _round_out_fraction(lo: Fraction, hi: Fraction,
+                        frac_bits: int) -> tuple[int, int]:
+    """floor(lo * 2^frac_bits) and ceil(hi * 2^frac_bits)."""
+    return (_floor_div(lo.numerator << frac_bits, lo.denominator),
+            _ceil_div(hi.numerator << frac_bits, hi.denominator))
+
+
+def interval_quotient_by_fractions(a: tuple[int, int], b: tuple[int, int],
+                                   frac_bits: int) -> tuple[int, int]:
+    """Scaled ends of [a] / [b] for endpoints scaled by 2^frac_bits, formed
+    as exact rational quotients and rounded out once."""
+    quots = [Fraction(x, y) for x in a for y in b]
+    return _round_out_fraction(min(quots), max(quots), frac_bits)
+
+
+def interval_shift_by_fractions(a: tuple[int, int], fr: Fraction,
+                                frac_bits: int) -> tuple[int, int]:
+    """Scaled ends of [a] + fr, through the exact rational endpoints."""
+    one = 1 << frac_bits
+    return _round_out_fraction(Fraction(a[0], one) + fr,
+                               Fraction(a[1], one) + fr, frac_bits)
+
+
+def dyadic_by_fraction(scaled: int, frac_bits: int) -> str:
+    """'m' or 'm/2^k' for scaled / 2^frac_bits, reduced by Fraction."""
+    fr = Fraction(scaled, 1 << frac_bits)
+    k = fr.denominator.bit_length() - 1
+    return str(fr.numerator) if k == 0 else f"{fr.numerator}/2^{k}"

@@ -1,6 +1,8 @@
 import bisect
+import functools
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import pytest
 from condbound import (BellSequence, HashFamilySpec, asymptotic_gap_report,
                        impossibility_certificate, lemma2_certificate,
                        necessary_independence, positive_params)
-from condbound import anticonc
+from condbound import anticonc, condenser
 from condbound.anticonc import lemma2_probability
 from condbound.combinat import DEFAULT_QMAX_CAP
 from condbound.condenser import (FEASIBLE_IMPOSSIBLE, FEASIBLE_UNDETERMINED,
@@ -280,6 +282,58 @@ def test_gallop_matches_full_window_bisection(q_max):
                 assert got == want, (k, L, loss)
                 outcomes.add(type(got))
     assert outcomes == {int, str, type(None)}
+
+
+class _ReadTop(BellSequence):
+    """A built Bell prefix that records the highest q read: how far a fresh
+    sequence would have grown."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.top = 0
+
+    def bell(self, q: int) -> int:
+        self.top = max(self.top, q)
+        return super().bell(q)
+
+
+def test_search_stops_near_the_q_found(monkeypatch):
+    # the secant aims each probe at the crossing of -L, so the search reads
+    # Bell numbers at most 8 window indices past the q it finds; the probes
+    # and the verdict are memoised per (q, M) and the verdict is reduced to
+    # the q it is asked about, so this checks the reads of the search alone
+    full = BellSequence()
+    full.bell(DEFAULT_QMAX_CAP)
+    certs = {}
+
+    def lemma2(q, M, bells):
+        bells.bell(q)
+        if (q, M) not in certs:
+            certs[q, M] = lemma2_certificate(q, M, full)
+        return certs[q, M]
+
+    def verdict_at(q, k, bells, loss, log2_inv_eps):
+        return SimpleNamespace(target_covered=True,
+                               params=SimpleNamespace(independence=q))
+
+    monkeypatch.setattr(condenser, "lemma2_certificate", lemma2)
+    monkeypatch.setattr(condenser, "log2_interval",
+                        functools.lru_cache(maxsize=None)(log2_interval))
+    monkeypatch.setattr(condenser, "impossibility_certificate", verdict_at)
+    found = 0
+    for k in (12, 16, 20, 24, 32, 43, 64):
+        for L in range(2, 988):
+            bells = _ReadTop(full.values)
+            try:
+                verdict = necessary_independence(L, k, 0, bells,
+                                                 DEFAULT_QMAX_CAP)
+            except CapacityError:
+                continue
+            if verdict is not None:
+                q = verdict.params.independence
+                assert bells.top <= q + 16, (k, L, q, bells.top)
+                found += 1
+    assert found > 4000
 
 
 def test_gap_report_shapes(bells1024):

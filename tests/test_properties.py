@@ -8,18 +8,22 @@ import math
 from decimal import ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from condbound import intervals
 from condbound.intervals import (_GUARD, DEFAULT_FRAC_BITS, FloatInterval,
-                                 _atanh_series, _ln_big_scaled, ln_interval,
-                                 log2_interval, nth_root, parse_dyadic)
+                                 _atanh_series, _ln_big_scaled, dyadic_str,
+                                 ln_interval, log2_interval, nth_root,
+                                 parse_dyadic)
 from condbound.serialize import (interval_dict, parse_rational,
                                  rational_dict, write_json)
 
-from oracles import atanh_series_by_helpers
+from oracles import (atanh_series_by_helpers, dyadic_by_fraction,
+                     interval_quotient_by_fractions,
+                     interval_shift_by_fractions)
 
 # e = sum 1/k!, and the tail past k = 40 is below 2/40!
 _E_LO = sum(Fraction(1, math.factorial(k)) for k in range(40))
@@ -226,6 +230,50 @@ def _one_ulp_ln2(prec: int) -> tuple[int, int]:
     return lo, lo + 1
 
 
+def _mp_ln_scaled(m: int):
+    """ln(m / 2^_P) * 2^_P at 400 digits; compare it inside workdps(400)."""
+    return mpmath.log(mpmath.mpf(m) / _ONE) * _ONE
+
+
+_CELL = 1 << (_P - intervals._LN_TABLE_BITS)
+
+
+def _ln_mantissa_cases():
+    """(m_lo, m_hi): every table point 1 + j/64 exact and one ulp either
+    side, sqrt(2) one ulp either side, and an m_hi rounded up to 2."""
+    for j in range(1 << intervals._LN_TABLE_BITS):
+        c = _ONE + j * _CELL
+        yield c, c
+        yield c + 1, c + 1
+        if j:
+            yield c - 1, c - 1
+            yield c - 1, c + 1
+    yield _SQRT2_LO, _SQRT2_LO
+    yield _SQRT2_HI, _SQRT2_HI
+    yield _SQRT2_LO, _SQRT2_HI
+    yield 2 * _ONE - 1, 2 * _ONE
+
+
+def test_ln_mantissa_contains_mpmath_reference():
+    for m_lo, m_hi in _ln_mantissa_cases():
+        lo, hi = intervals._ln_mantissa(m_lo, m_hi, _P)
+        with mpmath.workdps(400):
+            assert lo <= _mp_ln_scaled(m_lo), (m_lo, m_hi)
+            assert _mp_ln_scaled(m_hi) <= hi, (m_lo, m_hi)
+        # the table entry's width (up to about 300 ulps at the working
+        # precision) plus the short series': 2^-23 of an output ulp
+        assert hi - lo <= 512 + (m_hi - m_lo), (m_lo, m_hi)
+
+
+def test_log2_width_bound_at_table_points():
+    # integers whose mantissa sits on, just above and just below each
+    # table point keep the documented width 2^(-frac_bits + 2)
+    for j in range(1, 64):
+        for x in (64 + j, ((64 + j) << 400) + 1, ((64 + j) << 400) - 1):
+            assert log2_interval(x).width <= Fraction(4, 1 << 256), x
+            assert ln_interval(x).width <= Fraction(4, 1 << 256), x
+
+
 # ln m = ln 2 - 2*atanh((2-m)/(2+m)) above sqrt(2).  The kernel's ln 2 has
 # about 95 ulps of slack on each side, more than the 50-70 of the series,
 # so the containment checks above pass even with the series ends swapped;
@@ -234,8 +282,9 @@ def _one_ulp_ln2(prec: int) -> tuple[int, int]:
                                2 * _ONE - 1],
                          ids=["above-sqrt2", "midway", "below-2"])
 def test_ln_mantissa_upper_branch_with_one_ulp_ln2(monkeypatch, m):
+    # the unreduced series, which builds the ln(1 + j/64) table
     monkeypatch.setattr(intervals, "_ln2", _one_ulp_ln2)
-    lo, hi = intervals._ln_mantissa(m, m, _P)
+    lo, hi = intervals._ln_series(m, m, _P)
     with localcontext() as ctx:
         ctx.prec = _DIGITS
         value = _scaled((Decimal(m) / _ONE).ln())
@@ -308,6 +357,58 @@ def test_log2_quotient_rounds_outward(num_ln, den_ln, ln2):
             for l2 in ln2:
                 assert lo <= Fraction(diff_lo << _P, l2)
                 assert Fraction(diff_hi << _P, l2) <= hi
+
+
+# The Fraction-free interval quotient, shift and dyadic strings against
+# their exact Fraction forms: small endpoints reach zero ends and mixed
+# signs, large ones carry low bits that a wrong rounding would show.
+scaled_ends = st.integers(-4, 4) | st.integers(-(1 << 300), 1 << 300)
+scaled_intervals = st.builds(lambda lo, width: (lo, lo + width), scaled_ends,
+                             st.integers(0, 4) | st.integers(0, 1 << 300))
+exact_shifts = (st.integers(-3, 3).map(Fraction)
+                | st.builds(Fraction, st.integers(-(1 << 300), 1 << 300),
+                            st.integers(1, 1 << 300)))
+any_frac_bits = st.integers(0, 300)
+kernels = settings(max_examples=300, deadline=None)
+
+
+@kernels
+@given(scaled_intervals,
+       scaled_intervals.filter(lambda b: not b[0] <= 0 <= b[1]),
+       any_frac_bits)
+@example((0, 0), (1, 1), 8)
+@example((-5, 0), (-3, -1), 0)
+@example((0, 7), (-3, -1), 256)
+@example((-5, 7), (2, 9), 3)
+@example((-7, -2), (-9, -4), 1)
+def test_interval_quotient_matches_fraction_form(a, b, f):
+    got = FloatInterval(*a, f) / FloatInterval(*b, f)
+    assert (got.lo_scaled, got.hi_scaled) == \
+        interval_quotient_by_fractions(a, b, f)
+
+
+@kernels
+@given(scaled_intervals, exact_shifts, any_frac_bits)
+@example((0, 0), Fraction(-1), 256)
+@example((-5, 3), Fraction(1, 3), 0)
+@example((-5, 3), Fraction(-2, 3), 2)
+def test_interval_shift_matches_fraction_form(a, fr, f):
+    got = FloatInterval(*a, f).shift(fr)
+    assert (got.lo_scaled, got.hi_scaled) == \
+        interval_shift_by_fractions(a, fr, f)
+
+
+@kernels
+@given(scaled_ends, any_frac_bits)
+@example(0, 256)
+@example(-(3 << 10), 8)
+@example(5 << 300, 256)
+@example(-1, 0)
+def test_dyadic_strings_match_fraction_form(m, f):
+    iv = FloatInterval(m, m, f)
+    want = dyadic_by_fraction(m, f)
+    assert interval_dict(iv) == {"lo": want, "hi": want}
+    assert dyadic_str(iv.lo) == want
 
 
 def _json_round_trip(value):

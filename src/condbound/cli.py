@@ -78,16 +78,9 @@ def _listed(parse):
 
 
 def _threads(args) -> int:
-    """--threads, else CONDBOUND_THREADS, else the available parallelism,
-    which also caps the other two."""
+    """--threads, else the available parallelism, which also caps it."""
     cpus = os.cpu_count() or 1
-    threads = args.threads
-    if threads is None and os.environ.get("CONDBOUND_THREADS"):
-        try:
-            threads = _ints(1)(os.environ["CONDBOUND_THREADS"])
-        except argparse.ArgumentTypeError as exc:
-            raise PreconditionError(f"CONDBOUND_THREADS: {exc}") from None
-    return min(threads or cpus, cpus)
+    return min(args.threads or cpus, cpus)
 
 
 class BellCache:
@@ -245,8 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
                                                echo=True), default="",
                    help="comma separated dyadic thresholds, e.g. 1,3/2^1")
     p.add_argument("--threads", type=_ints(1), default=None,
-                   help="worker threads (default: CONDBOUND_THREADS "
-                        "or available parallelism, which caps both)")
+                   help="worker threads (default and cap: available "
+                        "parallelism)")
 
     return top
 

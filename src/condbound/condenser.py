@@ -156,14 +156,12 @@ def impossibility_certificate(q: int, k: int, bells: BellSequence,
                             covered if targeted else None, reference)
 
 
-def _search_window(k: int, q_max: int) -> list[int]:
+def _search_window(k: int, q_max: int) -> range:
+    """The even q in 4..q_max with q^2 < 2^k, the side condition."""
     if q_max < 4:
         raise PreconditionError(f"the search window's cap q_max={q_max} < 4")
     _check_q_max(q_max)
-    top = q_max
-    while top >= 4 and (1 << k) <= top * top:
-        top -= 1
-    qs = [q for q in range(4, top + 1) if q % 2 == 0]
+    qs = range(4, min(q_max, math.isqrt((1 << k) - 1)) + 1, 2)
     if not qs:
         raise PreconditionError(
             f"no even q >= 4 satisfies the side condition at k={k}")

@@ -39,8 +39,8 @@ of one row; DEFAULT_THROW_CAP bounds M and N times the trials; and
 _TRIAL_STATS_CAP bounds the trials times their statistics.  The
 exhaustive seed oracle meets its tighter seed cap first.  A Monte Carlo
 batch gathers (q-1) * ceil(w/4) rows whatever M, so KERNEL_PASS_CAP
-bounds those gathers, the 3 passes of each x^span fold and the span * w
-passes of the table build.
+bounds those gathers, each x^span fold at the cost of 32 gathers and the
+span * w passes of the table build.
 ``run_trials`` checks its arguments, the instance, ``_plan``,
 KERNEL_PASS_CAP and the orders (in ``_moment_values``), in that order,
 before its tables or any trial.  The fully
@@ -96,9 +96,10 @@ _TRIAL_STATS_CAP = 1 << 22
 # coefficient position) the q - 1 positions would need (q-1) * 8 MiB
 TABLE_BYTES = 16 << 20
 # passes of run_trials' kernel, span * w to build its tables and, per
-# batch, (q - 1) * ceil(w/4) gathers and 3 per x^span fold: at w = 16,
-# q = 8192 takes 39 s for 20 trials (225277 passes) on a 2-vCPU host, and
-# q = 18 57 s for 11396 trials (262140), the slowest admitted run timed
+# batch, (q - 1) * ceil(w/4) gathers and 32 per x^span fold (a fold of a
+# 2^18-element batch costs 24-36 gathers): at w = 16 on a 2-vCPU host,
+# q = 13000 takes 14 s for 4 trials (259996 passes), and q = 4 35 s for
+# 16384 trials (180256), the slowest admitted run timed
 KERNEL_PASS_CAP = 1 << 18
 # elements per block of every simulator loop: an int64 array of one block
 # is 2 MiB, about one core's L2 cache, so a batch's bins, loads and
@@ -508,7 +509,7 @@ def run_trials(spec: HashFamilySpec, trials: int, master_seed: int,
     batches = full * -(-chunk // batch) + -(-rest // batch)
     span = _table_span(w, q, M)
     folds = (q - 2) // span if span else 0      # ceil((q - 1) / span) - 1
-    passes = span * w + batches * ((q - 1) * -(-w // 4) + 3 * folds)
+    passes = span * w + batches * ((q - 1) * -(-w // 4) + 32 * folds)
     if passes > KERNEL_PASS_CAP:
         raise CapacityError(f"table, gather and fold passes = {passes} "
                             f"exceed the kernel pass cap {KERNEL_PASS_CAP}")

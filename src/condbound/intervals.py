@@ -3,18 +3,19 @@
 Every quantity that is not an exact rational (logarithms, fractional
 powers) is represented as a closed interval [lo, hi] whose endpoints are
 dyadic rationals ``m / 2**frac_bits``.  All operations round outward, so
-the represented real number is always contained in the result.  Exact
-integer arithmetic only; the float unit is never involved.
+the represented real number is always contained in the result.  The
+arithmetic is exact on integers; the one float, in ``_iroot_seed``, only
+seeds ``iroot_floor``, whose root is then checked exactly.
 
 There is one ln kernel and one log2 kernel: ``ln_interval`` and
 ``log2_interval`` take any positive rational (an int is one) and bound
-ln(num) - ln(den) through the same atanh series; ``log2_interval``
-divides by an enclosure of ln 2.  An integer x = 2^e * m with m in [1, 2)
-gives ln x = e ln 2 + ln c + 2 atanh((m - c)/(m + c)), where c = 1 + j/64
-is the table point at or below m: the table of ln(1 + j/64) is filled
-lazily, entry by entry, by the same series without the reduction, and
-the reduced argument stays below 2^-7, so the series needs at most 21
-terms at the default precision instead of up to 56.
+ln(num) - ln(den); ``log2_interval`` divides by an enclosure of ln 2.
+Every logarithm comes from ln m = ln c + 2 atanh((m - c)/(m + c)).  At
+c = 1 it fills the lazy table of ln(1 + j/64), j = 1..64, whose last entry
+is ln 2 (widths up to 190 ulps at the working precision).  An integer
+x = 2^e * m, m in [1, 2), gives ln x = e ln 2 + ln m with c = 1 + j/64 at
+or below m, so the argument stays below 2^-7: at most 21 series terms at
+the default precision.
 """
 
 from __future__ import annotations
@@ -234,52 +235,36 @@ def _atanh_series(u_lo: int, u_hi: int, prec: int) -> tuple[int, int]:
     return 2 * lo_sum, 2 * (hi_sum + tail_hi)
 
 
-@lru_cache(maxsize=None)
-def _ln2(prec: int) -> tuple[int, int]:
-    """Bounds for ln 2 = 2*atanh(1/3), scaled by 2**prec."""
-    return _atanh_series((1 << prec) // 3, _ceil_div(1 << prec, 3), prec)
-
-
-def _ln_series(m_lo: int, m_hi: int, prec: int) -> tuple[int, int]:
-    """Bounds for ln(m) with 1 <= m <= 2, by the series alone.
-
-    Below sqrt(2), ln m = 2*atanh((m-1)/(m+1)); from sqrt(2) on,
-    ln m = ln 2 - 2*atanh((2-m)/(2+m)).  Either way the series argument
-    stays below 3 - 2*sqrt(2) ~ 0.172.
-    """
-    one = 1 << prec
-    if m_lo * m_lo >= 2 * one * one:
-        # (2-m)/(2+m) falls as m grows: the low end comes from m_hi
-        u_lo = _div_down(2 * one - m_hi, 2 * one + m_hi, prec)
-        u_hi = _div_up(2 * one - m_lo, 2 * one + m_lo, prec)
-        a_lo, a_hi = _atanh_series(max(u_lo, 0), u_hi, prec)
-        l2_lo, l2_hi = _ln2(prec)
-        return l2_lo - a_hi, l2_hi - a_lo
-    u_lo = _div_down(m_lo - one, m_lo + one, prec)
-    u_hi = _div_up(m_hi - one, m_hi + one, prec)
-    return _atanh_series(max(u_lo, 0), u_hi, prec)
+def _atanh_ratio(c: int, m_lo: int, m_hi: int, prec: int) -> tuple[int, int]:
+    """Bounds for ln(m/c) = 2*atanh((m-c)/(m+c)), c <= m_lo <= m <= m_hi;
+    the argument is rounded outward (floor at m_lo, ceiling at m_hi)."""
+    return _atanh_series(_div_down(m_lo - c, m_lo + c, prec),
+                         _div_up(m_hi - c, m_hi + c, prec), prec)
 
 
 @lru_cache(maxsize=None)
 def _ln_table(j: int, prec: int) -> tuple[int, int]:
-    """Bounds for ln(1 + j/2**_LN_TABLE_BITS), by the series alone."""
-    c = (1 << prec) + (j << (prec - _LN_TABLE_BITS))
-    return _ln_series(c, c, prec)
+    """Bounds for ln(1 + j/2**_LN_TABLE_BITS), 0 < j <= 2**_LN_TABLE_BITS:
+    the series argument j/(2**(_LN_TABLE_BITS+1) + j) is at most 1/3."""
+    one = 1 << prec
+    m = one + (j << (prec - _LN_TABLE_BITS))
+    return _atanh_ratio(one, m, m, prec)
+
+
+def _ln2(prec: int) -> tuple[int, int]:
+    """Bounds for ln 2 = 2*atanh(1/3), the last table entry."""
+    return _ln_table(1 << _LN_TABLE_BITS, prec)
 
 
 def _ln_mantissa(m_lo: int, m_hi: int, prec: int) -> tuple[int, int]:
-    """Bounds for ln(m) with 1 <= m <= 2 (m_lo < 2).
-
-    ln m = ln c + 2*atanh((m-c)/(m+c)), where c = 1 + j/2**_LN_TABLE_BITS
-    is the table point at or below m_lo and ln 1 = 0 exactly.  m_hi lies
-    within one ulp of m_lo, so the series argument stays below
-    2**-(_LN_TABLE_BITS + 1) plus that ulp.
-    """
+    """Bounds for ln(m) = ln c + ln(m/c), 1 <= m <= 2 (m_lo < 2), with
+    c = 1 + j/2**_LN_TABLE_BITS the table point at or below m_lo and ln 1 = 0
+    exactly.  m_hi lies within one ulp of m_lo, so the series argument stays
+    below 2**-(_LN_TABLE_BITS + 1) plus that ulp."""
     j = (m_lo - (1 << prec)) >> (prec - _LN_TABLE_BITS)
     c = (1 << prec) + (j << (prec - _LN_TABLE_BITS))
     t_lo, t_hi = _ln_table(j, prec) if j else (0, 0)
-    a_lo, a_hi = _atanh_series(_div_down(m_lo - c, m_lo + c, prec),
-                               _div_up(m_hi - c, m_hi + c, prec), prec)
+    a_lo, a_hi = _atanh_ratio(c, m_lo, m_hi, prec)
     return t_lo + a_lo, t_hi + a_hi
 
 

@@ -496,9 +496,9 @@ def test_simulate_determinism_across_threads(capsys):
     assert out1 == out2
 
 
-@pytest.mark.parametrize("source", ["option", "variable"])
+@pytest.mark.parametrize("threads", ["16"], ids=["option"])
 def test_threads_capped_at_available_parallelism(capsys, monkeypatch,
-                                                 source):
+                                                 threads):
     # each worker past the cores costs 6-8 MiB of peak RSS and no speed
     argv = ["simulate", "--w", "12", "--q", "3", "--trials", "1200",
             "--master-seed", "5"]
@@ -510,13 +510,8 @@ def test_threads_capped_at_available_parallelism(capsys, monkeypatch,
 
     monkeypatch.setattr(hashsim, "_load_experiment", recording)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.delenv("CONDBOUND_THREADS", raising=False)
     _, one = run_cli(capsys, *argv, "--threads", "1")
-    if source == "variable":
-        monkeypatch.setenv("CONDBOUND_THREADS", "16")
-    else:
-        argv += ["--threads", "16"]
-    code, many = run_cli(capsys, *argv)
+    code, many = run_cli(capsys, *argv, "--threads", threads)
     assert code == 0
     assert seen == [1, 2]
     assert many == one
@@ -609,17 +604,6 @@ def test_execution_options_declared_where_they_act(capsys, leaf, option):
         dispatch(argv)
     assert exc.value.code == 2
     assert f"unrecognized arguments: {option}" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("argv", [
-    ["table", "--qmax", "3"],
-    ["simulate", "--mode", "exact", "--w", "2", "--q", "2"],
-], ids=["table", "simulate-exact"])
-def test_thread_variable_read_only_where_threads_run(capsys, monkeypatch,
-                                                     argv):
-    monkeypatch.setenv("CONDBOUND_THREADS", "abc")
-    code, _ = run_cli(capsys, *argv)
-    assert code == 0
 
 
 def test_simulate_exact_threshold_echo_matches_monte_carlo(capsys):
@@ -1025,19 +1009,12 @@ def test_simulate_option_the_mode_never_reads_exits_2(capsys, argv, option):
     assert option in err
 
 
-@pytest.mark.parametrize("threads, env", [("0", None), ("-3", None),
-                                          (None, "abc")],
-                         ids=["zero", "negative", "env-malformed"])
-def test_bad_thread_count_exits_2(capsys, monkeypatch, threads, env):
-    argv = ["simulate", "--w", "3", "--q", "2", "--trials", "5"]
-    if threads is None:
-        monkeypatch.setenv("CONDBOUND_THREADS", env)
-    else:
-        monkeypatch.delenv("CONDBOUND_THREADS", raising=False)
-        argv += ["--threads", threads]
+@pytest.mark.parametrize("threads", ["0", "-3"], ids=["zero", "negative"])
+def test_bad_thread_count_exits_2(capsys, threads):
+    argv = ["simulate", "--w", "3", "--q", "2", "--trials", "5",
+            "--threads", threads]
     assert dispatch(argv) == 2
-    source = "CONDBOUND_THREADS" if threads is None else "--threads"
-    assert source in capsys.readouterr().err
+    assert "--threads" in capsys.readouterr().err
 
 
 # sha256 of stdout for commands the benchmark does not run, recorded before

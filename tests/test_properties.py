@@ -5,7 +5,7 @@ through ``serialize``."""
 import io
 import json
 import math
-from decimal import ROUND_FLOOR, Decimal, localcontext
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import mpmath
@@ -223,13 +223,6 @@ def test_ln_big_scaled_contains_decimal_reference(x):
         assert _below(lo, value) and _above(value, hi)
 
 
-def _one_ulp_ln2(prec: int) -> tuple[int, int]:
-    with localcontext() as ctx:
-        ctx.prec = _DIGITS
-        lo = int((Decimal(2).ln() * (1 << prec)).to_integral_value(ROUND_FLOOR))
-    return lo, lo + 1
-
-
 def _mp_ln_scaled(m: int):
     """ln(m / 2^_P) * 2^_P at 400 digits; compare it inside workdps(400)."""
     return mpmath.log(mpmath.mpf(m) / _ONE) * _ONE
@@ -260,7 +253,7 @@ def test_ln_mantissa_contains_mpmath_reference():
         with mpmath.workdps(400):
             assert lo <= _mp_ln_scaled(m_lo), (m_lo, m_hi)
             assert _mp_ln_scaled(m_hi) <= hi, (m_lo, m_hi)
-        # the table entry's width (up to about 300 ulps at the working
+        # the table entry's width (up to 190 ulps at the working
         # precision) plus the short series': 2^-23 of an output ulp
         assert hi - lo <= 512 + (m_hi - m_lo), (m_lo, m_hi)
 
@@ -274,21 +267,36 @@ def test_log2_width_bound_at_table_points():
             assert ln_interval(x).width <= Fraction(4, 1 << 256), x
 
 
-# ln m = ln 2 - 2*atanh((2-m)/(2+m)) above sqrt(2).  The kernel's ln 2 has
-# about 95 ulps of slack on each side, more than the 50-70 of the series,
-# so the containment checks above pass even with the series ends swapped;
-# with ln 2 known to one ulp, they do not.
-@pytest.mark.parametrize("m", [_SQRT2_HI, (_SQRT2_HI + 2 * _ONE) // 2,
-                               2 * _ONE - 1],
-                         ids=["above-sqrt2", "midway", "below-2"])
-def test_ln_mantissa_upper_branch_with_one_ulp_ln2(monkeypatch, m):
-    # the unreduced series, which builds the ln(1 + j/64) table
-    monkeypatch.setattr(intervals, "_ln2", _one_ulp_ln2)
-    lo, hi = intervals._ln_series(m, m, _P)
-    with localcontext() as ctx:
-        ctx.prec = _DIGITS
-        value = _scaled((Decimal(m) / _ONE).ln())
-        assert _below(lo, value) and _above(value, hi)
+def _outward_argument(c: int, m_lo: int, m_hi: int) -> tuple[int, int]:
+    """The floor at m_lo and the ceiling at m_hi of (m - c) 2^_P / (m + c)."""
+    return (math.floor(Fraction(m_lo - c, m_lo + c) * _ONE),
+            math.ceil(Fraction(m_hi - c, m_hi + c) * _ONE))
+
+
+# Every logarithm goes through one series argument, (m - c)/(m + c).  The
+# enclosures carry about 100 ulps of slack, so the containment checks above
+# pass even with its two roundings swapped; the arguments themselves do not.
+def test_series_argument_rounds_outward(monkeypatch):
+    for j in range(1, (1 << intervals._LN_TABLE_BITS) + 1):
+        intervals._ln_table(j, _P)      # the mantissa calls read the cache
+    calls, series = [], intervals._atanh_series
+
+    def recording(u_lo, u_hi, prec):
+        calls.append((u_lo, u_hi))
+        return series(u_lo, u_hi, prec)
+
+    monkeypatch.setattr(intervals, "_atanh_series", recording)
+    for j in range(1, (1 << intervals._LN_TABLE_BITS) + 1):
+        calls.clear()
+        lo, hi = intervals._ln_table.__wrapped__(j, _P)
+        m = _ONE + j * _CELL
+        assert calls == [_outward_argument(_ONE, m, m)], j
+        assert hi - lo <= 190, j
+    for m_lo, m_hi in _ln_mantissa_cases():
+        calls.clear()
+        intervals._ln_mantissa(m_lo, m_hi, _P)
+        c = _ONE + (m_lo - _ONE) // _CELL * _CELL
+        assert calls == [_outward_argument(c, m_lo, m_hi)], (m_lo, m_hi)
 
 
 def _log2_scaled(log2, arg) -> tuple[int, int]:

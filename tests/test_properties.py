@@ -275,7 +275,8 @@ def _outward_argument(c: int, m_lo: int, m_hi: int) -> tuple[int, int]:
 
 # Every logarithm goes through one series argument, (m - c)/(m + c).  The
 # enclosures carry about 100 ulps of slack, so the containment checks above
-# pass even with its two roundings swapped; the arguments themselves do not.
+# pass even with that argument floored at both ends, or its ends taken at
+# the wrong m; the recorded arguments do not.
 def test_series_argument_rounds_outward(monkeypatch):
     for j in range(1, (1 << intervals._LN_TABLE_BITS) + 1):
         intervals._ln_table(j, _P)      # the mantissa calls read the cache

@@ -27,12 +27,12 @@ variant is never vacuous.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from typing import NamedTuple
 
 from .combinat import BellSequence, _check_q_max
 from .errors import CondboundError, PreconditionError
+from .frozen import Frozen
 from .intervals import FloatInterval, nth_root
 from .moments import BallsBinsInstance, _moment_values
 
@@ -40,25 +40,35 @@ VARIANT_EXACT = "exact-moment"
 VARIANT_BELL = "bell-bound"
 
 
-@dataclass(frozen=True)
-class AntiConcentrationCertificate:
+class AntiConcentrationCertificate(Frozen):
     """Pr[S >= threshold.lo] >= probability, unless vacuous, where
     threshold encloses the q-th root of threshold_power."""
 
-    q: int
-    M: int
-    threshold_power: Fraction
-    probability: Fraction
-    variant: str
-    theta: Fraction | None = None
+    _fields = ("q", "M", "threshold_power", "probability", "variant",
+               "theta")
+    __slots__ = (*_fields, "_threshold")
 
-    def __post_init__(self):
-        if self.probability > 1:
+    def __init__(self, q: int, M: int, threshold_power: Fraction,
+                 probability: Fraction, variant: str,
+                 theta: Fraction | None = None):
+        if probability > 1:
             raise PreconditionError("certificate probability above 1")
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "M", M)
+        object.__setattr__(self, "threshold_power", threshold_power)
+        object.__setattr__(self, "probability", probability)
+        object.__setattr__(self, "variant", variant)
+        object.__setattr__(self, "theta", theta)
 
-    @cached_property
+    @property
     def threshold(self) -> FloatInterval:
-        return nth_root(self.threshold_power, self.q)
+        """The root, taken on first read and kept."""
+        try:
+            return self._threshold
+        except AttributeError:
+            tau = nth_root(self.threshold_power, self.q)
+            object.__setattr__(self, "_threshold", tau)
+            return tau
 
     @property
     def vacuous(self) -> bool:
@@ -139,8 +149,7 @@ def bell_bound_at_theta(q: int, M: int, theta,
                                         theta)
 
 
-@dataclass(frozen=True)
-class CertificateComparison:
+class CertificateComparison(NamedTuple):
     """Both certificate variants at theta = 1/q, with the ordering facts
     that make the Bell variant a relaxation of the exact-moment one."""
 

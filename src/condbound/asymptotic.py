@@ -10,15 +10,14 @@ reporting boundaries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .combinat import _stirling_rows
 from .errors import PreconditionError
 from .intervals import FloatInterval, ln_interval
 
 
-@dataclass(frozen=True)
-class AsymptoticEstimate:
+class AsymptoticEstimate(NamedTuple):
     q: int
     estimate: FloatInterval        # ln q - ln ln q - 1
     exact: FloatInterval           # ln(B_q) / q

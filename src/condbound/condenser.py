@@ -34,8 +34,8 @@ for comparison only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .anticonc import AntiConcentrationCertificate, lemma2_certificate
 from .combinat import BellSequence, _check_q_max
@@ -53,8 +53,7 @@ REFERENCE_CLAIMS = {
 }
 
 
-@dataclass(frozen=True)
-class CondenserParams:
+class CondenserParams(NamedTuple):
     """Parameter record in the k = m regime; absent fields are symbolic."""
 
     independence: int
@@ -65,16 +64,14 @@ class CondenserParams:
     entropy_k: int | None = None
 
 
-@dataclass(frozen=True)
-class HeavyBinReduction:
+class HeavyBinReduction(NamedTuple):
     tau_lo: Fraction                 # dyadic, lower enclosure endpoint
     ell_star: FloatInterval          # log2(tau_lo) - 1
     epsilon_star: Fraction           # p * tau_lo / 2, exact
     log2_eps_star: FloatInterval
 
 
-@dataclass(frozen=True)
-class CondenserVerdict:
+class CondenserVerdict(NamedTuple):
     params: CondenserParams
     feasible: str
     certificate: AntiConcentrationCertificate
@@ -261,8 +258,7 @@ def necessary_independence(log2_inv_eps, k: int, loss, bells: BellSequence,
     return verdict if verdict.target_covered else None
 
 
-@dataclass(frozen=True)
-class GapRow:
+class GapRow(NamedTuple):
     log2_inv_eps: Fraction
     q_plus: int
     q_minus: int | None

@@ -70,13 +70,13 @@ across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 
 import numpy as np
 
 from .errors import CapacityError, PreconditionError
+from .frozen import Frozen
 from .gf2 import default_modulus, gf_mul, primitive_element
 from .independent import (MomentStat, SimulationReport, TailStat,
                           _check_master_seed, _finite)
@@ -107,14 +107,24 @@ KERNEL_PASS_CAP = 1 << 18
 BLOCK_ELEMS = 1 << 18
 
 
-@dataclass(frozen=True)
-class HashFamilySpec:
+class HashFamilySpec(Frozen):
     """Degree-(q-1) polynomial evaluation over GF(2^w), truncated to the
     top output_bits bits."""
 
-    field_bits: int
-    degree: int
-    output_bits: int
+    __slots__ = _fields = ("field_bits", "degree", "output_bits")
+
+    def __init__(self, field_bits: int, degree: int, output_bits: int):
+        default_modulus(field_bits)  # first: an unsupported width is named
+        if degree < 0:
+            raise PreconditionError("degree must be >= 0")
+        if degree + 1 > (1 << field_bits):
+            raise PreconditionError(
+                "q-wise independence requires q <= field size 2^w")
+        if not 1 <= output_bits <= field_bits:
+            raise PreconditionError("output_bits must be in [1, field_bits]")
+        object.__setattr__(self, "field_bits", field_bits)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "output_bits", output_bits)
 
     @classmethod
     def create(cls, field_bits: int, independence: int,
@@ -122,17 +132,6 @@ class HashFamilySpec:
         if output_bits is None:
             output_bits = field_bits
         return cls(field_bits, independence - 1, output_bits)
-
-    def __post_init__(self):
-        w = self.field_bits
-        default_modulus(w)  # first: an unsupported width is named as such
-        if self.degree < 0:
-            raise PreconditionError("degree must be >= 0")
-        if self.degree + 1 > (1 << w):
-            raise PreconditionError(
-                "q-wise independence requires q <= field size 2^w")
-        if not 1 <= self.output_bits <= w:
-            raise PreconditionError("output_bits must be in [1, field_bits]")
 
     @property
     def modulus(self) -> int:

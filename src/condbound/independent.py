@@ -9,14 +9,14 @@ that branch imports.  ``SimulationReport`` is what it and the Monte Carlo
 runs of ``hashsim`` return.
 
 Only ``simulate``, ``hashsim`` and the reference's callers import this
-module, so the exact commands do not build its dataclasses.
+module, so the exact commands do not build its record types.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import CapacityError, PreconditionError
 from .moments import BallsBinsInstance, ExactLoadDistribution, _moment_values
@@ -25,23 +25,20 @@ from .moments import BallsBinsInstance, ExactLoadDistribution, _moment_values
 _EXHAUSTIVE_ASSIGNMENT_CAP = 1 << 20
 
 
-@dataclass(frozen=True)
-class MomentStat:
+class MomentStat(NamedTuple):
     order: int
     mean: float
     se: float | None
     exact: Fraction | None
 
 
-@dataclass(frozen=True)
-class TailStat:
+class TailStat(NamedTuple):
     threshold: Fraction
     frequency: float
     se: float | None
 
 
-@dataclass(frozen=True)
-class SimulationReport:
+class SimulationReport(NamedTuple):
     config_echo: dict
     trials: int
     moments: tuple[MomentStat, ...]

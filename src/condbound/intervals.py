@@ -4,8 +4,8 @@ Every quantity that is not an exact rational (logarithms, fractional
 powers) is represented as a closed interval [lo, hi] whose endpoints are
 dyadic rationals ``m / 2**frac_bits``.  All operations round outward, so
 the represented real number is always contained in the result.  The
-arithmetic is exact on integers; the one float, in ``_iroot_seed``, only
-seeds ``iroot_floor``, whose root is then checked exactly.
+arithmetic is exact on integers; the one float only seeds the Newton
+iteration of ``nth_root``, whose root is then checked exactly.
 
 There is one ln kernel and one log2 kernel: ``ln_interval`` and
 ``log2_interval`` take any positive rational (an int is one) and bound
@@ -23,11 +23,11 @@ from __future__ import annotations
 import math
 import sys
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import PreconditionError
+from .frozen import Frozen
 
 DEFAULT_FRAC_BITS = 256
 
@@ -38,12 +38,33 @@ _GUARD = 32
 # ln(m) on [1, 2) starts from a table of ln(1 + j/64), j = 0..63
 _LN_TABLE_BITS = 6
 
+# bits below the unit that nth_root's Newton estimate keeps
+_ROOT_GUARD = 64
+
 _DIGIT_LIMIT_LOCK = threading.Lock()
 
 
+def _within_digit_limit(value, limit: int) -> bool:
+    """Whether converting value (an int to decimal, or a str to a number)
+    certainly stays within a digit limit of ``limit`` > 0 digits: a str by
+    its length, an int by its bit length (a b-bit int has at most
+    floor(b * 0.30103) + 1 decimal digits)."""
+    if isinstance(value, str):
+        return len(value) <= limit
+    if isinstance(value, int):
+        return value.bit_length() * 30103 // 100000 < limit
+    return False
+
+
 def any_length(convert, value):
-    """convert(value) with the interpreter-wide int/str digit limit (4300 by
-    default) lifted under a lock; exact values at the caps run past it."""
+    """convert(value), past the interpreter-wide int/str digit limit (4300
+    by default) too: exact values at the caps run past it.  A value
+    certainly within the limit converts directly; any other converts with
+    the limit lifted under a lock.  A limit of 0 takes the lock too: it
+    may be another thread's lift, about to be restored."""
+    limit = sys.get_int_max_str_digits()
+    if limit and _within_digit_limit(value, limit):
+        return convert(value)
     with _DIGIT_LIMIT_LOCK:
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
@@ -57,58 +78,18 @@ def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
-def _iroot_seed(x: int, n: int) -> int:
-    """An integer certainly >= x**(1/n), within ~2^-38 relative slack.
-
-    Built from a float estimate of 2**(bit_length/n); the added margin
-    dominates every float rounding error by orders of magnitude.
-    """
-    bits = x.bit_length()
-    e = bits / n
-    j = int(e)
-    frac = e - j
-    mantissa = int(math.ldexp(2.0 ** frac, 52)) + 1
-    r = (mantissa << j) >> 52 if j >= 52 else mantissa >> (52 - j)
-    return r + (r >> 38) + 2
-
-
-def iroot_floor(x: int, n: int) -> int:
-    """Largest r >= 0 with r**n <= x, by integer Newton iteration."""
-    if x < 0:
-        raise PreconditionError("iroot_floor requires x >= 0")
-    if n < 1:
-        raise PreconditionError("iroot_floor requires n >= 1")
-    if x == 0:
-        return 0
-    if n == 1:
-        return x
-    # Newton from above converges monotonically to the floor root as long
-    # as the seed is >= the true root; the exactness check at the end
-    # guards the seed construction.
-    r = _iroot_seed(x, n)
-    while True:
-        nr = ((n - 1) * r + x // r ** (n - 1)) // n
-        if nr >= r:
-            break
-        r = nr
-    while r ** n > x:
-        r -= 1
-    while (r + 1) ** n <= x:
-        r += 1
-    return r
-
-
-@dataclass(frozen=True)
-class FloatInterval:
+class FloatInterval(Frozen):
     """Certified enclosure [lo, hi] with dyadic endpoints at 2**-frac_bits."""
 
-    lo_scaled: int
-    hi_scaled: int
-    frac_bits: int = DEFAULT_FRAC_BITS
+    __slots__ = _fields = ("lo_scaled", "hi_scaled", "frac_bits")
 
-    def __post_init__(self):
-        if self.lo_scaled > self.hi_scaled:
+    def __init__(self, lo_scaled: int, hi_scaled: int,
+                 frac_bits: int = DEFAULT_FRAC_BITS):
+        if lo_scaled > hi_scaled:
             raise PreconditionError("interval endpoints out of order")
+        object.__setattr__(self, "lo_scaled", lo_scaled)
+        object.__setattr__(self, "hi_scaled", hi_scaled)
+        object.__setattr__(self, "frac_bits", frac_bits)
 
     # -- constructors ------------------------------------------------------
 
@@ -343,11 +324,68 @@ def ln_interval(x, frac_bits: int = DEFAULT_FRAC_BITS) -> FloatInterval:
     return _round_out(lo, hi, prec, frac_bits)
 
 
+def _pow_truncated(y: int, k: int, bits: int) -> tuple[int, int]:
+    """(a, e) with a * 2**e = y**k to about ``bits`` bits: binary powering
+    that truncates each product to ``bits`` bits, so a * 2**e <= y**k with
+    a relative error below 2 * k.bit_length() * 2**(1 - bits)."""
+    a, e, b, eb = 1, 0, y, 0
+    while True:
+        if k & 1:
+            a, e = a * b, e + eb
+            if (s := a.bit_length() - bits) > 0:
+                a, e = a >> s, e + s
+        k >>= 1
+        if not k:
+            return a, e
+        b, eb = b * b, 2 * eb
+        if (s := b.bit_length() - bits) > 0:
+            b, eb = b >> s, eb + s
+
+
+def _root_estimate(t: int, den: int, n: int) -> int:
+    """An integer within a few units of (t / den)**(1/n), t >= den >= 1.
+
+    Newton's iteration y <- ((n - 1) y + x / y**(n-1)) / n for x = t / den
+    (Brent and Zimmermann, Modern Computer Arithmetic, 2010, section 1.5)
+    runs on truncations of t, den and y**(n-1) to a few bits more than the
+    root carries at each step.  It starts from a float seed with about 50
+    correct bits, and each step about doubles the correct bits, less
+    log2(n) for the quadratic term; the last step keeps _ROOT_GUARD bits
+    below the unit.  Only the caller's exact check makes the root exact.
+    """
+    nb = n.bit_length()
+    st, sd = max(t.bit_length() - 64, 0), max(den.bit_length() - 64, 0)
+    j, rem = divmod(st - sd, n)
+    seed = ((t >> st) / (den >> sd)) ** (1 / n) * 2.0 ** (rem / n)
+    f, fe = math.frexp(seed)
+    root_bits = fe + j  # 2**(root_bits - 1) <= seed * 2**j < 2**root_bits
+    y, ey = int(math.ldexp(f, 53)), root_bits - 53  # y * 2**ey ~ the root
+    # the root is at least 1 (t >= den), so root_bits >= 0 and at least one
+    # step runs: the last leaves y in units of 2**-_ROOT_GUARD
+    steps = [root_bits + _ROOT_GUARD]
+    while steps[-1] > 48:
+        steps.append(steps[-1] // 2 + nb + 4)
+    for p in reversed(steps[:-1]):
+        # y takes p bits; the operands keep nb + 8 more
+        e, bits = root_bits - p, p + nb + 8
+        y = y << (ey - e) if ey >= e else y >> (e - ey)
+        ey = e
+        a, ea = _pow_truncated(y, n - 1, bits)
+        st, sd = max(t.bit_length() - bits, 0), max(den.bit_length() - bits, 0)
+        # x / (y 2**ey)**(n-1) in units of 2**ey
+        k, top, bottom = st - sd - ea - n * ey, t >> st, (den >> sd) * a
+        q = (top << k) // bottom if k >= 0 else top // (bottom << -k)
+        y = ((n - 1) * y + q) // n
+    return y >> _ROOT_GUARD
+
+
 def nth_root(fr, n: int, frac_bits: int = DEFAULT_FRAC_BITS) -> FloatInterval:
     """Certified enclosure of fr**(1/n) for a nonnegative rational fr.
 
     The endpoints are the tightest dyadics at the working precision:
-    lo**n <= fr <= hi**n exactly.
+    lo**n <= fr <= hi**n exactly.  With t = numerator * 2**(n * prec), lo
+    is the largest integer with lo**n * den <= t, found from a Newton
+    estimate by exact tests that compute each power once.
     """
     fr = Fraction(fr)
     if fr < 0:
@@ -357,9 +395,16 @@ def nth_root(fr, n: int, frac_bits: int = DEFAULT_FRAC_BITS) -> FloatInterval:
     prec = frac_bits + _GUARD
     num, den = fr.numerator, fr.denominator
     t = num << (n * prec)
-    lo = iroot_floor(t // den, n)
-    # the least hi with hi**n * den >= t: lo**n <= t // den < (lo + 1)**n
-    hi = lo if lo ** n * den == t else lo + 1
+    lo = _root_estimate(t, den, n) if t >= den else 0
+    low, high = lo ** n * den, (lo + 1) ** n * den
+    while low > t:
+        lo, high = lo - 1, low
+        low = lo ** n * den
+    while high <= t:
+        lo, low = lo + 1, high
+        high = (lo + 1) ** n * den
+    # the least hi with hi**n * den >= t
+    hi = lo if low == t else lo + 1
     return _round_out(lo, hi, prec, frac_bits)
 
 

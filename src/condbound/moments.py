@@ -19,33 +19,33 @@ import numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .combinat import BellSequence, _stirling_rows
 from .errors import PreconditionError
+from .frozen import Frozen
 from .intervals import FloatInterval, log2_interval, nth_root
 
 
-@dataclass(frozen=True)
-class BallsBinsInstance:
+class BallsBinsInstance(Frozen):
     """M balls into N bins with a q-wise independent assignment."""
 
-    balls: int
-    bins: int
-    independence: int
+    __slots__ = _fields = ("balls", "bins", "independence")
 
-    def __post_init__(self):
-        if self.balls < 1:
+    def __init__(self, balls: int, bins: int, independence: int):
+        if balls < 1:
             raise PreconditionError("instance requires balls >= 1")
-        if self.bins < 1:
+        if bins < 1:
             raise PreconditionError("instance requires bins >= 1")
-        if self.independence < 1:
+        if independence < 1:
             raise PreconditionError("instance requires independence >= 1")
+        object.__setattr__(self, "balls", balls)
+        object.__setattr__(self, "bins", bins)
+        object.__setattr__(self, "independence", independence)
 
 
-@dataclass(frozen=True)
-class MomentResult:
+class MomentResult(NamedTuple):
     instance: BallsBinsInstance
     order: int
     value: Fraction
@@ -114,12 +114,14 @@ def moment_sandwich(M: int, order: int,
     return prod * bell, bell
 
 
-@dataclass(frozen=True)
-class ExactLoadDistribution:
+class ExactLoadDistribution(Frozen):
     """Exact distribution of the load of bin 0: the probability of each
     load, over every seed of a family or every assignment of balls."""
 
-    support: dict[int, Fraction] = field(default_factory=dict)
+    __slots__ = _fields = ("support",)
+
+    def __init__(self, support: dict[int, Fraction] | None = None):
+        object.__setattr__(self, "support", {} if support is None else support)
 
     @classmethod
     def _independent(cls, M: int, N: int) -> "ExactLoadDistribution":

@@ -10,7 +10,6 @@ statistics (means, standard errors) are genuine floats and stay floats.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -194,7 +193,9 @@ def distribution_dict(spec: HashFamilySpec, dist: ExactLoadDistribution,
                       orders, thresholds) -> dict:
     return {
         "mode": "exact",
-        **asdict(spec),
+        "field_bits": spec.field_bits,
+        "degree": spec.degree,
+        "output_bits": spec.output_bits,
         "modulus": spec.modulus,
         "distribution": [{"load": s, "probability": rational_dict(p)}
                          for s, p in sorted(dist.support.items())],

@@ -8,10 +8,12 @@ carry-less multiply of their own (one by one, or one seed over all points
 at once), Monte Carlo seeds come from one fresh numpy generator per
 trial, the smallest irreducible polynomial of a degree is found by trial
 division, the atanh series runs through one named rounding helper
-per operation, and interval quotients, shifts and dyadic strings go
-through exact ``Fraction`` values.
+per operation, interval quotients, shifts and dyadic strings go
+through exact ``Fraction`` values, and integer roots come from Newton's
+iteration on the whole integer.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -249,3 +251,41 @@ def dyadic_by_fraction(scaled: int, frac_bits: int) -> str:
     fr = Fraction(scaled, 1 << frac_bits)
     k = fr.denominator.bit_length() - 1
     return str(fr.numerator) if k == 0 else f"{fr.numerator}/2^{k}"
+
+
+def _iroot_seed(x: int, n: int) -> int:
+    """An integer certainly >= x**(1/n), within ~2^-38 relative slack.
+
+    Built from a float estimate of 2**(bit_length/n); the added margin
+    dominates every float rounding error by orders of magnitude.
+    """
+    bits = x.bit_length()
+    e = bits / n
+    j = int(e)
+    frac = e - j
+    mantissa = int(math.ldexp(2.0 ** frac, 52)) + 1
+    r = (mantissa << j) >> 52 if j >= 52 else mantissa >> (52 - j)
+    return r + (r >> 38) + 2
+
+
+def iroot_floor(x: int, n: int) -> int:
+    """Largest r >= 0 with r**n <= x, x >= 0 and n >= 1, by integer Newton
+    iteration on x itself."""
+    if x == 0:
+        return 0
+    if n == 1:
+        return x
+    # Newton from above converges monotonically to the floor root as long
+    # as the seed is >= the true root; the exactness check at the end
+    # guards the seed construction.
+    r = _iroot_seed(x, n)
+    while True:
+        nr = ((n - 1) * r + x // r ** (n - 1)) // n
+        if nr >= r:
+            break
+        r = nr
+    while r ** n > x:
+        r -= 1
+    while (r + 1) ** n <= x:
+        r += 1
+    return r

@@ -1209,6 +1209,20 @@ def test_independent_oracle_leaves_numpy_unloaded():
     assert proc.stdout == "False\n"
 
 
+def test_exact_layers_import_neither_dataclasses_nor_inspect():
+    # every command pays its imports: dataclasses pulls in inspect, ast and
+    # dis, and compiles the methods of each class it builds
+    src = str(Path(condbound.__file__).resolve().parent.parent)
+    probe = ("import sys, condbound.cli, condbound.anticonc, "
+             "condbound.asymptotic, condbound.condenser, "
+             "condbound.independent; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src},
+                          timeout=120, check=True)
+    assert proc.stdout == "[]\n"
+
+
 def test_closed_stdout_exits_1_without_traceback():
     # `condbound table --qmax 200 | head -1`: the reader leaves after one
     # line of the 4 MiB triangle

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import os
 import subprocess
@@ -395,9 +394,9 @@ def test_reports_do_not_depend_on_block_size(monkeypatch, budget):
     monkeypatch.setattr(hashsim, "BLOCK_ELEMS", budget)
     got = _block_sensitive_runs()
     for name, report in want.items():
-        for f in dataclasses.fields(report):
-            assert (getattr(got[name], f.name)
-                    == getattr(report, f.name)), (name, f.name)
+        for field in report._fields:
+            assert (getattr(got[name], field)
+                    == getattr(report, field)), (name, field)
 
 
 # tracemalloc sees numpy's buffers; with BLOCK_ELEMS-element blocks each

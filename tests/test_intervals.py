@@ -1,12 +1,14 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from condbound.errors import PreconditionError
-from condbound.intervals import (_GUARD, FloatInterval, dyadic_str,
-                                 iroot_floor, ln_interval, log2_interval,
+from condbound.intervals import (_GUARD, FloatInterval, any_length,
+                                 dyadic_str, ln_interval, log2_interval,
                                  nth_root, parse_dyadic)
+from oracles import iroot_floor
 
 # ln(2) to 60 digits, frozen from mpmath.log(2) at mp.dps=60
 LN2_60 = Fraction(
@@ -92,18 +94,47 @@ def test_iroot_exactness_random():
 def _nth_root_by_two_roots(fr: Fraction, n: int,
                            frac_bits: int) -> FloatInterval:
     """nth_root as two integer roots: the floor root of floor(t / den) and
-    the ceiling root of ceil(t / den), t = num * 2^(n * prec)."""
+    the ceiling root of ceil(t / den), t = num * 2^(n * prec).  A
+    power-of-two den divides by shifts, so the pz-shaped operands, whose
+    den has millions of bits, take no long division."""
     prec = frac_bits + _GUARD
     t, den = fr.numerator << (n * prec), fr.denominator
-    lo = iroot_floor(t // den, n)
-    up = -(-t // den)
+    if den & (den - 1) == 0:
+        k = den.bit_length() - 1
+        down, up = t >> k, -(-t >> k)
+    else:
+        down, rem = divmod(t, den)
+        up = down + (rem != 0)
+    lo = iroot_floor(down, n)
     hi = iroot_floor(up, n)
     if hi ** n != up:
         hi += 1
     return FloatInterval(lo >> _GUARD, -(-hi >> _GUARD), frac_bits)
 
 
-def test_nth_root_matches_two_roots():
+def _lemma2_power(q: int, bells) -> Fraction:
+    """tau^q = B_{q/2}^2 / 4^(q/2), the operand of lemma2's root."""
+    return Fraction(bells.bell(q // 2) ** 2, 4 ** (q // 2))
+
+
+def test_nth_root_matches_two_roots(bells1024):
+    cases = [(_lemma2_power(q, bells1024), q, 256)
+             for q in (4, 64, 90, 174, 338, 652, 1028, 2048)]
+    # pz's tau^q at q = 2048 and M = N = 2^1024, (theta E S^1024)^2, has a
+    # numerator of about 2M bits over a power of two; a power builds one
+    # without the gcd of two 2M-bit integers, and 2047 / 2048 keeps its
+    # root inexact
+    base = Fraction(random.Random(1024).getrandbits(1024) | 1 | 1 << 1023,
+                    1 << 1021)
+    cases.append((base ** 2047, 2048, 256))
+    # n = 1 and the argument 0
+    cases += [(Fraction(0), n, 256) for n in (1, 2, 2048)]
+    cases += [(Fraction(7, 3), 1, 256), (Fraction(1, 3 ** 300), 1, 64),
+              (Fraction(3 ** 300, 7), 1, 8)]
+    for fr, n, frac_bits in cases:
+        assert nth_root(fr, n, frac_bits) == \
+            _nth_root_by_two_roots(fr, n, frac_bits), (n, frac_bits)
+    assert nth_root(0, 5) == FloatInterval.from_int(0)
     rng = random.Random(2048)
     for _ in range(300):
         fr = Fraction(rng.getrandbits(rng.randint(1, 200)),
@@ -121,6 +152,20 @@ def test_nth_root_matches_two_roots():
         iv = nth_root(base ** n, n, frac_bits)
         assert iv == _nth_root_by_two_roots(base ** n, n, frac_bits)
         assert iv.lo == iv.hi == base, (base, n, frac_bits)
+    for n in (2, 3, 1028, 2048):
+        # exact powers at the caps' root orders, one an odd root
+        base = Fraction(rng.getrandbits(100) | 1, 1 << 40)
+        iv = nth_root(base ** n, n)
+        assert iv == _nth_root_by_two_roots(base ** n, n, 256)
+        assert iv.lo == iv.hi == base, n
+    for n in (2, 3, 40, 150):
+        # one unit either side of an exact power: the root lies far closer
+        # to the integer 2^32 x than the Newton estimate's error, and the
+        # endpoints at 2^-256 show on which side
+        root = (rng.getrandbits(260) | 1 << 259) << _GUARD
+        for unit in (-1, 1):
+            fr = Fraction(root ** n + unit, 1 << (n * (256 + _GUARD)))
+            assert nth_root(fr, n) == _nth_root_by_two_roots(fr, n, 256)
 
 
 def test_nth_root_directed_rounding():
@@ -197,3 +242,38 @@ def test_dyadic_roundtrip():
     with pytest.raises(PreconditionError):
         parse_dyadic("0.1")
     assert parse_dyadic("0.75") == Fraction(3, 4)
+
+
+_LIMIT = 4300  # the interpreter's default int/str digit limit
+
+
+@pytest.mark.parametrize("convert, value, lifted", [
+    # an int by its bit length: 4298 digits certainly fit, and 10^4300 has
+    # 4301 digits
+    (str, 10 ** (_LIMIT - 2), False),
+    (str, 10 ** _LIMIT, True),
+    # a str by its length
+    (int, "9" * _LIMIT, False),
+    (int, "9" * (_LIMIT + 1), True),
+    (Fraction, "1/" + "3" * (_LIMIT - 2), False),
+    (Fraction, "3" * (_LIMIT + 1) + "/7", True),
+], ids=["str-within", "str-past", "int-within", "int-past",
+        "fraction-within", "fraction-past"])
+def test_any_length_lifts_the_digit_limit_only_past_it(monkeypatch, convert,
+                                                       value, lifted):
+    set_limit, limit = sys.set_int_max_str_digits, sys.get_int_max_str_digits()
+    set_limit(0)
+    want = convert(value)
+    set_limit(_LIMIT)
+    sets = []
+    monkeypatch.setattr(sys, "set_int_max_str_digits",
+                        lambda n: sets.append(n) or set_limit(n))
+    try:
+        if lifted:  # the plain conversion refuses the value
+            with pytest.raises(ValueError):
+                convert(value)
+        assert any_length(convert, value) == want
+        assert sets == ([0, _LIMIT] if lifted else [])
+        assert sys.get_int_max_str_digits() == _LIMIT
+    finally:
+        set_limit(limit)

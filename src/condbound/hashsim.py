@@ -27,20 +27,26 @@ of the multiset of loads and do not change; a moment that
 so its last bits can.
 
 Block budget: ``_load_experiment`` is the only block loop, for the Monte
-Carlo trials and the exhaustive seed oracle alike.  Its blocks hold at
-most BLOCK_ELEMS elements, so that one int64 working array fits in one
-core's L2 cache, and each caller writes the bin of every ball straight
-into the driver's reused block buffer; what a caller draws for a whole
-chunk of rows up front, the Monte Carlo seeds, holds at most
-BLOCK_ELEMS elements too.  ``_plan`` sizes the driver's batches and
-chunks and checks every cap, for every caller, before any work: a batch
-holds at least one trial, so ROW_ELEMS_CAP bounds the balls M and bins N
-of one row; DEFAULT_THROW_CAP bounds M and N times the trials; and
-_TRIAL_STATS_CAP bounds the trials times their statistics.  The
-exhaustive seed oracle meets its tighter seed cap first.  A Monte Carlo
-batch gathers (q-1) * ceil(w/4) rows whatever M, so KERNEL_PASS_CAP
-bounds those gathers, each x^span fold at the cost of 32 gathers and the
-span * w passes of the table build.
+Carlo trials and the exhaustive seed oracle alike, and each caller
+writes the bin of every ball straight into the driver's reused block
+buffer.  What is budgeted is a batch's whole working set, not one array:
+its int64 bins and loads, the two uint16 gather buffers of
+``_SplitTables.evaluate`` and, for orders >= 2, one int64 ``loads **
+order`` temporary are live at once, and BLOCK_ELEMS elements of each
+(1.75 MiB) fit in one core's 2 MiB L2 cache between the passes over them.
+Chunks, the rows of one vectorised seed draw and the unit of thread
+scheduling, are sized apart from the batches: up to 8 batches of
+CHUNK_ELEMS elements and at most CHUNK_ELEMS drawn elements, so the
+Philox pass runs once per chunk, not once per batch.  ``_plan`` sizes
+the driver's batches and chunks and checks every cap, for every caller,
+before any work: a batch holds at least one trial, so ROW_ELEMS_CAP
+bounds the balls M and bins N of one row; DEFAULT_THROW_CAP bounds M and
+N times the trials; and _TRIAL_STATS_CAP bounds the trials times their
+statistics.  The exhaustive seed oracle meets its tighter seed cap
+first.  A Monte Carlo batch gathers (q-1) * ceil(w/4) rows whatever M,
+so KERNEL_PASS_CAP bounds those gathers, each x^span fold at the cost of
+32 gathers and the span * w passes of the table build, counted over
+batches of CHUNK_ELEMS elements whatever BLOCK_ELEMS is.
 ``run_trials`` checks its arguments, the instance, ``_plan``,
 KERNEL_PASS_CAP and the orders (in ``_moment_values``), in that order,
 before its tables or any trial.  The fully
@@ -101,10 +107,15 @@ TABLE_BYTES = 16 << 20
 # q = 13000 takes 14 s for 4 trials (259996 passes), and q = 4 35 s for
 # 16384 trials (180256), the slowest admitted run timed
 KERNEL_PASS_CAP = 1 << 18
-# elements per block of every simulator loop: an int64 array of one block
-# is 2 MiB, about one core's L2 cache, so a batch's bins, loads and
-# temporaries stay in cache between the passes over them
-BLOCK_ELEMS = 1 << 18
+# elements per block of every simulator loop.  A batch keeps its int64
+# bins and loads (0.5 MiB each), two uint16 gather buffers (128 KiB each)
+# and, for orders >= 2, an int64 loads ** order temporary (0.5 MiB) live
+# at once: 1.75 MiB, inside one core's 2 MiB L2 cache (7 MiB at 2^18)
+BLOCK_ELEMS = 1 << 16
+# elements of the batches that size a chunk, the unit of one seed draw
+# and of thread scheduling (up to 8 such batches and CHUNK_ELEMS draws),
+# and that KERNEL_PASS_CAP counts its passes over
+CHUNK_ELEMS = 1 << 18
 
 
 class HashFamilySpec(Frozen):
@@ -392,11 +403,18 @@ def _add_counts(total: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return total
 
 
+def _rows(elems: int, M: int, N: int, draw: int) -> int:
+    """Rows of M balls, N bins and ``draw`` draws in ``elems`` elements of
+    each, and at least one."""
+    return max(1, elems // max(M, N, draw))
+
+
 def _plan(M: int, N: int, trials: int, stats: int,
           draw: int = 0) -> tuple[int, int]:
     """(batch, chunk) for ``trials`` rows of M balls, N bins, ``stats``
     floats and ``draw`` draws, once every cap holds; a batch has at most
-    BLOCK_ELEMS of each, a chunk 8 batches and BLOCK_ELEMS draws."""
+    BLOCK_ELEMS of each, a chunk 8 batches of CHUNK_ELEMS and at most
+    CHUNK_ELEMS draws."""
     for name, size in (("balls", M), ("bins", N)):
         if size > ROW_ELEMS_CAP:
             raise CapacityError(
@@ -409,8 +427,9 @@ def _plan(M: int, N: int, trials: int, stats: int,
         raise CapacityError(
             f"trials*(1 + orders + thresholds) = {trials * stats} exceeds "
             f"the trial cap {_TRIAL_STATS_CAP}")
-    batch = max(1, BLOCK_ELEMS // max(M, N, draw))
-    return batch, max(1, min(8 * batch, BLOCK_ELEMS // max(draw, 1)))
+    return (_rows(BLOCK_ELEMS, M, N, draw),
+            max(1, min(8 * _rows(CHUNK_ELEMS, M, N, draw),
+                       CHUNK_ELEMS // max(draw, 1))))
 
 
 def _load_experiment(M: int, N: int, trials: int, orders, thresholds,
@@ -503,9 +522,13 @@ def run_trials(spec: HashFamilySpec, trials: int, master_seed: int,
     stats = 1 + len(orders) + len(thresholds)
     # one trial's draw holds q coefficients and the 4 * ceil(q / 8)
     # <= max(q, 4) words of its Philox blocks
-    plan = batch, chunk = _plan(M, N, trials, stats, draw=max(q, 4))
+    draw = max(q, 4)
+    plan = _, chunk = _plan(M, N, trials, stats, draw)
+    # passes are counted over batches of CHUNK_ELEMS elements, however
+    # many smaller batches of BLOCK_ELEMS the driver runs them as
+    counted = _rows(CHUNK_ELEMS, M, N, draw)
     full, rest = divmod(trials, chunk)
-    batches = full * -(-chunk // batch) + -(-rest // batch)
+    batches = full * -(-chunk // counted) + -(-rest // counted)
     span = _table_span(w, q, M)
     folds = (q - 2) // span if span else 0      # ceil((q - 1) / span) - 1
     passes = span * w + batches * ((q - 1) * -(-w // 4) + 32 * folds)

@@ -1,7 +1,18 @@
+import tracemalloc
+
 import pytest
 
 from condbound import BellSequence
 from condbound.combinat import _stirling_rows
+
+
+def traced_peak(call):
+    """(call(), the peak in bytes that tracemalloc saw while it ran)."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

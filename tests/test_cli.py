@@ -7,7 +7,6 @@ import signal
 import struct
 import subprocess
 import sys
-import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -21,6 +20,8 @@ from condbound.cli import LOG2_SIZE_CAP, build_parser, dispatch
 from condbound.combinat import DEFAULT_QMAX_CAP, BellSequence
 from condbound.intervals import parse_dyadic
 from condbound.serialize import flatten, parse_rational
+
+from conftest import traced_peak
 
 
 def run_cli(capsys, *argv):
@@ -85,13 +86,9 @@ def test_table_streams_its_rows(fmt):
     # and 19.4 MiB as JSON; written row by row it stays under 4 MiB, less
     # than the text it writes
     sink = _CountingSink()
-    tracemalloc.start()
-    try:
-        with contextlib.redirect_stdout(sink):
-            code = dispatch(["table", "--qmax", "256", "--format", fmt])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    with contextlib.redirect_stdout(sink):
+        code, peak = traced_peak(
+            lambda: dispatch(["table", "--qmax", "256", "--format", fmt]))
     assert code == 0
     assert peak < 4 << 20, peak
     assert sink.chars > 4 << 20
@@ -805,12 +802,9 @@ def test_simulate_caps_bound_the_work(capsys, argv, cap):
 
     previous = signal.signal(signal.SIGALRM, expire)
     signal.setitimer(signal.ITIMER_REAL, 5.0)
-    tracemalloc.start()
     try:
-        code = dispatch(argv + ["--threads", "1"])
-        peak = tracemalloc.get_traced_memory()[1]
+        code, peak = traced_peak(lambda: dispatch(argv + ["--threads", "1"]))
     finally:
-        tracemalloc.stop()
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
     assert code == 2

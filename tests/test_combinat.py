@@ -2,7 +2,6 @@ import os
 import struct
 import subprocess
 import sys
-import tracemalloc
 from fractions import Fraction
 from itertools import accumulate
 from pathlib import Path
@@ -15,6 +14,7 @@ from condbound import combinat
 from condbound.combinat import DEFAULT_QMAX_CAP, _stirling_rows
 from condbound.errors import CapacityError, PreconditionError
 
+from conftest import traced_peak
 from oracles import (bell_by_binomial_recurrence, enumerate_partitions,
                      partition_counts_by_blocks)
 
@@ -99,12 +99,7 @@ def test_bell_triangle_matches_stirling_row_sums(q):
 
 def test_bell_stream_keeps_one_triangle_row():
     q = 1024
-    tracemalloc.start()
-    try:
-        values = _grown(q).values
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    values, peak = traced_peak(lambda: _grown(q).values)
     row = [1]  # the last and largest row of the Bell triangle
     for _ in range(q):
         row = list(accumulate(row, initial=row[-1]))

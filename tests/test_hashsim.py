@@ -2,7 +2,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,6 +16,7 @@ from condbound import (BallsBinsInstance, BellSequence, HashFamilySpec,
                        lemma2_certificate, raw_moment, run_trials)
 from condbound.errors import CapacityError, PreconditionError
 
+from conftest import traced_peak
 from oracles import (assignment_bin0_histogram, assignment_moment,
                      polynomial_trial_loads, seed_bin0_histogram)
 
@@ -281,13 +281,13 @@ def test_seed_coefficients_match_fresh_generators(key):
 
 
 @pytest.mark.parametrize("budget, w, q, trials", [
-    (hashsim.BLOCK_ELEMS, 3, 8, 40_000),  # 8-ball rows: the draw caps chunks
+    (hashsim.CHUNK_ELEMS, 3, 8, 40_000),  # 8-ball rows: the draw caps chunks
     (1 << 6, 5, 17, 20),                  # one row's draw > budget / 8
 ], ids=["small-rows", "large-draw"])
 def test_chunk_seed_draw_fits_a_block(monkeypatch, budget, w, q, trials):
     # the draw of a chunk, q coefficients and at least four Philox words
-    # per trial, holds at most BLOCK_ELEMS elements
-    monkeypatch.setattr(hashsim, "BLOCK_ELEMS", budget)
+    # per trial, holds at most CHUNK_ELEMS elements
+    monkeypatch.setattr(hashsim, "CHUNK_ELEMS", budget)
     chunks = []
     draw = hashsim._seed_coefficients
 
@@ -399,22 +399,22 @@ def test_reports_do_not_depend_on_block_size(monkeypatch, budget):
                     == getattr(report, field)), (name, field)
 
 
-# tracemalloc sees numpy's buffers; with BLOCK_ELEMS-element blocks each
-# call peaks at 1.5-7.6 MiB (23-32 MiB with 2^20-2^22-element blocks)
-@pytest.mark.parametrize("call", [
-    lambda: run_trials(HashFamilySpec.create(12, independence=4), trials=512,
-                       master_seed=7, threads=1),
-    lambda: independent_oracle(4096, 4096, (1, 2), 512, 7, thresholds=(1,)),
-    lambda: exact_small_oracle(HashFamilySpec.create(5, independence=4)),
+# tracemalloc sees numpy's buffers.  With 2^16-element blocks the calls
+# peak at 2.7, 2.2 and 1.4 MiB, in that order, a batch's working set of
+# at most 1.75 MiB and, for run_trials, 1.1 MiB of w = 12 split tables.
+# With 2^18-element blocks they peaked at 7.2, 6.7 and 5.5 MiB, and at
+# 23-32 MiB with 2^20-2^22-element blocks
+@pytest.mark.parametrize("call, bound", [
+    (lambda: run_trials(HashFamilySpec.create(12, independence=4),
+                        trials=512, master_seed=7, threads=1), 3.5),
+    (lambda: independent_oracle(4096, 4096, (1, 2), 512, 7,
+                                thresholds=(1,)), 3),
+    (lambda: exact_small_oracle(HashFamilySpec.create(5, independence=4)),
+     2),
 ], ids=["run_trials", "independent_oracle", "exact_small_oracle"])
-def test_simulator_peak_memory_bounded(call):
-    tracemalloc.start()
-    try:
-        call()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 12 << 20, peak
+def test_simulator_peak_memory_bounded(call, bound):
+    _, peak = traced_peak(call)
+    assert peak < bound * (1 << 20), peak
 
 
 @pytest.mark.parametrize("seed", [-1, 1 << 128], ids=["-1", "2^128"])
@@ -451,13 +451,11 @@ def test_throw_cap():
 @pytest.mark.parametrize("M, N", [((1 << 24) + 1, 3), (40, (1 << 24) + 1)],
                          ids=["balls", "bins"])
 def test_independent_row_cap_rejects_before_allocating(M, N):
-    tracemalloc.start()
-    try:
+    def refused():
         with pytest.raises(CapacityError, match="row cap"):
             independent_oracle(M, N, orders=(1, 2), trials=1, master_seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+
+    _, peak = traced_peak(refused)
     assert peak < 1 << 20, peak
 
 
@@ -466,12 +464,8 @@ def test_independent_row_holds_three_row_arrays():
     # block and a chunk histogram as long as the largest load; no zeroed
     # total waits beside them
     M = 1 << 20
-    tracemalloc.start()
-    try:
-        independent_oracle(M, 3, (1,), 1, 0, threads=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: independent_oracle(M, 3, (1,), 1, 0,
+                                                     threads=1))
     assert peak < 3.5 * 8 * M, peak
 
 
@@ -481,12 +475,8 @@ def test_independent_row_cap_holds_one_row():
     # here), not to M: a row-sized draw or an (M + 1)-entry histogram
     # beside the row would take the peak past two rows
     M = hashsim.ROW_ELEMS_CAP
-    tracemalloc.start()
-    try:
-        report = independent_oracle(M, 3, (1,), 1, 0, threads=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    report, peak = traced_peak(lambda: independent_oracle(M, 3, (1,), 1, 0,
+                                                          threads=1))
     assert sum(count for _, count in report.histogram) == 3
     assert peak < 1.5 * 8 * M, peak
 
@@ -646,18 +636,33 @@ def test_every_table_row_is_read(monkeypatch, table_bytes, shapes):
         assert table.rows.reads == set(range(table.span)), table.span
 
 
-# (w, q, trials) of the largest tier-1 and benchmark runs, and the largest
-# run at w = 16, q = 8192 that KERNEL_PASS_CAP admits with each x^span fold
-# counted as 32 passes: one full batch, 163836 passes; a second takes 327640
-_ADMITTED = [(13, 8, 100_000), (12, 4, 5000), (13, 8, 2000), (16, 8192, 4)]
+# (w, q, trials) of the largest tier-1 and benchmark runs
+_ADMITTED = [(13, 8, 100_000), (12, 4, 5000), (13, 8, 2000)]
+# the largest run at w = 16, q = 8192 that KERNEL_PASS_CAP admits with each
+# x^span fold counted as 32 passes: one counted batch of CHUNK_ELEMS
+# elements, 163836 passes; a second takes 327640
+_AT_CAP = [(16, 8192, 4, True), (16, 8192, 5, False)]
 
 
 @pytest.mark.parametrize("w, q, trials, admitted", [
-    *((w, q, t, True) for w, q, t in _ADMITTED),
-    (16, 8192, 5, False),
+    *((w, q, t, True) for w, q, t in _ADMITTED), *_AT_CAP,
 ], ids=["criterion-4", "bench-w12", "bench-w13", "at-cap", "past-cap"])
 def test_kernel_pass_cap_checked_before_any_table(monkeypatch, w, q, trials,
                                                   admitted):
+    _check_pass_cap(monkeypatch, w, q, trials, admitted)
+
+
+@pytest.mark.parametrize("w, q, trials, admitted", _AT_CAP,
+                         ids=["at-cap", "past-cap"])
+def test_kernel_pass_count_does_not_follow_the_block(monkeypatch, w, q,
+                                                     trials, admitted):
+    # a smaller block splits the same gathers into more batches; the count
+    # is over batches of CHUNK_ELEMS elements, so no exit code moves
+    monkeypatch.setattr(hashsim, "BLOCK_ELEMS", 1 << 14)
+    _check_pass_cap(monkeypatch, w, q, trials, admitted)
+
+
+def _check_pass_cap(monkeypatch, w, q, trials, admitted):
     class Built(Exception):
         pass
 

@@ -1,4 +1,3 @@
-import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -9,6 +8,7 @@ from condbound.combinat import DEFAULT_QMAX_CAP
 from condbound.errors import CondboundError, PreconditionError
 from condbound.moments import _moment_values
 
+from conftest import traced_peak
 from oracles import assignment_bin0_histogram, assignment_moment
 
 
@@ -66,12 +66,7 @@ def test_raw_moment_keeps_one_stirling_row():
     # the full triangle to order 512 takes about 25 MiB; one row of it
     # and the integer sum over N^512 take well under 1 MiB
     inst = BallsBinsInstance(1 << 30, 1 << 30, 512)
-    tracemalloc.start()
-    try:
-        raw_moment(inst, 512)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: raw_moment(inst, 512))
     assert peak < 2 << 20
 
 

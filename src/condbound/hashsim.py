@@ -102,15 +102,16 @@ _TRIAL_STATS_CAP = 1 << 22
 # coefficient position) the q - 1 positions would need (q-1) * 8 MiB
 TABLE_BYTES = 16 << 20
 # passes of run_trials' kernel, span * w to build its tables and, per
-# batch, (q - 1) * ceil(w/4) gathers and 32 per x^span fold (a fold of a
-# 2^18-element batch costs 24-36 gathers): at w = 16 on a 2-vCPU host,
-# q = 13000 takes 14 s for 4 trials (259996 passes), and q = 4 35 s for
-# 16384 trials (180256), the slowest admitted run timed
+# batch of CHUNK_ELEMS elements, (q - 1) * ceil(w/4) gathers and 32 per
+# x^span fold (a fold of a 2^18-element batch costs 24-36 gathers): at
+# w = 16 on a 2-vCPU host, q = 13000 takes 12.6 s for 4 trials (259996
+# passes), and q = 4 17.7 s for 16384 trials (180256), the slowest
+# admitted run timed
 KERNEL_PASS_CAP = 1 << 18
 # elements per block of every simulator loop.  A batch keeps its int64
 # bins and loads (0.5 MiB each), two uint16 gather buffers (128 KiB each)
 # and, for orders >= 2, an int64 loads ** order temporary (0.5 MiB) live
-# at once: 1.75 MiB, inside one core's 2 MiB L2 cache (7 MiB at 2^18)
+# at once: 1.75 MiB, inside one core's 2 MiB L2 cache
 BLOCK_ELEMS = 1 << 16
 # elements of the batches that size a chunk, the unit of one seed draw
 # and of thread scheduling (up to 8 such batches and CHUNK_ELEMS draws),

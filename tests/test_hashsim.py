@@ -401,9 +401,8 @@ def test_reports_do_not_depend_on_block_size(monkeypatch, budget):
 
 # tracemalloc sees numpy's buffers.  With 2^16-element blocks the calls
 # peak at 2.7, 2.2 and 1.4 MiB, in that order, a batch's working set of
-# at most 1.75 MiB and, for run_trials, 1.1 MiB of w = 12 split tables.
-# With 2^18-element blocks they peaked at 7.2, 6.7 and 5.5 MiB, and at
-# 23-32 MiB with 2^20-2^22-element blocks
+# at most 1.75 MiB and, for run_trials, 1.1 MiB of w = 12 split tables;
+# 2^18-element blocks would take them to 7.2, 6.7 and 5.5 MiB
 @pytest.mark.parametrize("call, bound", [
     (lambda: run_trials(HashFamilySpec.create(12, independence=4),
                         trials=512, master_seed=7, threads=1), 3.5),
@@ -636,39 +635,31 @@ def test_every_table_row_is_read(monkeypatch, table_bytes, shapes):
         assert table.rows.reads == set(range(table.span)), table.span
 
 
-# (w, q, trials) of the largest tier-1 and benchmark runs
-_ADMITTED = [(13, 8, 100_000), (12, 4, 5000), (13, 8, 2000)]
-# the largest run at w = 16, q = 8192 that KERNEL_PASS_CAP admits with each
-# x^span fold counted as 32 passes: one counted batch of CHUNK_ELEMS
-# elements, 163836 passes; a second takes 327640
-_AT_CAP = [(16, 8192, 4, True), (16, 8192, 5, False)]
+# (w, q, trials) of the largest tier-1 and benchmark runs, and the largest
+# run at w = 16, q = 8192 that KERNEL_PASS_CAP admits with each x^span fold
+# counted as 32 passes: one counted batch of CHUNK_ELEMS elements, 163836
+# passes; a second takes 327640.  A smaller block splits the same gathers
+# into more batches, but the count is over batches of CHUNK_ELEMS
+# elements, so no exit code follows the block
+_ADMITTED = [(13, 8, 100_000), (12, 4, 5000), (13, 8, 2000), (16, 8192, 4)]
 
 
-@pytest.mark.parametrize("w, q, trials, admitted", [
-    *((w, q, t, True) for w, q, t in _ADMITTED), *_AT_CAP,
-], ids=["criterion-4", "bench-w12", "bench-w13", "at-cap", "past-cap"])
+@pytest.mark.parametrize("w, q, trials, admitted, block", [
+    *((w, q, t, True, hashsim.BLOCK_ELEMS) for w, q, t in _ADMITTED),
+    (16, 8192, 5, False, hashsim.BLOCK_ELEMS),
+    (16, 8192, 4, True, 1 << 14),
+    (16, 8192, 5, False, 1 << 14),
+], ids=["criterion-4", "bench-w12", "bench-w13", "at-cap", "past-cap",
+        "at-cap-block-2^14", "past-cap-block-2^14"])
 def test_kernel_pass_cap_checked_before_any_table(monkeypatch, w, q, trials,
-                                                  admitted):
-    _check_pass_cap(monkeypatch, w, q, trials, admitted)
-
-
-@pytest.mark.parametrize("w, q, trials, admitted", _AT_CAP,
-                         ids=["at-cap", "past-cap"])
-def test_kernel_pass_count_does_not_follow_the_block(monkeypatch, w, q,
-                                                     trials, admitted):
-    # a smaller block splits the same gathers into more batches; the count
-    # is over batches of CHUNK_ELEMS elements, so no exit code moves
-    monkeypatch.setattr(hashsim, "BLOCK_ELEMS", 1 << 14)
-    _check_pass_cap(monkeypatch, w, q, trials, admitted)
-
-
-def _check_pass_cap(monkeypatch, w, q, trials, admitted):
+                                                  admitted, block):
     class Built(Exception):
         pass
 
     def built(*args):
         raise Built
 
+    monkeypatch.setattr(hashsim, "BLOCK_ELEMS", block)
     monkeypatch.setattr(hashsim, "_SplitTables", built)
     spec = HashFamilySpec.create(w, independence=q)
     with pytest.raises(Built if admitted else CapacityError,

@@ -28,7 +28,7 @@ so its last bits can.
 
 Block budget: ``_load_experiment`` is the only block loop, for the Monte
 Carlo trials and the exhaustive seed oracle alike, and each caller
-writes the bin of every ball straight into the driver's reused block
+writes the bin of every ball straight into the loop's reused block
 buffer.  What is budgeted is a batch's whole working set, not one array:
 its int64 bins and loads, the two uint16 gather buffers of
 ``_SplitTables.evaluate`` and, for orders >= 2, one int64 ``loads **
@@ -38,7 +38,7 @@ Chunks, the rows of one vectorised seed draw and the unit of thread
 scheduling, are sized apart from the batches: up to 8 batches of
 CHUNK_ELEMS elements and at most CHUNK_ELEMS drawn elements, so the
 Philox pass runs once per chunk, not once per batch.  ``_plan`` sizes
-the driver's batches and chunks and checks every cap, for every caller,
+the loop's batches and chunks and checks every cap, for every caller,
 before any work: a batch holds at least one trial, so ROW_ELEMS_CAP
 bounds the balls M and bins N of one row; DEFAULT_THROW_CAP bounds M and
 N times the trials; and _TRIAL_STATS_CAP bounds the trials times their
@@ -526,7 +526,7 @@ def run_trials(spec: HashFamilySpec, trials: int, master_seed: int,
     draw = max(q, 4)
     plan = _, chunk = _plan(M, N, trials, stats, draw)
     # passes are counted over batches of CHUNK_ELEMS elements, however
-    # many smaller batches of BLOCK_ELEMS the driver runs them as
+    # many smaller batches of BLOCK_ELEMS _load_experiment runs them as
     counted = _rows(CHUNK_ELEMS, M, N, draw)
     full, rest = divmod(trials, chunk)
     batches = full * -(-chunk // counted) + -(-rest // counted)

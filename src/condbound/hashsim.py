@@ -29,11 +29,15 @@ so its last bits can.
 Block budget: ``_load_experiment`` is the only block loop, for the Monte
 Carlo trials and the exhaustive seed oracle alike, and each caller
 writes the bin of every ball straight into the loop's reused block
-buffer.  What is budgeted is a batch's whole working set, not one array:
-its int64 bins and loads, the two uint16 gather buffers of
+buffer.  What is budgeted is the loop's own arrays of a batch, not one
+of them: its int64 bins and loads, the two uint16 gather buffers of
 ``_SplitTables.evaluate`` and, for orders >= 2, one int64 ``loads **
 order`` temporary are live at once, and BLOCK_ELEMS elements of each
-(1.75 MiB) fit in one core's 2 MiB L2 cache between the passes over them.
+come to 1.75 MiB, under one core's 2 MiB L2 cache.  The split tables
+(up to TABLE_BYTES) and the chunk's seed draw (up to CHUNK_ELEMS int64)
+are read beside them and lie outside that budget.  A batch of one seed,
+as every batch is once M reaches BLOCK_ELEMS, XORs its table rows into
+the accumulator in place, one numpy call per gather and no copy.
 Chunks, the rows of one vectorised seed draw and the unit of thread
 scheduling, are sized apart from the batches: up to 8 batches of
 CHUNK_ELEMS elements and at most CHUNK_ELEMS drawn elements, so the
@@ -103,15 +107,16 @@ _TRIAL_STATS_CAP = 1 << 22
 TABLE_BYTES = 16 << 20
 # passes of run_trials' kernel, span * w to build its tables and, per
 # batch of CHUNK_ELEMS elements, (q - 1) * ceil(w/4) gathers and 32 per
-# x^span fold (a fold of a 2^18-element batch costs 24-36 gathers): at
-# w = 16 on a 2-vCPU host, q = 13000 takes 12.6 s for 4 trials (259996
-# passes), and q = 4 17.7 s for 16384 trials (180256), the slowest
-# admitted run timed
+# x^span fold (a fold costs 22-26 gathers over as many rows): at w = 16
+# on a 2-vCPU host, q = 13000 takes 7.7 s for 4 trials (259996 passes),
+# and q = 4 12.2 s for 16384 trials (180256), the slowest admitted run
+# timed
 KERNEL_PASS_CAP = 1 << 18
 # elements per block of every simulator loop.  A batch keeps its int64
 # bins and loads (0.5 MiB each), two uint16 gather buffers (128 KiB each)
 # and, for orders >= 2, an int64 loads ** order temporary (0.5 MiB) live
-# at once: 1.75 MiB, inside one core's 2 MiB L2 cache
+# at once: 1.75 MiB, under one core's 2 MiB L2 cache.  The split tables
+# and the chunk's seed draw it reads are not counted here
 BLOCK_ELEMS = 1 << 16
 # elements of the batches that size a chunk, the unit of one seed draw
 # and of thread scheduling (up to 8 such batches and CHUNK_ELEMS draws),
@@ -314,11 +319,13 @@ def _reduce_report(config_echo: dict, trials: int, orders, thresholds,
 def _fold_tables(w: int, modulus: int) -> tuple[np.ndarray, np.ndarray]:
     """(exp, log) of GF(2^w) for the fold: exp[log[a] + log[b]] = a * b.
     log[0] is the sentinel 2 * order, so a product with a zero factor
-    indexes the zero-filled top of exp and the fold needs no masking."""
+    indexes the zero-filled top of exp and the fold needs no masking.
+    exp is uint16 and log int32, the narrowest types that hold them: at
+    w = 16 the pair is 0.75 MiB and stays in L2 beside a batch."""
     order = (1 << w) - 1
     gen = primitive_element(modulus)
-    exp = np.zeros(4 * order + 1, dtype=np.int64)
-    log = np.full(1 << w, 2 * order, dtype=np.int64)
+    exp = np.zeros(4 * order + 1, dtype=np.uint16)
+    log = np.full(1 << w, 2 * order, dtype=np.int32)
     v = 1
     for i in range(order):
         exp[i] = exp[i + order] = v
@@ -350,6 +357,7 @@ class _SplitTables:
         w, q = spec.field_bits, spec.independence
         self.span = _table_span(w, q, points)
         self.nibbles = -(-w // 4)
+        self.shifts = 4 * np.arange(self.nibbles)[:, None]
         self.rows = np.zeros((self.span, self.nibbles, 16, points),
                              dtype=np.uint16)
         xs = basis = np.arange(points, dtype=np.int64)
@@ -380,7 +388,7 @@ class _SplitTables:
         acc = np.zeros((seeds, self.rows.shape[-1]), dtype=np.uint16)
         buf = np.empty_like(acc)
         if self.span < len(coeffs):
-            logs = np.empty(acc.shape, dtype=np.int64)
+            logs = np.empty(acc.shape, dtype=np.int32)
         # blocks of span positions, top first, Horner in x^span
         for base in reversed(range(0, len(coeffs), self.span or 1)):
             if base + self.span < len(coeffs):
@@ -389,9 +397,15 @@ class _SplitTables:
                 logs += self.log_fold
                 np.take(self.exp, logs, out=acc, mode="clip")
             for r, c in enumerate(coeffs[base:base + self.span]):
-                for j in range(self.nibbles):
-                    np.take(self.rows[r, j], (c >> 4 * j) & 15, axis=0,
-                            out=buf, mode="clip")
+                if seeds == 1:  # one seed XORs its table rows, views
+                    c = int(c[0])
+                    for j in range(self.nibbles):
+                        acc ^= self.rows[r, j, c >> 4 * j & 15]
+                    continue
+                # every nibble of the seeds' coefficient in two calls
+                for j, nib in enumerate(c >> self.shifts & 15):
+                    np.take(self.rows[r, j], nib, axis=0, out=buf,
+                            mode="clip")
                     acc ^= buf
         return acc
 

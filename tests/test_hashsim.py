@@ -389,9 +389,14 @@ def _block_sensitive_runs():
 @pytest.mark.parametrize("budget", [1 << 7, 3000])
 def test_reports_do_not_depend_on_block_size(monkeypatch, budget):
     # 1 << 7 puts one trial in each batch (M or N >= 128 at every Monte
-    # Carlo shape); 3000 leaves a partial last block in every loop
+    # Carlo shape) and cuts every run into many chunks, spread over both
+    # threads where there are two; 3000 leaves a partial last block in
+    # every loop.  Batches and chunks both follow the budget, so the
+    # per-chunk seed draws and the summed chunk histograms are checked
+    # wherever a chunk boundary falls
     want = _block_sensitive_runs()
     monkeypatch.setattr(hashsim, "BLOCK_ELEMS", budget)
+    monkeypatch.setattr(hashsim, "CHUNK_ELEMS", budget)
     got = _block_sensitive_runs()
     for name, report in want.items():
         for field in report._fields:
@@ -399,10 +404,10 @@ def test_reports_do_not_depend_on_block_size(monkeypatch, budget):
                     == getattr(report, field)), (name, field)
 
 
-# tracemalloc sees numpy's buffers.  With 2^16-element blocks the calls
-# peak at 2.7, 2.2 and 1.4 MiB, in that order, a batch's working set of
-# at most 1.75 MiB and, for run_trials, 1.1 MiB of w = 12 split tables;
-# 2^18-element blocks would take them to 7.2, 6.7 and 5.5 MiB
+# tracemalloc sees numpy's buffers.  The calls peak at 2.7, 2.2 and
+# 1.4 MiB, in that order: the load loop's arrays of one batch, at most
+# 1.75 MiB, and for run_trials 1.1 MiB of w = 12 split tables; each bound
+# leaves about 0.6-0.8 MiB over its peak
 @pytest.mark.parametrize("call, bound", [
     (lambda: run_trials(HashFamilySpec.create(12, independence=4),
                         trials=512, master_seed=7, threads=1), 3.5),
